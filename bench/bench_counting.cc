@@ -23,7 +23,7 @@ void BM_CountQuantifierFreePath(benchmark::State& state) {
   std::string count;
   auto ones = [](Value) { return BigInt(1); };
   for (auto _ : state) {
-    auto c = WeightedCountAcq0<BigIntField>(q, db, ones);
+    auto c = SemiringSumAcq0(q, db, BigIntField{ones});
     if (!c.ok()) state.SkipWithError(c.status().ToString().c_str());
     count = c->ToString();
     benchmark::DoNotOptimize(c);
@@ -62,7 +62,7 @@ void FieldBench(benchmark::State& state) {
   ConjunctiveQuery q = FullPathQuery(4);
   auto ones = [](Value) { return typename Field::ValueType(1); };
   for (auto _ : state) {
-    auto c = WeightedCountAcq0<Field>(q, db, ones);
+    auto c = SemiringSumAcq0(q, db, Field{ones});
     if (!c.ok()) state.SkipWithError(c.status().ToString().c_str());
     benchmark::DoNotOptimize(c);
   }
@@ -93,7 +93,7 @@ void BM_WeightedAggregation(benchmark::State& state) {
   ConjunctiveQuery q = FullPathQuery(3);
   auto w = [](Value v) { return static_cast<double>(v) * 1e-3; };
   for (auto _ : state) {
-    auto c = WeightedCountAcq0<DoubleField>(q, db, w);
+    auto c = SemiringSumAcq0(q, db, DoubleField{w});
     if (!c.ok()) state.SkipWithError(c.status().ToString().c_str());
     benchmark::DoNotOptimize(c);
   }

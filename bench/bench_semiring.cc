@@ -28,10 +28,10 @@ namespace {
 
 // --- Cached serve: count verb per semiring -------------------------------
 
-// BM_ServeCachedCountCompiled (bench_service.cc) generalized by semiring:
-// warm the (tier, semiring)-keyed entry once, then measure steady-state
-// count requests. The counting row is the fused baseline the other rows
-// are gated against (tools/check_bench_regression.py --delta-ratio).
+// BM_ServeCachedCount (bench_service.cc) generalized by semiring: warm
+// the semiring-keyed entry once, then measure steady-state count
+// requests. The counting row is the fused baseline the other rows are
+// gated against (tools/check_bench_regression.py --semiring-ratio).
 void ServeCountUnder(benchmark::State& state, SemiringId id) {
   const size_t tuples = static_cast<size_t>(state.range(0));
   Rng rng(7);
@@ -44,7 +44,6 @@ void ServeCountUnder(benchmark::State& state, SemiringId id) {
     ServiceRequest warm;
     warm.query = q;
     warm.verb = ServeVerb::kCount;
-    warm.tier = ExecTier::kCompile;
     warm.semiring = id;
     service.Submit(std::move(warm)).get();
   }
@@ -52,7 +51,6 @@ void ServeCountUnder(benchmark::State& state, SemiringId id) {
     ServiceRequest req;
     req.query = q;
     req.verb = ServeVerb::kCount;
-    req.tier = ExecTier::kCompile;
     req.semiring = id;
     ServiceResponse resp = service.Submit(std::move(req)).get();
     if (!resp.status.ok()) state.SkipWithError(resp.status.ToString().c_str());

@@ -45,41 +45,9 @@ void BM_ServeCold(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeCold)->Arg(1000)->Arg(10000)->Arg(100000);
 
-void BM_ServeCached(benchmark::State& state) {
-  const size_t tuples = static_cast<size_t>(state.range(0));
-  Rng rng(7);
-  Database db = Figure1Database(tuples, static_cast<Value>(tuples / 4), &rng);
-  ConjunctiveQuery q = Figure1Query();
-  ServiceOptions opts;
-  opts.num_workers = 1;
-  QueryService service(&db, opts);
-  {
-    ServiceRequest warm;
-    warm.query = q;
-    service.Submit(std::move(warm)).get();  // Populate the cache.
-  }
-  for (auto _ : state) {
-    ServiceRequest req;
-    req.query = q;
-    ServiceResponse resp = service.Submit(std::move(req)).get();
-    if (!resp.status.ok()) state.SkipWithError(resp.status.ToString().c_str());
-    benchmark::DoNotOptimize(resp.answers);
-  }
-  state.counters["tuples"] = static_cast<double>(tuples);
-  state.counters["hit_rate"] =
-      static_cast<double>(service.cache().hits()) /
-      static_cast<double>(service.cache().hits() + service.cache().misses());
-}
-BENCHMARK(BM_ServeCached)->Arg(1000)->Arg(10000)->Arg(100000);
-
-// --- Execution tiers: the same cached query, interpreted vs compiled -----
-
-// BM_ServeCached at an explicit ExecTier. Each tier keys its own cache
-// entry; the compiled entry serves answers from the fgq::vm bytecode
-// cursor instead of the interpreted plan cursor. The interpret/compile
-// pair is the before/after recorded in BENCH_PR7.json.
-void ServeCachedAtTier(benchmark::State& state, ExecTier tier,
-                       ServeVerb verb) {
+// A cached hit: the plan cache hands back the fgq::vm program and the
+// request runs its cursor (rows) or its fused count stream (count).
+void ServeCached(benchmark::State& state, ServeVerb verb) {
   const size_t tuples = static_cast<size_t>(state.range(0));
   Rng rng(7);
   Database db = Figure1Database(tuples, static_cast<Value>(tuples / 4), &rng);
@@ -91,14 +59,12 @@ void ServeCachedAtTier(benchmark::State& state, ExecTier tier,
     ServiceRequest warm;
     warm.query = q;
     warm.verb = verb;
-    warm.tier = tier;
-    service.Submit(std::move(warm)).get();  // Populate the tier's entry.
+    service.Submit(std::move(warm)).get();  // Populate the cache.
   }
   for (auto _ : state) {
     ServiceRequest req;
     req.query = q;
     req.verb = verb;
-    req.tier = tier;
     ServiceResponse resp = service.Submit(std::move(req)).get();
     if (!resp.status.ok()) state.SkipWithError(resp.status.ToString().c_str());
     if (verb == ServeVerb::kCount) {
@@ -108,31 +74,23 @@ void ServeCachedAtTier(benchmark::State& state, ExecTier tier,
     }
   }
   state.counters["tuples"] = static_cast<double>(tuples);
-  state.counters["compiled"] = tier == ExecTier::kCompile ? 1.0 : 0.0;
+  state.counters["hit_rate"] =
+      static_cast<double>(service.cache().hits()) /
+      static_cast<double>(service.cache().hits() + service.cache().misses());
 }
 
-void BM_ServeCachedInterpret(benchmark::State& state) {
-  ServeCachedAtTier(state, ExecTier::kInterpret, ServeVerb::kRows);
+void BM_ServeCached(benchmark::State& state) {
+  ServeCached(state, ServeVerb::kRows);
 }
-BENCHMARK(BM_ServeCachedInterpret)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_ServeCached)->Arg(1000)->Arg(10000)->Arg(100000);
 
-void BM_ServeCachedCompiled(benchmark::State& state) {
-  ServeCachedAtTier(state, ExecTier::kCompile, ServeVerb::kRows);
-}
-BENCHMARK(BM_ServeCachedCompiled)->Arg(1000)->Arg(10000)->Arg(100000);
-
-// The count verb is where fusion shows: the compiled entry runs the
+// The count verb is where fusion shows: the cached program runs the
 // kCountSpan stream (no materialization, innermost loop collapsed to a
-// span-sized add) while the interpreted entry drains its plan cursor.
-void BM_ServeCachedCountInterpret(benchmark::State& state) {
-  ServeCachedAtTier(state, ExecTier::kInterpret, ServeVerb::kCount);
+// span-sized add). BENCH_PR7.json records it under the same name.
+void BM_ServeCachedCount(benchmark::State& state) {
+  ServeCached(state, ServeVerb::kCount);
 }
-BENCHMARK(BM_ServeCachedCountInterpret)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_ServeCachedCountCompiled(benchmark::State& state) {
-  ServeCachedAtTier(state, ExecTier::kCompile, ServeVerb::kCount);
-}
-BENCHMARK(BM_ServeCachedCountCompiled)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_ServeCachedCount)->Arg(1000)->Arg(10000)->Arg(100000);
 
 // --- Mixed workload throughput -------------------------------------------
 

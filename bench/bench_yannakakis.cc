@@ -180,16 +180,14 @@ BENCHMARK(BM_SemijoinSweep)
     ->Range(1 << 12, 1 << 17)
     ->Unit(benchmark::kMicrosecond);
 
-// --- Compiled tier: fgq::vm bytecode vs the interpreted plan cursor ------
+// --- fgq::vm: the constant-delay enumerator and the fused count ---------
 
-/// Shared fixture: the Figure 1 free-connex query, plan built and indexed
-/// once (both sides reuse it, exactly like the serving layer's cache), so
-/// the measured loop is pure enumeration — odometer walk + probes +
-/// output assembly, interpreted or compiled.
+/// Shared fixture: the Figure 1 free-connex query, compiled once (exactly
+/// like the serving layer's cache), so the measured loop is pure
+/// enumeration — odometer walk + probes + output assembly.
 struct VmFixture {
   Database db;
   ConjunctiveQuery q;
-  std::shared_ptr<const IndexedFreeConnexPlan> plan;
   std::shared_ptr<const vm::Program> program;
 
   static Result<VmFixture> Make(size_t n) {
@@ -197,35 +195,10 @@ struct VmFixture {
     Rng rng(1234);
     f.db = Figure1Database(n, static_cast<Value>(n / 4 + 4), &rng);
     f.q = Figure1Query();
-    FGQ_ASSIGN_OR_RETURN(FreeConnexPlan fc, BuildFreeConnexPlan(f.q, f.db));
-    FGQ_ASSIGN_OR_RETURN(f.plan,
-                         IndexFreeConnexPlan(std::move(fc), f.q.head()));
-    vm::Compilation comp = vm::CompilePlan(f.plan, f.q);
-    if (!comp.ok()) return Status::Internal(comp.fallback_reason);
-    f.program = comp.program;
+    FGQ_ASSIGN_OR_RETURN(f.program, vm::CompileFreeConnex(f.q, f.db));
     return f;
   }
 };
-
-void BM_PlanCursorEnumerate(benchmark::State& state) {
-  Result<VmFixture> f = VmFixture::Make(static_cast<size_t>(state.range(0)));
-  if (!f.ok()) {
-    state.SkipWithError(f.status().ToString().c_str());
-    return;
-  }
-  size_t answers = 0;
-  for (auto _ : state) {
-    std::unique_ptr<AnswerEnumerator> e = MakePlanEnumerator(f->plan);
-    Tuple t;
-    answers = 0;
-    while (e->Next(&t)) ++answers;
-    benchmark::DoNotOptimize(answers);
-  }
-  state.counters["answers"] = static_cast<double>(answers);
-}
-BENCHMARK(BM_PlanCursorEnumerate)
-    ->Arg(1 << 12)->Arg(1 << 14)->Arg(1 << 16)
-    ->Unit(benchmark::kMicrosecond);
 
 void BM_VmEnumerate(benchmark::State& state) {
   Result<VmFixture> f = VmFixture::Make(static_cast<size_t>(state.range(0)));

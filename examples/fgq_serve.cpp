@@ -6,12 +6,10 @@
 // `\stats` shows the counters; `deadline` makes hopeless cyclic queries
 // fail fast instead of hanging the session.
 //
-//   ./build/examples/fgq_serve [--trace=out.json] [--tier=TIER] < script.txt
+//   ./build/examples/fgq_serve [--trace=out.json] < script.txt
 //
-// --tier=interpret|compile|auto picks the execution tier requests default
-// to (both modes): `auto` compiles Boolean/free-connex queries to fgq::vm
-// bytecode, `compile` also compiles head-only disequalities, `interpret`
-// never compiles. See fgq_explain --bytecode for the programs themselves.
+// Boolean and free-connex queries are served from cached fgq::vm
+// programs; see fgq_explain --bytecode for the programs themselves.
 //
 // With --listen=PORT the binary instead boots the fgq::net socket server
 // over the synthetic serving workload (see fgq_loadgen) and runs until
@@ -109,7 +107,7 @@ void OnSignal(int) { g_stop = 1; }
 /// `fact_file` (from --db=PATH) substitutes a user database for the
 /// synthetic one.
 int RunNetServer(uint16_t port, size_t shards, size_t tuples,
-                 const std::string& fact_file, ExecTier tier) {
+                 const std::string& fact_file) {
   Database db;
   if (fact_file.empty()) {
     db = ServeWorkloadDatabase(tuples, /*seed=*/1);
@@ -124,7 +122,6 @@ int RunNetServer(uint16_t port, size_t shards, size_t tuples,
   net::NetServerOptions opts;
   opts.port = port;
   opts.num_shards = shards;
-  opts.service.default_tier = tier;
   // Snapshot-backed: clients can mutate under live traffic; each request
   // pins one epoch and selective plan invalidation keeps the cache warm.
   SnapshotStore store(std::move(db));
@@ -165,17 +162,10 @@ int main(int argc, char** argv) {
   uint16_t listen_port = 0;
   size_t shards = 1;
   size_t tuples = 2000;
-  ExecTier tier = ExecTier::kAuto;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--trace=", 0) == 0) {
       trace_path = arg.substr(8);
-    } else if (arg.rfind("--tier=", 0) == 0) {
-      if (!ParseExecTier(arg.substr(7), &tier)) {
-        std::cerr << "bad --tier '" << arg.substr(7)
-                  << "' (want interpret, compile, or auto)\n";
-        return 2;
-      }
     } else if (arg.rfind("--listen=", 0) == 0) {
       listen = true;
       listen_port = static_cast<uint16_t>(std::stoi(arg.substr(9)));
@@ -187,20 +177,19 @@ int main(int argc, char** argv) {
       fact_file = arg.substr(5);
     } else {
       std::cerr << "unknown flag '" << arg
-                << "' (try --trace=out.json, --tier=TIER, or --listen=PORT "
+                << "' (try --trace=out.json or --listen=PORT "
                    "[--shards=N] [--tuples=N] [--db=facts.txt])\n";
       return 2;
     }
   }
   if (listen) {
-    return RunNetServer(listen_port, shards, tuples, fact_file, tier);
+    return RunNetServer(listen_port, shards, tuples, fact_file);
   }
 
   Database db;
   Dictionary dict;
   ServiceOptions opts;
   opts.num_workers = 2;
-  opts.default_tier = tier;
   QueryService service(&db, opts);
   // One long-lived sink for all `trace` verbs of the session; flushed to
   // --trace=PATH on exit. (Per-request isolation is about correctness of

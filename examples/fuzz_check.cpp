@@ -6,7 +6,7 @@
 // run with --seeds=500.
 //
 //   fuzz_check [--seeds=N] [--first-seed=S] [--classes=a,b,...]
-//              [--no-shrink] [--regress-dir=DIR] [--no-service] [--no-vm]
+//              [--no-shrink] [--regress-dir=DIR] [--no-service]
 //              [--no-semiring] [--no-mutation] [--mutation-batches=N]
 //              [--heavy-dup=P] [--net] [--net-frames=N]
 //
@@ -16,13 +16,9 @@
 //   --no-shrink      report raw failures without shrinking.
 //   --regress-dir=D  write shrunk failures as .fgqr files under D.
 //   --no-service     skip the QueryService paths (faster under TSan).
-//   --no-vm          skip the explicit compiled-tier paths (vm-run /
-//                    vm-enumerate / vm-count / bit-identity stream diff /
-//                    tiered serve). On by default: every case diffs the
-//                    fgq::vm bytecode against the interpreter.
-//   --no-semiring    skip the semiring paths (SumProduct under every
-//                    instance at both tiers vs the reference fold,
-//                    cross-semiring invariants, per-semiring count
+//   --no-semiring    skip the semiring paths (SumProduct and the
+//                    join-tree DP under every instance vs the reference
+//                    fold, cross-semiring invariants, per-semiring count
 //                    serving). On by default.
 //   --no-mutation    skip the mutation paths (snapshot isolation +
 //                    concurrent-writer linearizability + maintained-index
@@ -105,8 +101,6 @@ int main(int argc, char** argv) {
       opt.regress_dir = value("--regress-dir=");
     } else if (arg == "--no-service") {
       opt.fuzz.include_service = false;
-    } else if (arg == "--no-vm") {
-      opt.fuzz.include_vm = false;
     } else if (arg == "--no-semiring") {
       opt.fuzz.include_semiring = false;
     } else if (arg == "--no-mutation") {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <set>
 #include <thread>
 #include <unordered_set>
@@ -173,124 +172,43 @@ class CaseDiffer {
         cls == QueryClass::kFreeConnexAcyclic) {
       CheckEnumerator("enum-constant-delay", reference,
                       MakeConstantDelayEnumerator(q, db_));
+      DiffVm(q, cls, serial, reference);
     }
-    if (opt_.include_vm) DiffVm(q, cls, serial, reference);
     if (opt_.include_semiring) DiffSemiring(q, reference);
     if (opt_.include_service) DiffService(q, reference);
     if (opt_.include_net) DiffNet(q, reference);
     if (opt_.include_mutation) DiffMutation(q);
   }
 
-  /// The explicit compiled-tier paths. Every query goes through
-  /// Run/Enumerate at ExecTier::kCompile (non-compilable classes fall
-  /// back inside the engine — the diff then re-verifies the interpreter),
-  /// and classes whose program stream is bit-identical to the interpreter
-  /// additionally diff the raw VM cursor against the constant-delay
-  /// enumerator *in order*, which Canon()-based set comparison can't see.
+  /// The raw fgq::vm program of a Boolean or free-connex query. The
+  /// engine paths above already run its cursor; here the class must
+  /// compile, and the fused count stream (kCountSpan / kCountProbeAll,
+  /// which no cursor executes) must match the reference.
   void DiffVm(const ConjunctiveQuery& q, QueryClass cls, const Engine& serial,
               const Relation& reference) {
-    {
-      ExecRequest req(q, db_);
-      req.tier = ExecTier::kCompile;
-      Result<ExecResult> r = serial.Run(req);
-      Check("vm-run", reference,
-            r.ok() ? Result<Relation>(r.value().answers)
-                   : Result<Relation>(r.status()));
-    }
-    {
-      ExecRequest req(q, db_);
-      req.tier = ExecTier::kCompile;
-      CheckEnumerator("vm-enumerate", reference, serial.Enumerate(req));
-    }
-    {
-      ++paths_run_;
-      ExecRequest req(q, db_);
-      req.tier = ExecTier::kCompile;
-      Result<BigInt> c = serial.Count(req);
-      const BigInt want = BigInt::FromUint64(
-          reference.arity() == 0 ? (reference.NumTuples() > 0 ? 1 : 0)
-                                 : reference.NumTuples());
-      if (!c.ok()) {
-        out_->push_back("vm-count: failed where the reference succeeded: " +
-                        c.status().ToString());
-      } else if (c.value() != want) {
-        out_->push_back("vm-count: expected " + want.ToString() + ", got " +
-                        c.value().ToString());
-      }
-    }
-
-    // Direct compilation: for compilable classes the program must exist,
-    // its RunCount must match, and (Boolean / free-connex only) its cursor
-    // must produce the *same sequence* as the interpreted plan cursor —
-    // the kAuto bit-identity contract.
     Result<vm::Compilation> comp =
         vm::CompileQuery(q, db_, serial.context());
     if (!comp.ok()) {
       out_->push_back("vm-compile: " + comp.status().ToString());
       return;
     }
-    const bool compilable = cls == QueryClass::kBooleanAcyclic ||
-                            cls == QueryClass::kFreeConnexAcyclic ||
-                            cls == QueryClass::kAcyclicDisequalities;
     if (!comp.value().ok()) {
-      if (compilable && cls != QueryClass::kAcyclicDisequalities) {
-        out_->push_back(std::string("vm-compile: ") + QueryClassName(cls) +
-                        " query did not compile: " +
-                        comp.value().fallback_reason);
-      }
-      return;  // Legitimate fallback (e.g. diseq on non-head variables).
+      out_->push_back(std::string("vm-compile: ") + QueryClassName(cls) +
+                      " query did not compile: " +
+                      comp.value().fallback_reason);
+      return;
     }
-    {
-      ++paths_run_;
-      Result<uint64_t> n =
-          vm::RunCount(*comp.value().program, CancelToken(), nullptr);
-      const uint64_t want =
-          reference.arity() == 0 ? (reference.NumTuples() > 0 ? 1 : 0)
-                                 : reference.NumTuples();
-      if (!n.ok()) {
-        out_->push_back("vm-raw-count: " + n.status().ToString());
-      } else if (n.value() != want) {
-        out_->push_back("vm-raw-count: expected " + std::to_string(want) +
-                        ", got " + std::to_string(n.value()));
-      }
-    }
-    if (cls == QueryClass::kBooleanAcyclic ||
-        cls == QueryClass::kFreeConnexAcyclic) {
-      ++paths_run_;
-      std::unique_ptr<AnswerEnumerator> vm_cursor =
-          vm::MakeProgramCursor(comp.value().program, nullptr);
-      Result<std::unique_ptr<AnswerEnumerator>> interp =
-          MakeConstantDelayEnumerator(q, db_);
-      if (!interp.ok()) {
-        out_->push_back("vm-bit-identity: interpreter factory failed: " +
-                        interp.status().ToString());
-        return;
-      }
-      const size_t budget = 4 * reference.NumTuples() + 64;
-      Tuple vt, it;
-      size_t pos = 0;
-      while (true) {
-        const bool vmore = vm_cursor->Next(&vt);
-        const bool imore = interp.value()->Next(&it);
-        if (vmore != imore) {
-          out_->push_back(
-              "vm-bit-identity: stream length diverges at answer " +
-              std::to_string(pos) + " (" +
-              (vmore ? "VM has more" : "interpreter has more") + ")");
-          break;
-        }
-        if (!vmore) break;
-        if (vt != it) {
-          out_->push_back("vm-bit-identity: answer " + std::to_string(pos) +
-                          " differs (kAuto requires identical order)");
-          break;
-        }
-        if (++pos > budget) {
-          out_->push_back("vm-bit-identity: both streams exceeded " +
-                          std::to_string(budget) + " answers (runaway)");
-          break;
-        }
-      }
+    ++paths_run_;
+    Result<uint64_t> n =
+        vm::RunCount(*comp.value().program, CancelToken(), nullptr);
+    const uint64_t want =
+        reference.arity() == 0 ? (reference.NumTuples() > 0 ? 1 : 0)
+                               : reference.NumTuples();
+    if (!n.ok()) {
+      out_->push_back("vm-raw-count: " + n.status().ToString());
+    } else if (n.value() != want) {
+      out_->push_back("vm-raw-count: expected " + std::to_string(want) +
+                      ", got " + std::to_string(n.value()));
     }
   }
 
@@ -298,8 +216,11 @@ class CaseDiffer {
   /// SemiringId. The reference aggregate folds the brute-force answer set
   /// directly (FoldAnswersSemiring — the semantics contract stated in
   /// src/fgq/count/semiring.h), which is independent of the join-tree DP
-  /// and of the VM lowering; Engine::SumProduct is then diffed against it
-  /// at the interpreted and compiled tiers. Cross-semiring invariants tie
+  /// and of the VM lowering; Engine::SumProduct is then diffed against
+  /// it, and so is the join-tree DP (SemiringSumAcq) itself on every
+  /// plain acyclic case — the engine serves free-connex aggregates from
+  /// the VM, so only this path keeps the DP diffed there. Cross-semiring
+  /// invariants tie
   /// the instances to each other through different FoldRows
   /// instantiations, and the count verb runs through the service per
   /// semiring (cold + hit) so cached aggregates under different semirings
@@ -338,25 +259,28 @@ class CaseDiffer {
                       " != minplus aggregate " + std::to_string(mp.scalar));
     }
 
-    const ExecTier tiers[] = {ExecTier::kInterpret, ExecTier::kCompile};
-    const char* tier_names[] = {"interpret", "compile"};
-    for (size_t t = 0; t < 2; ++t) {
-      for (size_t i = 0; i < kNumSemirings; ++i) {
-        ++paths_run_;
-        const SemiringId id = static_cast<SemiringId>(i);
-        ExecRequest req(q, db_);
-        req.tier = tiers[t];
-        req.semiring = id;
-        Result<SemiringValue> got = serial.SumProduct(req);
-        const std::string path = std::string("sum-product-") + tier_names[t] +
-                                 "-" + SemiringName(id);
-        if (!got.ok()) {
-          out_->push_back(path + ": failed where the reference succeeded: " +
-                          got.status().ToString());
-        } else if (got.value() != want[i]) {
-          out_->push_back(path + ": expected " + want[i].ToString() +
-                          ", got " + got.value().ToString());
-        }
+    auto check = [&](const std::string& path, size_t i,
+                     const Result<SemiringValue>& got) {
+      ++paths_run_;
+      if (!got.ok()) {
+        out_->push_back(path + ": failed where the reference succeeded: " +
+                        got.status().ToString());
+      } else if (got.value() != want[i]) {
+        out_->push_back(path + ": expected " + want[i].ToString() +
+                        ", got " + got.value().ToString());
+      }
+    };
+    const bool plain_acyclic =
+        !q.HasNegation() && q.comparisons().empty() && IsAcyclicQuery(q);
+    for (size_t i = 0; i < kNumSemirings; ++i) {
+      const SemiringId id = static_cast<SemiringId>(i);
+      ExecRequest req(q, db_);
+      req.semiring = id;
+      check(std::string("sum-product-") + SemiringName(id), i,
+            serial.SumProduct(req));
+      if (plain_acyclic) {
+        check(std::string("semiring-dp-") + SemiringName(id), i,
+              SemiringSumAcq(q, db_, id));
       }
     }
 
@@ -408,13 +332,11 @@ class CaseDiffer {
     sopts.num_workers = 2;
     QueryService service(&sdb, sopts);
 
-    auto rows = [&](const std::string& path, bool want_cache_hit,
-                    std::optional<ExecTier> tier = std::nullopt) {
+    auto rows = [&](const std::string& path, bool want_cache_hit) {
       ++paths_run_;
       ServiceRequest req;
       req.query = q;
       req.verb = ServeVerb::kRows;
-      req.tier = tier;
       ServiceResponse resp = service.Submit(std::move(req)).get();
       if (!resp.status.ok()) {
         out_->push_back(path + ": failed where the reference succeeded: " +
@@ -435,17 +357,6 @@ class CaseDiffer {
 
     rows("serve-cold", /*want_cache_hit=*/false);
     rows("serve-cache-hit", /*want_cache_hit=*/true);
-    if (opt_.include_vm) {
-      // Explicit tiers key their own cache entries (the kAuto entries
-      // above must not alias them): each tier misses once, then hits.
-      rows("serve-interpret-cold", /*want_cache_hit=*/false,
-           ExecTier::kInterpret);
-      rows("serve-interpret-hit", /*want_cache_hit=*/true,
-           ExecTier::kInterpret);
-      rows("serve-compile-cold", /*want_cache_hit=*/false,
-           ExecTier::kCompile);
-      rows("serve-compile-hit", /*want_cache_hit=*/true, ExecTier::kCompile);
-    }
     {
       ++paths_run_;
       ServiceRequest req;
@@ -460,26 +371,6 @@ class CaseDiffer {
                         "succeeded: " + resp.status.ToString());
       } else if (resp.count != want) {
         out_->push_back("serve-count: expected " + want.ToString() +
-                        ", got " + resp.count.ToString());
-      }
-    }
-    if (opt_.include_vm) {
-      // Count at the compiled tier: hits the cached vm::Program from
-      // serve-compile-* above and serves the count via vm::RunCount.
-      ++paths_run_;
-      ServiceRequest req;
-      req.query = q;
-      req.verb = ServeVerb::kCount;
-      req.tier = ExecTier::kCompile;
-      ServiceResponse resp = service.Submit(std::move(req)).get();
-      const BigInt want = BigInt::FromUint64(
-          reference.arity() == 0 ? (reference.NumTuples() > 0 ? 1 : 0)
-                                 : reference.NumTuples());
-      if (!resp.status.ok()) {
-        out_->push_back("serve-compile-count: failed where the reference "
-                        "succeeded: " + resp.status.ToString());
-      } else if (resp.count != want) {
-        out_->push_back("serve-compile-count: expected " + want.ToString() +
                         ", got " + resp.count.ToString());
       }
     }

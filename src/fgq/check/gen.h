@@ -87,17 +87,11 @@ struct FuzzOptions {
   /// by default: a server per case costs a TCP round trip and thread
   /// startup; the corpus replay and the dedicated net fuzz turn it on.
   bool include_net = false;
-  /// Include the explicit fgq::vm tier paths (Run/Enumerate/Count at
-  /// ExecTier::kCompile, plus a compiled-vs-interpreted bit-identity
-  /// stream diff for Boolean/free-connex queries, plus serve at explicit
-  /// tiers). The implicit kAuto paths above already execute the VM for
-  /// free-connex queries; this flag forces the compiled tier even where
-  /// kAuto would interpret.
-  bool include_vm = true;
   /// Include the semiring paths in the differential runner: for every
-  /// SemiringId, Engine::SumProduct at the interpreted and compiled tiers
-  /// is diffed against the aggregate folded over the brute-force answer
-  /// set, cross-semiring invariants are checked (every instance's
+  /// SemiringId, Engine::SumProduct and (on plain acyclic cases) the
+  /// join-tree DP are diffed against the aggregate folded over the
+  /// brute-force answer set, cross-semiring invariants are checked (every
+  /// instance's
   /// Truthy() agrees with Boolean; top-k's best equals min-plus), and the
   /// count verb is served per semiring (cold + cache hit — exercises the
   /// plan-cache semiring keying).

@@ -88,16 +88,20 @@ Database MergeAcqViews(const Database& db, const Database& scratch) {
 
 namespace {
 
-/// Runs the generic DP for one semiring instance, wrapping the carrier
-/// into a SemiringValue.
-template <typename S, typename Wrap>
-Result<SemiringValue> RunSemiringDp(const ConjunctiveQuery& q,
-                                    const Database& db, const S& s,
-                                    Wrap wrap) {
-  if (q.ExistentialVariables().empty()) {
-    FGQ_ASSIGN_OR_RETURN(typename S::ValueType v, SemiringSumAcq0(q, db, s));
-    return wrap(std::move(v));
+/// The DP for one instance over any plain acyclic query: quantified
+/// queries first go through the S-component materialization (Theorem
+/// 4.28). Every counting entry point below shares this one sequence.
+template <typename S>
+Result<typename S::ValueType> SumAcq(const ConjunctiveQuery& q,
+                                     const Database& db, const S& s) {
+  FGQ_RETURN_NOT_OK(q.Validate());
+  if (q.HasNegation() || !q.comparisons().empty()) {
+    return Status::Unsupported("the join-tree DP handles plain ACQ");
   }
+  if (!IsAcyclicQuery(q)) {
+    return Status::InvalidArgument("query is not acyclic: " + q.ToString());
+  }
+  if (q.ExistentialVariables().empty()) return SemiringSumAcq0(q, db, s);
   Database scratch;
   FGQ_ASSIGN_OR_RETURN(ConjunctiveQuery qf,
                        MaterializeAcqComponents(q, db, &scratch));
@@ -107,8 +111,16 @@ Result<SemiringValue> RunSemiringDp(const ConjunctiveQuery& q,
         "S-component materialization produced a cyclic query for: " +
         q.ToString());
   }
-  FGQ_ASSIGN_OR_RETURN(typename S::ValueType v,
-                       SemiringSumAcq0(qf, merged, s));
+  return SemiringSumAcq0(qf, merged, s);
+}
+
+/// Runs SumAcq for one semiring instance, wrapping the carrier into a
+/// SemiringValue.
+template <typename S, typename Wrap>
+Result<SemiringValue> RunSemiringDp(const ConjunctiveQuery& q,
+                                    const Database& db, const S& s,
+                                    Wrap wrap) {
+  FGQ_ASSIGN_OR_RETURN(typename S::ValueType v, SumAcq(q, db, s));
   return wrap(std::move(v));
 }
 
@@ -148,13 +160,6 @@ SemiringValue FoldRows(const Relation& answers, const S& s,
 
 Result<SemiringValue> SemiringSumAcq(const ConjunctiveQuery& q,
                                      const Database& db, SemiringId id) {
-  FGQ_RETURN_NOT_OK(q.Validate());
-  if (q.HasNegation() || !q.comparisons().empty()) {
-    return Status::Unsupported("SemiringSumAcq handles plain ACQ");
-  }
-  if (!IsAcyclicQuery(q)) {
-    return Status::InvalidArgument("query is not acyclic: " + q.ToString());
-  }
   switch (id) {
     case SemiringId::kCounting:
       return RunSemiringDp(q, db, CountingSemiring{},
@@ -208,49 +213,22 @@ Result<SemiringValue> FoldAnswersSemiring(const ConjunctiveQuery& q,
 }
 
 Result<BigInt> CountAcq(const ConjunctiveQuery& q, const Database& db) {
-  FGQ_RETURN_NOT_OK(q.Validate());
-  if (q.HasNegation() || !q.comparisons().empty()) {
-    return Status::Unsupported("CountAcq handles plain ACQ");
-  }
-  if (!IsAcyclicQuery(q)) {
-    return Status::InvalidArgument("query is not acyclic: " + q.ToString());
-  }
-  auto ones = [](Value) { return BigInt(1); };
-  if (q.ExistentialVariables().empty()) {
-    return WeightedCountAcq0<BigIntField>(q, db, ones);
-  }
-  Database scratch;
-  FGQ_ASSIGN_OR_RETURN(ConjunctiveQuery qf,
-                       MaterializeAcqComponents(q, db, &scratch));
-  Database merged = MergeAcqViews(db, scratch);
-  if (!IsAcyclicQuery(qf)) {
-    return Status::Internal(
-        "S-component materialization produced a cyclic query for: " +
-        q.ToString());
-  }
-  return WeightedCountAcq0<BigIntField>(qf, merged, ones);
+  return SumAcq(q, db, CountingSemiring{});
 }
 
 Result<double> WeightedCountAcq(const ConjunctiveQuery& q, const Database& db,
                                 const std::function<double(Value)>& weight) {
-  FGQ_RETURN_NOT_OK(q.Validate());
-  if (q.ExistentialVariables().empty()) {
-    return WeightedCountAcq0<DoubleField>(q, db, weight);
-  }
-  Database scratch;
-  FGQ_ASSIGN_OR_RETURN(ConjunctiveQuery qf,
-                       MaterializeAcqComponents(q, db, &scratch));
-  Database merged = MergeAcqViews(db, scratch);
-  return WeightedCountAcq0<DoubleField>(qf, merged, weight);
+  return SumAcq(q, db, DoubleField{weight});
 }
 
-Result<BigInt> CountAnswers(const ConjunctiveQuery& q, const Database& db) {
+Result<BigInt> CountAnswers(const ConjunctiveQuery& q, const Database& db,
+                            const CancelToken& cancel) {
   FGQ_RETURN_NOT_OK(q.Validate());
   if (!q.HasNegation() && q.comparisons().empty() && IsAcyclicQuery(q)) {
     return CountAcq(q, db);
   }
   // Exponential fallback: materialize with the oracle.
-  FGQ_ASSIGN_OR_RETURN(Relation res, EvaluateBacktrack(q, db));
+  FGQ_ASSIGN_OR_RETURN(Relation res, EvaluateBacktrack(q, db, cancel));
   return BigInt::FromUint64(res.NumTuples());
 }
 

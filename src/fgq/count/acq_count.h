@@ -13,18 +13,20 @@
 #include "fgq/eval/prepared.h"
 #include "fgq/hypergraph/hypergraph.h"
 #include "fgq/query/cq.h"
+#include "fgq/util/cancel.h"
 #include "fgq/util/hash.h"
 #include "fgq/util/status.h"
 
 /// \file acq_count.h
 /// Counting and weighted counting of ACQ answers (Section 4.4).
 ///
-/// * WeightedCountAcq0 — Theorem 4.21: for quantifier-free acyclic
+/// * SemiringSumAcq0 — Theorem 4.21: for quantifier-free acyclic
 ///   queries, a single bottom-up dynamic program over the join tree sums
-///   the product-of-weights of all answers. Each variable is "owned" by
-///   its highest join-tree node so its weight is multiplied exactly once;
-///   per-child aggregate maps make the pass O(||phi|| * ||D||) (within the
-///   paper's O(||phi|| * ||D||^2) bound).
+///   the product-of-weights of all answers, over any commutative semiring
+///   instance (semiring.h) or coefficient field (fields.h). Each variable
+///   is "owned" by its highest join-tree node so its weight is multiplied
+///   exactly once; per-child aggregate maps make the pass
+///   O(||phi|| * ||D||) (within the paper's O(||phi|| * ||D||^2) bound).
 /// * CountAcq — Theorem 4.28: for quantified acyclic queries, each
 ///   S-component is materialized onto its free variables (cost
 ///   ||D||^O(star size)) and the resulting quantifier-free acyclic query
@@ -40,131 +42,14 @@ namespace fgq {
 std::vector<size_t> SharedColumnOrder(const PreparedAtom& node,
                                       const PreparedAtom& parent);
 
-/// Weighted counting for quantifier-free acyclic conjunctive queries.
-/// `weight` maps a domain element to its field weight; an answer weighs
-/// the product over its head positions. All variables must be free.
-template <typename Field>
-Result<typename Field::ValueType> WeightedCountAcq0(
-    const ConjunctiveQuery& q, const Database& db,
-    const std::function<typename Field::ValueType(Value)>& weight) {
-  using V = typename Field::ValueType;
-  FGQ_RETURN_NOT_OK(q.Validate());
-  if (q.HasNegation() || !q.comparisons().empty()) {
-    return Status::Unsupported("counting DP handles plain ACQ");
-  }
-  if (!q.ExistentialVariables().empty()) {
-    return Status::InvalidArgument(
-        "WeightedCountAcq0 requires a quantifier-free query; use CountAcq");
-  }
-  Hypergraph hg = Hypergraph::FromQuery(q);
-  GyoResult gyo = GyoReduce(hg);
-  if (!gyo.acyclic) {
-    return Status::InvalidArgument("query is not acyclic: " + q.ToString());
-  }
-  FGQ_ASSIGN_OR_RETURN(std::vector<PreparedAtom> atoms, PrepareAtoms(q, db));
-
-  // Depth of each node, to assign each variable to its highest node.
-  std::vector<int> order = gyo.tree.TopDownOrder();
-  std::vector<size_t> depth(atoms.size(), 0);
-  for (int e : order) {
-    if (gyo.tree.parent[e] >= 0) depth[e] = depth[gyo.tree.parent[e]] + 1;
-  }
-  std::map<std::string, int> owner;
-  for (size_t e = 0; e < atoms.size(); ++e) {
-    for (const std::string& v : atoms[e].vars) {
-      auto it = owner.find(v);
-      if (it == owner.end() || depth[e] < depth[it->second]) {
-        owner[v] = static_cast<int>(e);
-      }
-    }
-  }
-
-  // Bottom-up DP. child_sums[e]: connector key -> sum of W over matching
-  // tuples of e.
-  std::vector<std::unordered_map<Tuple, V, VecHash>> child_sums(atoms.size());
-  for (int e : gyo.tree.BottomUpOrder()) {
-    const PreparedAtom& a = atoms[e];
-    // Connector columns to the parent, in canonical (name-sorted) order so
-    // that the parent's probe keys align with this node's aggregate keys.
-    std::vector<size_t> conn_cols;
-    int p = gyo.tree.parent[e];
-    if (p >= 0) conn_cols = SharedColumnOrder(a, atoms[p]);
-    // Owned columns of this node.
-    std::vector<size_t> owned_cols;
-    for (size_t c = 0; c < a.vars.size(); ++c) {
-      if (owner[a.vars[c]] == e) owned_cols.push_back(c);
-    }
-    // Connector columns to each child (pairs aligned with children).
-    struct ChildConn {
-      int child;
-      std::vector<size_t> cols;  // Columns of *this* node.
-    };
-    std::vector<ChildConn> child_conns;
-    for (int c : gyo.tree.children[e]) {
-      ChildConn cc;
-      cc.child = c;
-      // Same canonical order as the child used when keying its aggregate.
-      std::vector<size_t> child_side = SharedColumnOrder(atoms[c], a);
-      for (size_t j : child_side) {
-        cc.cols.push_back(
-            static_cast<size_t>(a.VarIndex(atoms[c].vars[j])));
-      }
-      child_conns.push_back(std::move(cc));
-    }
-    auto& sums = child_sums[e];
-    Tuple key(conn_cols.size());
-    Tuple ckey;
-    V total_root = Field::Zero();
-    // Hoisted column base pointers: every cell read below goes straight to
-    // the columnar store (row-major views no longer exist).
-    std::vector<const Value*> cols(a.rel.arity());
-    for (size_t c = 0; c < a.rel.arity(); ++c) cols[c] = a.rel.Column(c);
-    for (size_t r = 0; r < a.rel.NumTuples(); ++r) {
-      V w = Field::One();
-      for (size_t c : owned_cols) w = Field::Mul(w, weight(cols[c][r]));
-      bool dead = false;
-      for (const ChildConn& cc : child_conns) {
-        ckey.resize(cc.cols.size());
-        for (size_t j = 0; j < cc.cols.size(); ++j) {
-          ckey[j] = cols[cc.cols[j]][r];
-        }
-        auto it = child_sums[cc.child].find(ckey);
-        if (it == child_sums[cc.child].end()) {
-          dead = true;
-          break;
-        }
-        w = Field::Mul(w, it->second);
-      }
-      if (dead) continue;
-      if (p < 0) {
-        total_root = Field::Add(total_root, w);
-      } else {
-        for (size_t j = 0; j < conn_cols.size(); ++j) {
-          key[j] = cols[conn_cols[j]][r];
-        }
-        auto [it, inserted] = sums.try_emplace(key, w);
-        if (!inserted) it->second = Field::Add(it->second, w);
-      }
-    }
-    if (p < 0) {
-      // Root: done. Free the children's maps implicitly on return.
-      return total_root;
-    }
-    // Release children's maps early.
-    for (const ChildConn& cc : child_conns) {
-      child_sums[cc.child] = {};
-    }
-  }
-  return Status::Internal("join tree had no root");
-}
-
 /// Sum-product over an arbitrary commutative semiring instance for
-/// quantifier-free acyclic conjunctive queries — the generalization of
-/// WeightedCountAcq0 from fields to semirings (Fan–Koutris–Zhao style;
-/// see semiring.h for the semantics contract). Identical join-tree DP:
-/// each variable is owned by its highest node and weighted exactly once
-/// (at its first column there, so R(x,x) weighs x once), per-child
-/// aggregate maps keep the pass O(||phi|| * ||D||).
+/// quantifier-free acyclic conjunctive queries (Fan–Koutris–Zhao style;
+/// see semiring.h for the semantics contract) — the one join-tree DP:
+/// counting, weighted counting over the fields.h carriers, and the
+/// tropical aggregates are all instances. Each variable is owned by its
+/// highest node and weighted exactly once (at its first column there, so
+/// R(x,x) weighs x once), per-child aggregate maps keep the pass
+/// O(||phi|| * ||D||).
 template <typename S>
 Result<typename S::ValueType> SemiringSumAcq0(const ConjunctiveQuery& q,
                                               const Database& db, const S& s) {
@@ -307,13 +192,15 @@ Result<SemiringValue> FoldAnswersSemiring(const ConjunctiveQuery& q,
 Result<BigInt> CountAcq(const ConjunctiveQuery& q, const Database& db);
 
 /// Weighted counting for quantified acyclic queries via the S-component
-/// pipeline (weights apply to head positions, Section 4.4's #F-ACQ).
+/// pipeline (weights apply to head variables, Section 4.4's #F-ACQ).
 Result<double> WeightedCountAcq(const ConjunctiveQuery& q, const Database& db,
                                 const std::function<double(Value)>& weight);
 
 /// Counts answers of an arbitrary CQ: DP/star-size pipeline when acyclic,
-/// exponential backtracking fallback otherwise (oracle use only).
-Result<BigInt> CountAnswers(const ConjunctiveQuery& q, const Database& db);
+/// exponential backtracking fallback otherwise (oracle use only). The
+/// fallback polls `cancel` and fails with its status once it trips.
+Result<BigInt> CountAnswers(const ConjunctiveQuery& q, const Database& db,
+                            const CancelToken& cancel = CancelToken());
 
 }  // namespace fgq
 

@@ -48,8 +48,9 @@
 /// the edge).
 ///
 /// Instances are value types with *instance* methods (TopK carries its
-/// k), unlike the static Field structs in fields.h that the legacy
-/// weighted-counting entry points keep using.
+/// k; the fields.h carriers of weighted counting carry their weight
+/// function), so SemiringSumAcq0 (acq_count.h) is the one join-tree DP
+/// for all of them.
 
 namespace fgq {
 

@@ -100,19 +100,15 @@ ExecContext Engine::ContextFor(const ExecRequest& req) const {
 }
 
 Result<ExecResult> Engine::Run(const ExecRequest& req) const {
-  const Database* db = req.EffectiveDb();
-  if (req.query == nullptr || db == nullptr) {
+  const Database* dbp = req.EffectiveDb();
+  if (req.query == nullptr || dbp == nullptr) {
     return Status::InvalidArgument("ExecRequest needs a query and a database");
   }
-  return ExecuteWith(*req.query, *db, ContextFor(req), req.tier);
-}
-
-Result<QueryResult> Engine::ExecuteWith(const ConjunctiveQuery& q,
-                                        const Database& db,
-                                        const ExecContext& ctx,
-                                        ExecTier tier) const {
+  const ConjunctiveQuery& q = *req.query;
+  const Database& db = *dbp;
+  const ExecContext ctx = ContextFor(req);
   FGQ_RETURN_NOT_OK(q.Validate());
-  QueryResult res;
+  ExecResult res;
   res.classification = Classify(q);
   TraceSpan span(ctx.trace(), "engine.execute", "engine");
   if (ctx.trace() != nullptr) {
@@ -121,22 +117,7 @@ Result<QueryResult> Engine::ExecuteWith(const ConjunctiveQuery& q,
   }
   switch (res.classification) {
     case QueryClass::kBooleanAcyclic: {
-      // The semijoin sweep is already a single pass; only an explicit
-      // kCompile routes the Boolean class through the VM.
-      if (tier == ExecTier::kCompile) {
-        FGQ_ASSIGN_OR_RETURN(vm::Compilation comp,
-                             vm::CompileQuery(q, db, ctx));
-        if (comp.ok()) {
-          FGQ_ASSIGN_OR_RETURN(
-              uint64_t sat,
-              vm::RunCount(*comp.program, ctx.cancel(), ctx.trace()));
-          res.answers = Relation(q.name(), 0);
-          if (sat > 0) res.answers.AddNullary();
-          res.algorithm = comp.program->algorithm;
-          span.Arg("algorithm", res.algorithm);
-          return res;
-        }
-      }
+      // The semijoin sweep is already a single pass: no plan to index.
       FGQ_ASSIGN_OR_RETURN(bool sat, EvaluateBooleanAcq(q, db, ctx));
       res.answers = Relation(q.name(), 0);
       if (sat) res.answers.AddNullary();
@@ -145,30 +126,15 @@ Result<QueryResult> Engine::ExecuteWith(const ConjunctiveQuery& q,
       return res;
     }
     case QueryClass::kFreeConnexAcyclic: {
-      // The compiled stream is bit-identical to PlanCursorEnumerator's,
-      // so any tier but kInterpret may take it.
-      if (tier != ExecTier::kInterpret) {
-        FGQ_ASSIGN_OR_RETURN(vm::Compilation comp,
-                             vm::CompileQuery(q, db, ctx));
-        if (comp.ok()) {
-          auto cursor = vm::MakeProgramCursor(comp.program, ctx.trace());
-          {
-            TraceSpan drain(ctx.trace(), "enumerate");
-            res.answers = DrainEnumerator(cursor.get(), q.name(), q.arity());
-          }
-          TraceCounter(ctx.trace(), "tuples_emitted", res.answers.NumTuples());
-          res.algorithm = comp.program->algorithm;
-          span.Arg("algorithm", res.algorithm);
-          return res;
-        }
-      }
-      FGQ_ASSIGN_OR_RETURN(auto e, MakeConstantDelayEnumerator(q, db, ctx));
+      FGQ_ASSIGN_OR_RETURN(std::shared_ptr<const vm::Program> program,
+                           vm::CompileFreeConnex(q, db, ctx));
+      auto cursor = vm::MakeProgramCursor(program, ctx.trace());
       {
         TraceSpan drain(ctx.trace(), "enumerate");
-        res.answers = DrainEnumerator(e.get(), q.name(), q.arity());
+        res.answers = DrainEnumerator(cursor.get(), q.name(), q.arity());
       }
       TraceCounter(ctx.trace(), "tuples_emitted", res.answers.NumTuples());
-      res.algorithm = "constant-delay-enumeration";
+      res.algorithm = program->algorithm;
       span.Arg("algorithm", res.algorithm);
       return res;
     }
@@ -180,24 +146,6 @@ Result<QueryResult> Engine::ExecuteWith(const ConjunctiveQuery& q,
       return res;
     }
     case QueryClass::kAcyclicDisequalities: {
-      // Same answer *set* as witness elimination but possibly a different
-      // order: opt-in via kCompile only. CompileQuery reports a fallback
-      // for quantified disequalities and non-free-connex strips.
-      if (tier == ExecTier::kCompile) {
-        FGQ_ASSIGN_OR_RETURN(vm::Compilation comp,
-                             vm::CompileQuery(q, db, ctx));
-        if (comp.ok()) {
-          auto cursor = vm::MakeProgramCursor(comp.program, ctx.trace());
-          {
-            TraceSpan drain(ctx.trace(), "enumerate");
-            res.answers = DrainEnumerator(cursor.get(), q.name(), q.arity());
-          }
-          TraceCounter(ctx.trace(), "tuples_emitted", res.answers.NumTuples());
-          res.algorithm = comp.program->algorithm;
-          span.Arg("algorithm", res.algorithm);
-          return res;
-        }
-      }
       {
         TraceSpan neq(ctx.trace(), "neq_witness_elimination");
         FGQ_ASSIGN_OR_RETURN(res.answers, EvaluateAcqNeq(q, db));
@@ -231,8 +179,9 @@ Result<BigInt> Engine::Count(const ExecRequest& req) const {
   }
   FGQ_RETURN_NOT_OK(req.query->Validate());
   // CountAnswers already dispatches: counting DP (Theorems 4.21/4.28) for
-  // plain acyclic queries, oracle fallback for everything else.
-  return CountAnswers(*req.query, *db);
+  // plain acyclic queries, oracle fallback (polling req.cancel) for
+  // everything else.
+  return CountAnswers(*req.query, *db, req.cancel);
 }
 
 Result<SemiringValue> Engine::SumProduct(const ExecRequest& req) const {
@@ -256,22 +205,13 @@ Result<SemiringValue> Engine::SumProduct(const ExecRequest& req) const {
     span.Arg("semiring", SemiringName(req.semiring));
   }
   switch (cls) {
-    case QueryClass::kBooleanAcyclic:
     case QueryClass::kFreeConnexAcyclic: {
-      // Same tier gates as Run: Boolean compiles only on explicit
-      // kCompile, free-connex on anything but kInterpret.
-      const bool try_vm = cls == QueryClass::kBooleanAcyclic
-                              ? req.tier == ExecTier::kCompile
-                              : req.tier != ExecTier::kInterpret;
-      if (try_vm) {
-        FGQ_ASSIGN_OR_RETURN(vm::Compilation comp, vm::CompileQuery(q, *db, ctx));
-        if (comp.ok()) {
-          return vm::RunSemiring(*comp.program, req.semiring, ctx.cancel(),
-                                 ctx.trace());
-        }
-      }
-      return SemiringSumAcq(q, *db, req.semiring);
+      FGQ_ASSIGN_OR_RETURN(std::shared_ptr<const vm::Program> program,
+                           vm::CompileFreeConnex(q, *db, ctx));
+      return vm::RunSemiring(*program, req.semiring, ctx.cancel(),
+                             ctx.trace());
     }
+    case QueryClass::kBooleanAcyclic:
     case QueryClass::kGeneralAcyclic:
       return SemiringSumAcq(q, *db, req.semiring);
     case QueryClass::kAcyclicDisequalities:
@@ -299,35 +239,13 @@ Result<std::unique_ptr<AnswerEnumerator>> Engine::Enumerate(
   const ExecContext ctx = ContextFor(req);
   switch (Classify(q)) {
     case QueryClass::kBooleanAcyclic:
-    case QueryClass::kFreeConnexAcyclic: {
-      // Constant-delay territory. The VM cursor and the interpreter's
-      // plan cursor emit the same stream here; serve a program cursor
-      // unless the caller pinned the interpreter.
-      if (req.tier != ExecTier::kInterpret) {
-        FGQ_ASSIGN_OR_RETURN(vm::Compilation comp,
-                             vm::CompileQuery(q, db, ctx));
-        if (comp.ok()) {
-          return PinEnumerator(vm::MakeProgramCursor(comp.program, ctx.trace()),
-                               req.snapshot);
-        }
-      }
+    case QueryClass::kFreeConnexAcyclic:
       return PinEnumerator(MakeConstantDelayEnumerator(q, db, ctx),
                            req.snapshot);
-    }
     case QueryClass::kGeneralAcyclic:
       return PinEnumerator(MakeLinearDelayEnumerator(q, db, ctx),
                            req.snapshot);
     case QueryClass::kAcyclicDisequalities: {
-      // kCompile opt-in: post-emit kCheckNeq filters keep constant memory
-      // but may reorder relative to witness elimination.
-      if (req.tier == ExecTier::kCompile) {
-        FGQ_ASSIGN_OR_RETURN(vm::Compilation comp,
-                             vm::CompileQuery(q, db, ctx));
-        if (comp.ok()) {
-          return PinEnumerator(vm::MakeProgramCursor(comp.program, ctx.trace()),
-                               req.snapshot);
-        }
-      }
       // Theorem 4.20's fast path needs a specific shape; fall back to
       // materializing when it declines.
       Result<std::unique_ptr<AnswerEnumerator>> e = MakeNeqEnumerator(q, db);

@@ -30,17 +30,16 @@
 ///
 /// The call surface is one request aggregate: build an ExecRequest (query
 /// + database + optional per-call options, cancel token, trace sink,
-/// execution tier) and pass it to Run / Count / Enumerate. The historical
-/// Execute overloads were removed after a deprecation cycle; see
-/// docs/API.md.
+/// semiring) and pass it to Run / Count / SumProduct / Enumerate. The
+/// historical Execute overloads were removed after a deprecation cycle;
+/// see docs/API.md.
 ///
-/// Execution tiers: classes whose evaluation loop the paper fixes
-/// (Boolean / free-connex / head-only-disequality ACQs) can additionally
-/// be lowered to fgq::vm bytecode and run on the switch-threaded VM
-/// (src/fgq/vm/). ExecRequest::tier picks: kInterpret never compiles,
-/// kAuto compiles exactly where the compiled stream is bit-identical to
-/// the interpreter's, kCompile also compiles shapes whose answer *set*
-/// matches but whose order may differ (disequality filters).
+/// One executor per plan shape: free-connex enumeration (Theorem 4.6) is
+/// always the fgq::vm program (src/fgq/vm/) lowered from the indexed
+/// plan; Boolean Run is the semijoin sweep; disequalities go through
+/// witness elimination (Theorem 4.20); general ACQs through Yannakakis /
+/// linear-delay enumeration; every join-tree aggregate is the one
+/// semiring DP (SemiringSumAcq0).
 
 namespace fgq {
 
@@ -106,11 +105,6 @@ struct ExecRequest {
   /// Span/counter sink for per-phase attribution, or null (untraced fast
   /// path). Not owned; must outlive the call.
   TraceContext* trace = nullptr;
-  /// Which execution tier serves the call: kInterpret (never the VM),
-  /// kAuto (VM where its stream is bit-identical to the interpreter's),
-  /// kCompile (VM wherever sound, including disequality filters whose
-  /// answer order may differ). Non-compilable classes always interpret.
-  ExecTier tier = ExecTier::kAuto;
   /// Which commutative semiring Engine::SumProduct aggregates under
   /// (semiring.h). Ignored by Run/Count/Enumerate; kCounting (the
   /// default) makes SumProduct equivalent to Count.
@@ -141,9 +135,6 @@ struct ExecResult {
   bool BooleanValue() const { return answers.NumTuples() > 0; }
 };
 
-/// Historical name of ExecResult (pre-ExecRequest API).
-using QueryResult = ExecResult;
-
 /// The unified entry point to every evaluation algorithm in the library.
 class Engine {
  public:
@@ -165,17 +156,17 @@ class Engine {
 
   /// Counts |phi(D)| without materializing answers: counting DP for
   /// acyclic queries (Theorems 4.21/4.28), oracle fallback otherwise.
-  /// (The counting DP is not yet cancellation-aware; req.cancel applies
-  /// to the oracle fallback only.)
+  /// (The counting DP is not yet cancellation-aware; req.cancel reaches
+  /// the oracle fallback only.)
   Result<BigInt> Count(const ExecRequest& req) const;
 
   /// Sum-product aggregation under req.semiring (semiring.h): ⊕ over
   /// distinct answers of the ⊗ of first-occurrence head-element weights.
   /// kCounting routes through the fused counting path (identical to
-  /// Count); plain acyclic classes run the generalized join-tree DP
-  /// (Theorems 4.21/4.28 lifted to semirings), compilable classes use
-  /// the per-semiring VM instantiations at req.tier, and everything
-  /// else materializes with Run and folds.
+  /// Count); free-connex queries run the per-semiring VM instantiation,
+  /// the other plain acyclic classes the generalized join-tree DP
+  /// (Theorems 4.21/4.28 lifted to semirings), and everything else
+  /// materializes with Run and folds.
   Result<SemiringValue> SumProduct(const ExecRequest& req) const;
 
   /// Streams the answers with the strongest delay guarantee available:
@@ -196,9 +187,6 @@ class Engine {
   }
 
  private:
-  Result<ExecResult> ExecuteWith(const ConjunctiveQuery& q,
-                                 const Database& db, const ExecContext& ctx,
-                                 ExecTier tier) const;
   /// Assembles the per-call ExecContext from the request (options
   /// override, cancel token, trace sink).
   ExecContext ContextFor(const ExecRequest& req) const;

@@ -7,6 +7,8 @@
 #include "fgq/eval/yannakakis.h"
 #include "fgq/hypergraph/hypergraph.h"
 #include "fgq/trace/trace.h"
+#include "fgq/vm/compile.h"
+#include "fgq/vm/vm.h"
 
 namespace fgq {
 
@@ -35,99 +37,6 @@ class MaterializedEnumerator : public AnswerEnumerator {
  private:
   Relation answers_;
   size_t pos_ = 0;
-};
-
-// ---- Constant-delay enumerator (Theorem 4.6) --------------------------------
-
-/// Enumeration over a fully reduced, quantifier-free acyclic join: one
-/// hash-indexed node per join-tree vertex, walked as an odometer. After
-/// full reduction every index probe is nonempty, so producing the next
-/// answer touches at most O(#nodes) state — independent of the data.
-///
-/// All data-dependent state (nodes, indexes, root candidate lists) lives
-/// in the shared immutable IndexedFreeConnexPlan; the cursor holds only
-/// query-sized odometer state, so many cursors — possibly on different
-/// request threads — can walk one cached plan concurrently.
-class PlanCursorEnumerator : public AnswerEnumerator {
- public:
-  explicit PlanCursorEnumerator(
-      std::shared_ptr<const IndexedFreeConnexPlan> plan)
-      : plan_(std::move(plan)),
-        candidates_(plan_->nodes.size()),
-        pos_(plan_->nodes.size(), 0) {
-    exhausted_ = plan_->empty || plan_->nodes.empty();
-    if (!exhausted_) {
-      // Position the odometer on the first answer.
-      for (size_t i = 0; i < plan_->nodes.size(); ++i) {
-        Refill(i);
-        pos_[i] = 0;
-      }
-      primed_ = true;
-    }
-  }
-
-  bool Next(Tuple* out) override {
-    if (exhausted_) return false;
-    if (!primed_) {
-      // Advance: increment from the deepest level.
-      size_t level = plan_->nodes.size();
-      while (level-- > 0) {
-        if (pos_[level] + 1 < candidates_[level].size()) {
-          ++pos_[level];
-          for (size_t j = level + 1; j < plan_->nodes.size(); ++j) {
-            Refill(j);
-            pos_[j] = 0;
-          }
-          Emit(out);
-          return true;
-        }
-        if (level == 0) {
-          exhausted_ = true;
-          return false;
-        }
-      }
-      exhausted_ = true;
-      return false;
-    }
-    primed_ = false;
-    Emit(out);
-    return true;
-  }
-
- private:
-  /// Row id of node's current odometer position (indexes its columns).
-  uint32_t CurrentRowId(size_t node) const {
-    return candidates_[node][pos_[node]];
-  }
-
-  /// Recomputes node i's candidate span from its parent's current row.
-  /// Nonempty by full reduction.
-  void Refill(size_t i) {
-    if (plan_->parent[i] < 0) {
-      candidates_[i] = HashIndex::RowSpan{plan_->root_rows[i].data(),
-                                          plan_->root_rows[i].size()};
-      return;
-    }
-    const size_t p = static_cast<size_t>(plan_->parent[i]);
-    // Probe key gathered straight out of the parent's column store.
-    candidates_[i] = plan_->indexes[i]->LookupAt(
-        plan_->nodes[p].rel, CurrentRowId(p), plan_->parent_cols[i]);
-  }
-
-  void Emit(Tuple* out) {
-    out->resize(plan_->out_slots.size());
-    for (size_t i = 0; i < plan_->out_slots.size(); ++i) {
-      const size_t node = plan_->out_slots[i].first;
-      (*out)[i] = plan_->nodes[node].rel.At(CurrentRowId(node),
-                                            plan_->out_slots[i].second);
-    }
-  }
-
-  std::shared_ptr<const IndexedFreeConnexPlan> plan_;
-  std::vector<HashIndex::RowSpan> candidates_;  // Borrowed CSR spans.
-  std::vector<size_t> pos_;
-  bool exhausted_ = false;
-  bool primed_ = false;
 };
 
 /// Emits a single empty tuple (satisfied Boolean query).
@@ -417,89 +326,6 @@ Result<FreeConnexPlan> BuildFreeConnexPlan(const ConjunctiveQuery& q,
   return plan;
 }
 
-Result<std::shared_ptr<const IndexedFreeConnexPlan>> IndexFreeConnexPlan(
-    FreeConnexPlan plan, const std::vector<std::string>& head,
-    const ExecContext& ctx) {
-  auto out = std::make_shared<IndexedFreeConnexPlan>();
-  out->nodes = std::move(plan.nodes);
-  out->parent = std::move(plan.parent);
-  out->empty = plan.empty;
-  out->is_boolean = head.empty();
-  if (out->empty) {
-    // nodes/parent are unspecified for an empty plan; there is nothing to
-    // index and no output slots to resolve.
-    return std::shared_ptr<const IndexedFreeConnexPlan>(std::move(out));
-  }
-  const size_t n = out->nodes.size();
-  out->parent_cols.resize(n);
-  out->root_rows.resize(n);
-  // Connector columns with the parent; query-sized bookkeeping.
-  std::vector<std::vector<size_t>> connector_cols(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (out->parent[i] >= 0) {
-      const PreparedAtom& p = out->nodes[out->parent[i]];
-      for (size_t c = 0; c < out->nodes[i].vars.size(); ++c) {
-        int pc = p.VarIndex(out->nodes[i].vars[c]);
-        if (pc >= 0) {
-          connector_cols[i].push_back(c);
-          out->parent_cols[i].push_back(static_cast<size_t>(pc));
-        }
-      }
-    } else if (!out->nodes[i].rel.empty()) {
-      out->root_rows[i].resize(out->nodes[i].rel.NumTuples());
-      for (size_t r = 0; r < out->root_rows[i].size(); ++r) {
-        out->root_rows[i][r] = static_cast<uint32_t>(r);
-      }
-    }
-  }
-  // The O(||D||) hash-index builds fan out one task per node, each build
-  // itself morsel-parallel.
-  out->indexes.resize(n);
-  {
-    TraceSpan index_span(ctx.trace(), "index_build");
-    ParallelFor(ctx.pool(), n, 1, [&](size_t b, size_t e) {
-      for (size_t i = b; i < e; ++i) {
-        out->indexes[i] =
-            std::make_unique<HashIndex>(out->nodes[i].rel, connector_cols[i],
-                                        ctx);
-      }
-    });
-    if (ctx.trace() != nullptr) {
-      uint64_t bytes = 0;
-      for (const auto& idx : out->indexes) bytes += idx->MemoryBytes();
-      TraceCounter(ctx.trace(), "index_bytes", bytes);
-    }
-  }
-  FGQ_RETURN_NOT_OK(ctx.cancel().Check("plan index build"));
-  // Output slots: first node/column providing each head variable.
-  for (const std::string& v : head) {
-    bool found = false;
-    for (size_t i = 0; i < n && !found; ++i) {
-      int c = out->nodes[i].VarIndex(v);
-      if (c >= 0) {
-        out->out_slots.push_back({i, static_cast<size_t>(c)});
-        found = true;
-      }
-    }
-    if (!found) {
-      return Status::Internal("head variable '" + v +
-                              "' missing from free-connex plan");
-    }
-  }
-  return std::shared_ptr<const IndexedFreeConnexPlan>(std::move(out));
-}
-
-std::unique_ptr<AnswerEnumerator> MakePlanEnumerator(
-    std::shared_ptr<const IndexedFreeConnexPlan> plan) {
-  if (plan->empty) {
-    return std::make_unique<EmptyEnumerator>();
-  }
-  if (plan->is_boolean) {
-    return std::make_unique<BooleanTrueEnumerator>();
-  }
-  return std::make_unique<PlanCursorEnumerator>(std::move(plan));
-}
-
 Result<std::unique_ptr<AnswerEnumerator>> MakeConstantDelayEnumerator(
     const ConjunctiveQuery& q, const Database& db, const ExecOptions& opts) {
   return MakeConstantDelayEnumerator(q, db, ExecContext(opts));
@@ -507,10 +333,10 @@ Result<std::unique_ptr<AnswerEnumerator>> MakeConstantDelayEnumerator(
 
 Result<std::unique_ptr<AnswerEnumerator>> MakeConstantDelayEnumerator(
     const ConjunctiveQuery& q, const Database& db, const ExecContext& ctx) {
-  FGQ_ASSIGN_OR_RETURN(FreeConnexPlan plan, BuildFreeConnexPlan(q, db, ctx));
-  FGQ_ASSIGN_OR_RETURN(std::shared_ptr<const IndexedFreeConnexPlan> indexed,
-                       IndexFreeConnexPlan(std::move(plan), q.head(), ctx));
-  return MakePlanEnumerator(std::move(indexed));
+  // The odometer walk over the indexed plan runs as the VM program.
+  FGQ_ASSIGN_OR_RETURN(std::shared_ptr<const vm::Program> program,
+                       vm::CompileFreeConnex(q, db, ctx));
+  return vm::MakeProgramCursor(std::move(program), ctx.trace());
 }
 
 Relation DrainEnumerator(AnswerEnumerator* e, const std::string& name,

@@ -28,7 +28,8 @@
 ///   query. Preprocessing fully reduces the instance and projects it onto
 ///   the free variables (safe exactly because the query is free-connex);
 ///   the enumeration phase is an odometer walk over hash-indexed
-///   join-tree nodes in which every probe is guaranteed nonempty.
+///   join-tree nodes in which every probe is guaranteed nonempty, run as
+///   an fgq::vm program (src/fgq/vm/).
 ///
 /// Factories accept ExecOptions: preprocessing (full reduction, free-
 /// variable projections, hash-index builds) runs morsel-parallel on a
@@ -61,8 +62,10 @@ Result<std::unique_ptr<AnswerEnumerator>> MakeLinearDelayEnumerator(
     const ConjunctiveQuery& q, const Database& db, const ExecContext& ctx);
 
 /// Theorem 4.6: linear-preprocessing, constant-delay enumeration for
-/// free-connex acyclic conjunctive queries. Fails with InvalidArgument if
-/// the query is not acyclic or not free-connex.
+/// free-connex acyclic conjunctive queries: a cursor over the compiled
+/// program of vm::CompileFreeConnex. Fails with InvalidArgument if the
+/// query is not acyclic or not free-connex, Unsupported if its plan is
+/// too large for the VM's 16-bit operands.
 Result<std::unique_ptr<AnswerEnumerator>> MakeConstantDelayEnumerator(
     const ConjunctiveQuery& q, const Database& db,
     const ExecOptions& opts = ExecOptions());
@@ -97,10 +100,11 @@ Result<FreeConnexPlan> BuildFreeConnexPlan(const ConjunctiveQuery& q,
 /// A FreeConnexPlan plus everything the enumeration phase needs that is
 /// data-dependent but query-independent of the *cursor*: per-node hash
 /// indexes on the parent connector, connector column maps, head output
-/// slots, and root candidate lists. Immutable after IndexFreeConnexPlan,
-/// so one indexed plan can back any number of concurrent cursors — this
-/// is the artifact the serving layer caches, making repeated queries skip
-/// both the reduction sweeps and the index builds.
+/// slots, and root candidate lists. Immutable once vm::CompileFreeConnex
+/// has built it, so the vm::Program lowered from it (which keeps it alive) can back any
+/// number of concurrent cursors — the serving layer caches that program,
+/// making repeated queries skip both the reduction sweeps and the index
+/// builds.
 struct IndexedFreeConnexPlan {
   std::vector<PreparedAtom> nodes;  // Top-down join-tree order.
   std::vector<int> parent;          // Index into nodes, -1 for roots.
@@ -119,17 +123,6 @@ struct IndexedFreeConnexPlan {
   /// True for a Boolean query (no output columns; `empty` is the verdict).
   bool is_boolean = false;
 };
-
-/// Builds the indexes over a FreeConnexPlan (O(||D||), morsel-parallel
-/// with a pool). `head` is the query head the cursors will emit.
-Result<std::shared_ptr<const IndexedFreeConnexPlan>> IndexFreeConnexPlan(
-    FreeConnexPlan plan, const std::vector<std::string>& head,
-    const ExecContext& ctx = ExecContext());
-
-/// A fresh constant-delay cursor over a shared indexed plan. Cheap
-/// (query-sized state only); cursors are independent and single-threaded.
-std::unique_ptr<AnswerEnumerator> MakePlanEnumerator(
-    std::shared_ptr<const IndexedFreeConnexPlan> plan);
 
 }  // namespace fgq
 

@@ -10,7 +10,7 @@
 ///   queries   ConjunctiveQuery / UnionQuery / parser  (fgq/query/)
 ///   engine    Engine::Run(ExecRequest) -> ExecResult, plus the
 ///             Count/Enumerate/Decide verb entry points (fgq/eval/)
-///   compiled  fgq::vm bytecode programs: CompileQuery /
+///   compiled  fgq::vm bytecode programs: CompileFreeConnex /
 ///             MakeProgramCursor / RunCount            (fgq/vm/)
 ///   serving   QueryService::Submit(ServiceRequest, SubmitPolicy)
 ///             with plan caching + admission control   (fgq/serve/)

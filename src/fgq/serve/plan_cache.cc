@@ -66,10 +66,9 @@ std::string CanonicalQueryText(const ConjunctiveQuery& q) {
 }
 
 PlanKey MakeSnapshotPlanKey(const ConjunctiveQuery& q, const Snapshot& snap,
-                            uint8_t tier, uint8_t semiring) {
+                            uint8_t semiring) {
   PlanKey key;
   key.canonical = CanonicalQueryText(q);
-  key.tier = tier;
   key.semiring = semiring;
   // Distinct relations in first-mention order. Queries are small (a
   // handful of atoms), so a linear scan beats a set.

@@ -12,9 +12,7 @@
 #include "fgq/db/relation.h"
 #include "fgq/db/snapshot.h"
 #include "fgq/eval/engine.h"
-#include "fgq/eval/enumerate.h"
 #include "fgq/query/cq.h"
-#include "fgq/util/bigint.h"
 #include "fgq/util/hash.h"
 #include "fgq/vm/program.h"
 
@@ -26,15 +24,13 @@
 /// free-projection sweeps + hash-index builds) is O(||D||), while each
 /// answer afterwards costs O(||phi||). A service that re-runs the
 /// preprocessing on every request throws that asymmetry away. PlanCache
-/// keeps the immutable preprocessing artifact — an IndexedFreeConnexPlan
-/// (plus, on the compiled tier, the fgq::vm Program lowered from it) for
-/// free-connex/Boolean queries, the materialized answer relation for
-/// the other classes — keyed by the *canonicalized* query text, the
-/// database's version counter, and the execution tier, so a repeated
-/// query (even alpha-renamed) skips straight to the enumeration phase,
-/// any mutation of the database invalidates every plan (and compiled
-/// program) built against it simply by changing the key, and requests at
-/// different tiers never alias one entry.
+/// keeps the immutable preprocessing artifact — the fgq::vm Program
+/// lowered from the IndexedFreeConnexPlan for free-connex/Boolean
+/// queries, the materialized answer relation for the other classes —
+/// keyed by the *canonicalized* query text and the database's version
+/// counter, so a repeated query (even alpha-renamed) skips straight to
+/// the enumeration phase, and any mutation of the database invalidates
+/// every program built against it simply by changing the key.
 
 namespace fgq {
 
@@ -47,9 +43,7 @@ namespace fgq {
 std::string CanonicalQueryText(const ConjunctiveQuery& q);
 
 /// Cache key: canonical query text + the data state it was built against
-/// + the execution tier that prepared it (a kCompile entry carries a
-/// compiled program a kInterpret request must not be served from, and
-/// vice versa).
+/// + the semiring of a count-verb request.
 ///
 /// The data state is one of two granularities:
 ///   * Legacy (db-backed service): `db_version` = Database::version() —
@@ -67,8 +61,6 @@ struct PlanKey {
   /// (empty on the legacy whole-version path). Absent relations record
   /// epoch 0, so creating one later invalidates too.
   std::vector<uint64_t> rel_epochs;
-  /// static_cast<uint8_t>(ExecTier) of the preparing request.
-  uint8_t tier = 0;
   /// static_cast<uint8_t>(SemiringId) of the preparing request (0 =
   /// counting — rows-verb and legacy count requests). A cached entry may
   /// memoize the count-verb aggregate, which is semiring-specific, so
@@ -76,9 +68,8 @@ struct PlanKey {
   uint8_t semiring = 0;
 
   bool operator==(const PlanKey& o) const {
-    return db_version == o.db_version && tier == o.tier &&
-           semiring == o.semiring && rel_epochs == o.rel_epochs &&
-           canonical == o.canonical;
+    return db_version == o.db_version && semiring == o.semiring &&
+           rel_epochs == o.rel_epochs && canonical == o.canonical;
   }
 };
 
@@ -90,7 +81,6 @@ struct PlanKey {
 struct PlanKeyHash {
   size_t operator()(const PlanKey& k) const {
     uint64_t h = HashCombine(0x51ed270bu, k.db_version);
-    h = HashCombine(h, k.tier);
     h = HashCombine(h, k.semiring);
     h = HashCombine(h, k.rel_epochs.size());
     for (uint64_t e : k.rel_epochs) h = HashCombine(h, e);
@@ -104,24 +94,19 @@ struct PlanKeyHash {
 /// mentions, in first-mention order (atoms, which the canonical text
 /// preserves, then negated atoms share the same list).
 PlanKey MakeSnapshotPlanKey(const ConjunctiveQuery& q, const Snapshot& snap,
-                            uint8_t tier, uint8_t semiring = 0);
+                            uint8_t semiring = 0);
 
-/// One cached preparation. Exactly one of `plan` / `answers` is set:
-/// free-connex and Boolean queries cache the indexed plan (cursors are
-/// created per request), everything else caches the materialized answers.
-/// On the compiled tier, `program` additionally holds the fgq::vm
-/// bytecode lowered from `plan` (the program pins its plan alive);
-/// requests then run VM cursors instead of interpreter cursors.
-/// `count`, when present, memoizes |phi(D)| for the count verb. All
-/// members are immutable shared state — safe to hand to any number of
+/// One cached preparation. Exactly one of `program` / `answers` is set:
+/// free-connex and Boolean queries cache the fgq::vm program lowered from
+/// their indexed plan (which it pins alive; VM cursors and count streams
+/// run per request), everything else caches the materialized answers.
+/// All members are immutable shared state — safe to hand to any number of
 /// concurrent requests.
 struct CachedPlan {
   QueryClass classification = QueryClass::kCyclic;
   std::string algorithm;
-  std::shared_ptr<const IndexedFreeConnexPlan> plan;
   std::shared_ptr<const vm::Program> program;
   std::shared_ptr<const Relation> answers;
-  std::shared_ptr<const BigInt> count;
   /// Memoized count-verb aggregate for the key's (non-counting) semiring
   /// — keys carry the semiring id, so one entry never serves two
   /// semirings.

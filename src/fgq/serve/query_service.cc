@@ -20,24 +20,6 @@ double ToMicros(std::chrono::nanoseconds d) {
   return static_cast<double>(d.count()) / 1000.0;
 }
 
-/// Drains a fresh cursor over the prepared plan and folds the distinct
-/// answer stream under the request's semiring — the interpreted-tier
-/// source for the memoized aggregate.
-Result<SemiringValue> DrainAndFold(const ServiceRequest& req,
-                                   const CachedPlan& plan) {
-  std::unique_ptr<AnswerEnumerator> cursor = MakePlanEnumerator(plan.plan);
-  Relation drained(req.query.name(), req.query.arity());
-  Tuple t;
-  while (cursor->Next(&t)) {
-    if (req.query.arity() == 0) {
-      drained.AddNullary();
-    } else {
-      drained.Add(t);
-    }
-  }
-  return FoldAnswersSemiring(req.query, drained, req.semiring);
-}
-
 }  // namespace
 
 bool QueryService::IsHeavy(QueryClass c) {
@@ -271,9 +253,6 @@ ServiceResponse QueryService::Process(Pending& p) {
     request_span.Arg("verb", p.req.verb == ServeVerb::kRows ? "rows" : "count");
   }
 
-  const ExecTier tier = p.req.tier.value_or(opts_.default_tier);
-  if (p.req.trace != nullptr) request_span.Arg("tier", ExecTierName(tier));
-
   // Snapshot mode: pin the current epoch once, up front. Everything the
   // request does — cache keying, preparation, cursor enumeration — reads
   // this one immutable view, so a mutation applied mid-request can never
@@ -293,14 +272,12 @@ ServiceResponse QueryService::Process(Pending& p) {
     }
   }
 
-  // The tier is part of the key: a kInterpret request must never be
-  // served a compiled program prepared at kCompile, and vice versa. In
-  // snapshot mode the key carries per-relation epochs instead of the
-  // whole-database version — selective invalidation.
-  // The count verb's semiring is part of the key too: an entry may
-  // memoize its aggregate, and a min-plus aggregate must never answer a
-  // boolean request. Rows requests always key semiring 0 (counting), so
-  // they keep sharing plans exactly as before.
+  // In snapshot mode the key carries per-relation epochs instead of the
+  // whole-database version — selective invalidation. The count verb's
+  // semiring is part of the key: an entry may memoize its aggregate, and
+  // a min-plus aggregate must never answer a boolean request. Rows
+  // requests always key semiring 0 (counting), so they keep sharing plans
+  // with counting requests.
   const SemiringId semiring = p.req.verb == ServeVerb::kCount
                                   ? p.req.semiring
                                   : SemiringId::kCounting;
@@ -309,12 +286,11 @@ ServiceResponse QueryService::Process(Pending& p) {
   }
   PlanKey key;
   if (snap != nullptr) {
-    key = MakeSnapshotPlanKey(p.req.query, *snap, static_cast<uint8_t>(tier),
+    key = MakeSnapshotPlanKey(p.req.query, *snap,
                               static_cast<uint8_t>(semiring));
   } else {
     key.canonical = CanonicalQueryText(p.req.query);
     key.db_version = db_->version();
-    key.tier = static_cast<uint8_t>(tier);
     key.semiring = static_cast<uint8_t>(semiring);
   }
   std::shared_ptr<const CachedPlan> cached;
@@ -337,44 +313,13 @@ ServiceResponse QueryService::Process(Pending& p) {
 
   if (resp.status.ok() && cached) {
     resp.algorithm = cached->algorithm;
-    if (cached->program && p.req.verb == ServeVerb::kCount) {
-      // Fused counting stream: no cursor, no per-answer work where the
-      // compiler collapsed the innermost loop (kCountSpan). Non-counting
-      // semirings take the same stream through their RunSumProduct
-      // instantiation — one dispatch per span either way.
+    if (cached->program) {
       TraceSpan enumerate_span(p.req.trace, "enumerate", "serve");
-      if (semiring == SemiringId::kCounting) {
-        Result<uint64_t> n =
-            vm::RunCount(*cached->program, p.cancel, p.req.trace);
-        if (!n.ok()) {
-          resp.status = n.status();
-        } else {
-          TraceCounter(p.req.trace, "tuples_emitted", *n);
-          resp.count = BigInt::FromUint64(*n);
-        }
-      } else if (cached->semiring_value) {
-        // Memoized at Prepare time: the aggregate is a pure value of the
-        // (query, snapshot, semiring) key, so a hit skips the stream.
-        resp.semiring_value = *cached->semiring_value;
-      } else {
-        Result<SemiringValue> v =
-            vm::RunSemiring(*cached->program, semiring, p.cancel, p.req.trace);
-        if (!v.ok()) {
-          resp.status = v.status();
-        } else {
-          resp.semiring_value = std::move(v).value();
-        }
-      }
-    } else if (cached->plan || cached->program) {
-      // Serve from the shared preparation: a fresh cursor per request —
-      // a VM cursor over the compiled program when one was prepared, the
-      // interpreter's plan cursor otherwise.
-      TraceSpan enumerate_span(p.req.trace, "enumerate", "serve");
-      std::unique_ptr<AnswerEnumerator> cursor =
-          cached->program
-              ? vm::MakeProgramCursor(cached->program, p.req.trace)
-              : MakePlanEnumerator(cached->plan);
       if (p.req.verb == ServeVerb::kRows) {
+        // Serve from the shared preparation: a fresh VM cursor per
+        // request.
+        std::unique_ptr<AnswerEnumerator> cursor =
+            vm::MakeProgramCursor(cached->program, p.req.trace);
         auto out = std::make_shared<Relation>(p.req.query.name(),
                                               p.req.query.arity());
         Tuple t;
@@ -398,39 +343,29 @@ ServiceResponse QueryService::Process(Pending& p) {
           resp.answers = std::move(out);
         }
       } else if (semiring == SemiringId::kCounting) {
-        uint64_t n = 0;
-        Tuple t;
-        while (cursor->Next(&t) && !p.cancel.cancelled()) ++n;
-        if (p.cancel.cancelled()) {
-          resp.status = p.cancel.Check("answer counting");
+        // Fused counting stream: no cursor, no per-answer work where the
+        // compiler collapsed the innermost loop (kCountSpan). Non-counting
+        // semirings take the same stream through their RunSumProduct
+        // instantiation — one dispatch per span either way.
+        Result<uint64_t> n =
+            vm::RunCount(*cached->program, p.cancel, p.req.trace);
+        if (!n.ok()) {
+          resp.status = n.status();
         } else {
-          TraceCounter(p.req.trace, "tuples_emitted", n);
-          resp.count = BigInt::FromUint64(n);
+          TraceCounter(p.req.trace, "tuples_emitted", *n);
+          resp.count = BigInt::FromUint64(*n);
         }
       } else if (cached->semiring_value) {
+        // Memoized at Prepare time: the aggregate is a pure value of the
+        // (query, snapshot, semiring) key, so a hit skips the stream.
         resp.semiring_value = *cached->semiring_value;
       } else {
-        // Interpreted tier, non-counting semiring: drain the (distinct)
-        // stream and fold it under the semiring.
-        Relation drained(p.req.query.name(), p.req.query.arity());
-        Tuple t;
-        while (cursor->Next(&t) && !p.cancel.cancelled()) {
-          if (p.req.query.arity() == 0) {
-            drained.AddNullary();
-          } else {
-            drained.Add(t);
-          }
-        }
-        if (p.cancel.cancelled()) {
-          resp.status = p.cancel.Check("semiring aggregation");
+        Result<SemiringValue> v =
+            vm::RunSemiring(*cached->program, semiring, p.cancel, p.req.trace);
+        if (!v.ok()) {
+          resp.status = v.status();
         } else {
-          Result<SemiringValue> v =
-              FoldAnswersSemiring(p.req.query, drained, semiring);
-          if (!v.ok()) {
-            resp.status = v.status();
-          } else {
-            resp.semiring_value = std::move(v).value();
-          }
+          resp.semiring_value = std::move(v).value();
         }
       }
     } else if (cached->answers) {
@@ -498,50 +433,31 @@ ServiceResponse QueryService::Process(Pending& p) {
 std::shared_ptr<const CachedPlan> QueryService::Prepare(Pending& p,
                                                         const Database& db,
                                                         ServiceResponse* out) {
-  const ExecTier tier = p.req.tier.value_or(opts_.default_tier);
   auto plan = std::make_shared<CachedPlan>();
   plan->classification = p.classification;
   if (p.classification == QueryClass::kBooleanAcyclic ||
       p.classification == QueryClass::kFreeConnexAcyclic) {
-    // Cache the Theorem 4.6 preprocessing; the enumeration phase runs per
-    // request against the shared indexes.
+    // Cache the Theorem 4.6 preprocessing, lowered to a VM program; the
+    // enumeration phase runs per request against the shared indexes.
     ExecContext ctx =
         engine_.context().WithCancel(p.cancel).WithTrace(p.req.trace);
-    Result<FreeConnexPlan> fc = BuildFreeConnexPlan(p.req.query, db, ctx);
-    if (!fc.ok()) {
-      out->status = fc.status();
+    Result<std::shared_ptr<const vm::Program>> program =
+        vm::CompileFreeConnex(p.req.query, db, ctx);
+    if (!program.ok()) {
+      out->status = program.status();
       return nullptr;
     }
-    Result<std::shared_ptr<const IndexedFreeConnexPlan>> indexed =
-        IndexFreeConnexPlan(std::move(fc).value(), p.req.query.head(), ctx);
-    if (!indexed.ok()) {
-      out->status = indexed.status();
-      return nullptr;
-    }
-    plan->plan = std::move(indexed).value();
-    plan->algorithm = p.classification == QueryClass::kBooleanAcyclic
-                          ? "boolean-semijoin-sweep"
-                          : "constant-delay-enumeration";
-    if (tier != ExecTier::kInterpret) {
-      // The plan is already built; lowering it is cheap, and both classes
-      // execute bit-identically on the VM.
-      vm::Compilation comp = vm::CompilePlan(plan->plan, p.req.query, ctx.trace());
-      if (comp.ok()) {
-        plan->program = comp.program;
-        plan->algorithm = comp.program->algorithm;
-        metrics_.GetCounter("serve.vm.compiled").Increment();
-      }
-    }
+    plan->program = std::move(program).value();
+    plan->algorithm = plan->program->algorithm;
+    metrics_.GetCounter("serve.vm.compiled").Increment();
     if (p.req.verb == ServeVerb::kCount &&
         p.req.semiring != SemiringId::kCounting) {
       // Memoize the aggregate on this (semiring-keyed, epoch-keyed)
       // entry: it is a pure value of the snapshot, so cache hits return
       // it without touching the weight fold again. The counting verb
       // stays un-memoized — its fused stream is the latency baseline.
-      Result<SemiringValue> v =
-          plan->program ? vm::RunSemiring(*plan->program, p.req.semiring,
-                                          p.cancel, p.req.trace)
-                        : DrainAndFold(p.req, *plan);
+      Result<SemiringValue> v = vm::RunSemiring(
+          *plan->program, p.req.semiring, p.cancel, p.req.trace);
       if (v.ok()) {
         plan->semiring_value =
             std::make_shared<const SemiringValue>(std::move(v).value());
@@ -549,33 +465,11 @@ std::shared_ptr<const CachedPlan> QueryService::Prepare(Pending& p,
     }
     return plan;
   }
-  if (tier == ExecTier::kCompile &&
-      p.classification == QueryClass::kAcyclicDisequalities) {
-    // Head-only disequalities over a free-connex strip compile to the
-    // stripped plan plus post-emit filters; anything else falls back to
-    // witness elimination below.
-    ExecContext ctx =
-        engine_.context().WithCancel(p.cancel).WithTrace(p.req.trace);
-    Result<vm::Compilation> comp = vm::CompileQuery(p.req.query, db, ctx);
-    if (!comp.ok()) {
-      out->status = comp.status();
-      return nullptr;
-    }
-    if (comp->ok()) {
-      plan->program = comp->program;
-      plan->algorithm = comp->program->algorithm;
-      metrics_.GetCounter("serve.vm.compiled").Increment();
-      return plan;
-    }
-  }
   // Every other class: evaluate once, cache the materialized answers (they
   // serve both verbs; general-acyclic counts equal the answer count).
-  // The serving layer manages compilation itself, so the engine runs the
-  // plain interpreter here.
   ExecRequest exec(p.req.query, db);
   exec.cancel = p.cancel;
   exec.trace = p.req.trace;
-  exec.tier = ExecTier::kInterpret;
   Result<ExecResult> res = engine_.Run(exec);
   if (!res.ok()) {
     out->status = res.status();

@@ -9,7 +9,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,8 +61,8 @@
 ///   concurrently via SnapshotStore::Apply are safe under live traffic,
 ///   and every answer is exactly the pre- or post-mutation state, never a
 ///   torn mix. Plans are cached per (canonical query, per-relation
-///   epochs, tier), so a mutation invalidates only the plans whose atoms
-///   it touched.
+///   epochs, semiring), so a mutation invalidates only the plans whose
+///   atoms it touched.
 /// * **A bare `const Database*`** (legacy). The service never mutates it.
 ///   Mutating the database between requests is fine (plans re-prepare
 ///   against the new version, which invalidates the whole cache); but
@@ -92,11 +91,6 @@ struct ServiceOptions {
   size_t cache_capacity = 128;
   /// Engine options shared by the workers (thread pool etc.).
   ExecOptions exec;
-  /// Execution tier for requests that do not set ServiceRequest::tier:
-  /// kAuto compiles the classes whose VM stream is bit-identical to the
-  /// interpreter's (Boolean, free-connex), kCompile also compiles
-  /// head-only disequalities, kInterpret never compiles.
-  ExecTier default_tier = ExecTier::kAuto;
 };
 
 /// Which admission lane a request takes. kAuto derives the lane from the
@@ -123,10 +117,6 @@ struct ServiceRequest {
   /// Admission lane (see LaneHint). The net layer and fgq_serve build
   /// requests identically: verb + timeout + lane all live here.
   LaneHint lane = LaneHint::kAuto;
-  /// Execution tier override for this request; unset uses the service's
-  /// ServiceOptions::default_tier. Part of the plan-cache key, so the
-  /// same query at different tiers never shares a cache entry.
-  std::optional<ExecTier> tier;
   /// kCount only: the commutative semiring the count verb aggregates
   /// under (semiring.h). kCounting (the default) is the classic |phi(D)|
   /// and fills ServiceResponse::count; every other id fills

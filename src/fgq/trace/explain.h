@@ -47,7 +47,7 @@ namespace fgq {
 struct QueryClassInfo {
   const char* name;       ///< Stable class name (QueryClassName()).
   const char* theorem;    ///< Paper theorem backing the dispatch.
-  const char* algorithm;  ///< QueryResult::algorithm of the dispatch target.
+  const char* algorithm;  ///< ExecResult::algorithm of the dispatch target.
   const char* bound;      ///< Predicted complexity bound.
   const char* file;       ///< Implementing file.
   const char* benchmark;  ///< Benchmark that verifies the bound.
@@ -96,7 +96,7 @@ struct Explanation {
   /// ExplainOptions::bytecode only: the vm::Program disassembly, or a
   /// "not compilable: <reason>" line. Rendered by Text()/Json() but NOT
   /// ClassificationText() — the golden files stay measurement-free and
-  /// compiled-tier-free.
+  /// bytecode-free.
   std::string bytecode;
 
   /// Deterministic subset (no timings, no counts) — the golden-file

@@ -2,9 +2,7 @@
 #define FGQ_UTIL_EXEC_OPTIONS_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
-#include <string>
 #include <utility>
 
 #include "fgq/util/cancel.h"
@@ -25,49 +23,6 @@
 namespace fgq {
 
 class TraceContext;  // src/fgq/trace/trace.h — util must not depend on it
-
-/// Which execution tier evaluates a classified plan. The values are part
-/// of the plan-cache key (PlanKey::tier), so they are stable small ints.
-enum class ExecTier : uint8_t {
-  /// Always the interpreted operator tree (PlanCursorEnumerator & co).
-  kInterpret = 0,
-  /// Lower to fgq::vm bytecode whenever the class is compilable; falls
-  /// back to the interpreter with a recorded reason otherwise. Includes
-  /// paths (head-only disequalities) whose answer *order* may differ from
-  /// the interpreter's — the answer *set* never does.
-  kCompile = 1,
-  /// The default: compile exactly where the compiled stream is
-  /// bit-identical to the interpreted one (Boolean / free-connex plans),
-  /// interpret everything else.
-  kAuto = 2,
-};
-
-/// Stable name ("interpret", "compile", "auto").
-inline const char* ExecTierName(ExecTier t) {
-  switch (t) {
-    case ExecTier::kInterpret:
-      return "interpret";
-    case ExecTier::kCompile:
-      return "compile";
-    case ExecTier::kAuto:
-      return "auto";
-  }
-  return "unknown";
-}
-
-/// Parses ExecTierName output; returns false on an unknown name.
-inline bool ParseExecTier(const std::string& name, ExecTier* out) {
-  if (name == "interpret") {
-    *out = ExecTier::kInterpret;
-  } else if (name == "compile") {
-    *out = ExecTier::kCompile;
-  } else if (name == "auto") {
-    *out = ExecTier::kAuto;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 struct ExecOptions {
   /// Total execution lanes. 1 = serial (the default); 0 or negative =

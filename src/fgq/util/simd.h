@@ -138,13 +138,13 @@ MatchEmpty32Avx2(const uint8_t* tags) {
 
 #endif  // FGQ_X86_64
 
-/// Per-group dispatch for the non-batched probes (interpreter, VM, delta
-/// build): SSE2 when available unless the scalar override is active. One
-/// global load + predicted branch per group — noise next to the probe's
-/// cache misses. The batched kernels in index.cc dispatch once per loop
-/// instead and add the AVX2 32-byte form. Set by ActiveSimdPath(), which
-/// every index/key-set build calls once, so the flag is resolved before
-/// any probe runs.
+/// Per-group dispatch for the non-batched probes (VM, delta build): SSE2
+/// when available unless the scalar override is active. One global load +
+/// predicted branch per group — noise next to the probe's cache misses.
+/// The batched kernels in index.cc dispatch once per loop instead and add
+/// the AVX2 32-byte form. Set by ActiveSimdPath(), which every
+/// index/key-set build calls once, so the flag is resolved before any
+/// probe runs.
 extern uint32_t g_force_scalar;
 
 __attribute__((always_inline)) inline uint32_t MatchTag32(

@@ -1,29 +1,17 @@
 #include "fgq/vm/compile.h"
 
-#include <algorithm>
 #include <utility>
 
+#include "fgq/db/index.h"
 #include "fgq/eval/engine.h"
 #include "fgq/query/term.h"
 #include "fgq/trace/trace.h"
+#include "fgq/util/thread_pool.h"
 
 namespace fgq {
 namespace vm {
 
 namespace {
-
-Compilation Fallback(std::string reason) {
-  Compilation c;
-  c.fallback_reason = std::move(reason);
-  return c;
-}
-
-int HeadIndex(const ConjunctiveQuery& q, const std::string& v) {
-  for (size_t i = 0; i < q.head().size(); ++i) {
-    if (q.head()[i] == v) return static_cast<int>(i);
-  }
-  return -1;
-}
 
 /// The init/probe opcode for node `id`: roots load their candidate list,
 /// non-roots probe the parent-keyed index with the opcode specialized on
@@ -45,39 +33,25 @@ Insn InitInsn(const ProgramNode& n, uint16_t id) {
 
 /// Unrolls the odometer walk over `n` nodes into one code stream:
 ///
-///   init(0) [checks@0] init(1) [checks@1] ... init(n-1) [checks@n-1]
-///   TAIL            — kEmit / kCount / kCountSpan
+///   init(0) init(1) ... init(n-1)
+///   TAIL            — kEmit / kCountSpan / kCountProbeAll
 ///   adv(d) adv(d-1) ... adv(0)
 ///   halt
 ///
-/// where d = n-1 (n-2 for the fused kCountSpan tail, which consumes the
-/// innermost span whole). Jump wiring encodes the interpreter's exact
-/// semantics: an empty (re)fill backtracks to the advance chain of the
-/// previous node; a failed check advances the deepest node it reads; a
-/// successful advance of node k re-runs k's checks and refills every
-/// deeper node; the tail resumes the advance chain.
-std::vector<Insn> LayOutLoop(
-    const std::vector<ProgramNode>& nodes,
-    const std::vector<std::vector<uint16_t>>& checks_at, Op tail_op) {
+/// where d = n-1 (n-2 for the fused tails, which consume the innermost
+/// span whole). Jump wiring encodes the Theorem 4.6 odometer: an empty
+/// (re)fill backtracks to the advance chain of the previous node; a
+/// successful advance of node k refills every deeper node; the tail
+/// resumes the advance chain.
+std::vector<Insn> LayOutLoop(const std::vector<ProgramNode>& nodes,
+                             Op tail_op) {
   const size_t n = nodes.size();
-  const bool fused =
-      tail_op == Op::kCountSpan || tail_op == Op::kCountProbeAll;
+  const bool fused = tail_op != Op::kEmit;
   // The batched tail performs the innermost probes itself, so the
   // innermost node contributes no init instruction at all.
   const bool skip_inner_init = tail_op == Op::kCountProbeAll;
-  std::vector<int32_t> init_pc(n), check_start(n);
-  int32_t pc = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (skip_inner_init && i == n - 1) {
-      init_pc[i] = pc;
-      check_start[i] = pc;
-      continue;
-    }
-    init_pc[i] = pc;
-    check_start[i] = pc + 1;
-    pc += 1 + static_cast<int32_t>(checks_at[i].size());
-  }
-  const int32_t tail_pc = pc;
+  // init(i) sits at pc i; a skipped innermost init leaves the tail there.
+  const int32_t tail_pc = static_cast<int32_t>(skip_inner_init ? n - 1 : n);
   // Nodes walked by the advance chain, deepest first.
   const size_t num_adv = fused ? n - 1 : n;
   const int32_t halt_pc = tail_pc + 1 + static_cast<int32_t>(num_adv);
@@ -98,10 +72,6 @@ std::vector<Insn> LayOutLoop(
     init.jump = i == 0 ? halt_pc : adv_pc(i - 1);
     if (fused && i == n - 1) init.jump = tail_pc;  // count += 0 either way.
     code.push_back(init);
-    for (uint16_t check : checks_at[i]) {
-      // A failed disequality rejects the deepest row it reads: advance it.
-      code.push_back(Insn{Op::kCheckNeq, check, adv_pc(i)});
-    }
   }
   Insn tail;
   tail.op = tail_op;
@@ -109,39 +79,104 @@ std::vector<Insn> LayOutLoop(
   tail.jump = num_adv > 0 ? tail_pc + 1 : halt_pc;
   code.push_back(tail);
   for (size_t k = num_adv; k-- > 0;) {
-    // Fall-through order deepest -> 0 -> halt; success re-enters at the
-    // node's own check block (its new row must re-pass them) and refills
-    // everything deeper.
-    code.push_back(
-        Insn{Op::kAdvance, static_cast<uint16_t>(k), check_start[k]});
+    // Fall-through order deepest -> 0 -> halt; success refills every
+    // deeper node, starting right after k's own init.
+    code.push_back(Insn{Op::kAdvance, static_cast<uint16_t>(k),
+                        static_cast<int32_t>(k + 1)});
   }
   code.push_back(Insn{Op::kHalt, 0, 0});
   return code;
 }
 
-}  // namespace
+/// Builds the indexes over a FreeConnexPlan (O(||D||), morsel-parallel
+/// with a pool). `head` is the query head the cursors will emit.
+Result<std::shared_ptr<const IndexedFreeConnexPlan>> IndexFreeConnexPlan(
+    FreeConnexPlan plan, const std::vector<std::string>& head,
+    const ExecContext& ctx) {
+  auto out = std::make_shared<IndexedFreeConnexPlan>();
+  out->nodes = std::move(plan.nodes);
+  out->parent = std::move(plan.parent);
+  out->empty = plan.empty;
+  out->is_boolean = head.empty();
+  if (out->empty) {
+    // nodes/parent are unspecified for an empty plan; there is nothing to
+    // index and no output slots to resolve.
+    return std::shared_ptr<const IndexedFreeConnexPlan>(std::move(out));
+  }
+  const size_t n = out->nodes.size();
+  out->parent_cols.resize(n);
+  out->root_rows.resize(n);
+  // Connector columns with the parent; query-sized bookkeeping.
+  std::vector<std::vector<size_t>> connector_cols(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (out->parent[i] >= 0) {
+      const PreparedAtom& p = out->nodes[out->parent[i]];
+      for (size_t c = 0; c < out->nodes[i].vars.size(); ++c) {
+        int pc = p.VarIndex(out->nodes[i].vars[c]);
+        if (pc >= 0) {
+          connector_cols[i].push_back(c);
+          out->parent_cols[i].push_back(static_cast<size_t>(pc));
+        }
+      }
+    } else if (!out->nodes[i].rel.empty()) {
+      out->root_rows[i].resize(out->nodes[i].rel.NumTuples());
+      for (size_t r = 0; r < out->root_rows[i].size(); ++r) {
+        out->root_rows[i][r] = static_cast<uint32_t>(r);
+      }
+    }
+  }
+  // The O(||D||) hash-index builds fan out one task per node, each build
+  // itself morsel-parallel.
+  out->indexes.resize(n);
+  {
+    TraceSpan index_span(ctx.trace(), "index_build");
+    ParallelFor(ctx.pool(), n, 1, [&](size_t b, size_t e) {
+      for (size_t i = b; i < e; ++i) {
+        out->indexes[i] =
+            std::make_unique<HashIndex>(out->nodes[i].rel, connector_cols[i],
+                                        ctx);
+      }
+    });
+    if (ctx.trace() != nullptr) {
+      uint64_t bytes = 0;
+      for (const auto& idx : out->indexes) bytes += idx->MemoryBytes();
+      TraceCounter(ctx.trace(), "index_bytes", bytes);
+    }
+  }
+  FGQ_RETURN_NOT_OK(ctx.cancel().Check("plan index build"));
+  // Output slots: first node/column providing each head variable.
+  for (const std::string& v : head) {
+    bool found = false;
+    for (size_t i = 0; i < n && !found; ++i) {
+      int c = out->nodes[i].VarIndex(v);
+      if (c >= 0) {
+        out->out_slots.push_back({i, static_cast<size_t>(c)});
+        found = true;
+      }
+    }
+    if (!found) {
+      return Status::Internal("head variable '" + v +
+                              "' missing from free-connex plan");
+    }
+  }
+  return std::shared_ptr<const IndexedFreeConnexPlan>(std::move(out));
+}
 
-Compilation CompilePlan(std::shared_ptr<const IndexedFreeConnexPlan> plan,
-                        const ConjunctiveQuery& q, TraceContext* trace) {
+/// Lowers the indexed plan of `q`. Records a "vm.compile" span with code
+/// size counters on `trace`.
+Result<std::shared_ptr<const Program>> CompilePlan(
+    std::shared_ptr<const IndexedFreeConnexPlan> plan,
+    const ConjunctiveQuery& q, TraceContext* trace) {
   TraceSpan span(trace, "vm.compile", "vm");
-  if (plan == nullptr) return Fallback("no indexed plan");
-
   auto prog = std::make_shared<Program>();
   prog->plan = plan;
   prog->arity = static_cast<uint32_t>(q.arity());
   prog->is_boolean = plan->is_boolean;
   prog->empty = plan->empty;
   prog->source = q.ToString();
-  prog->algorithm =
-      plan->is_boolean
-          ? "boolean-semijoin-sweep+vm"
-          : (q.comparisons().empty() ? "constant-delay-enumeration+vm"
-                                     : "neq-filtered-enumeration+vm");
-
+  prog->algorithm = plan->is_boolean ? "boolean-semijoin-sweep+vm"
+                                     : "constant-delay-enumeration+vm";
   if (plan->is_boolean) {
-    if (!q.comparisons().empty()) {
-      return Fallback("boolean query with comparisons");
-    }
     if (!plan->empty) {
       prog->code = {Insn{Op::kEmitNullary, 0, 1}, Insn{Op::kHalt, 0, 0}};
       prog->count_code = {Insn{Op::kCount, 0, 1}, Insn{Op::kHalt, 0, 0}};
@@ -155,8 +190,8 @@ Compilation CompilePlan(std::shared_ptr<const IndexedFreeConnexPlan> plan,
     prog->count_code = {Insn{Op::kHalt, 0, 0}};
   } else {
     const size_t n = plan->nodes.size();
-    if (n > 0xffff || q.comparisons().size() > 0xffff) {
-      return Fallback("plan too large for 16-bit operands");
+    if (n > 0xffff) {
+      return Status::Unsupported("plan too large for 16-bit operands");
     }
     prog->nodes.reserve(n);
     for (size_t i = 0; i < n; ++i) {
@@ -206,42 +241,15 @@ Compilation CompilePlan(std::shared_ptr<const IndexedFreeConnexPlan> plan,
       if (!seen) prog->weighted_out.push_back(prog->out[i]);
     }
 
-    // Disequalities become post-emit filters over output slots — legal
-    // only when both sides are head variables (CompileQuery enforces the
-    // matching free-connexity condition on the stripped query).
-    std::vector<std::vector<uint16_t>> checks_at(n);
-    for (const Comparison& c : q.comparisons()) {
-      if (c.op != Comparison::Op::kNotEqual) {
-        return Fallback("order comparisons are not compilable");
-      }
-      const int li = HeadIndex(q, c.lhs);
-      const int ri = HeadIndex(q, c.rhs);
-      if (li < 0 || ri < 0) {
-        return Fallback("disequality over a quantified variable");
-      }
-      NeqCheck check;
-      check.a_node = prog->out[static_cast<size_t>(li)].node;
-      check.a_col = prog->out[static_cast<size_t>(li)].col;
-      check.b_node = prog->out[static_cast<size_t>(ri)].node;
-      check.b_col = prog->out[static_cast<size_t>(ri)].col;
-      const uint16_t id = static_cast<uint16_t>(prog->checks.size());
-      prog->checks.push_back(check);
-      checks_at[std::max(check.a_node, check.b_node)].push_back(id);
-    }
-
-    prog->code = LayOutLoop(prog->nodes, checks_at, Op::kEmit);
-    // Counting fuses the innermost loop into one span-sized add when no
-    // check reads the innermost node (then every candidate there counts).
-    // When additionally the innermost node hangs off the second-deepest
-    // one and that parent carries no checks either, the whole parent span
-    // collapses into one batched probe sweep (kCountProbeAll).
-    const bool fuse = checks_at[n - 1].empty();
-    const bool batch = fuse && n >= 2 && prog->nodes[n - 1].index != nullptr &&
-                       prog->nodes[n - 1].parent == n - 2 &&
-                       checks_at[n - 2].empty();
-    prog->count_code = LayOutLoop(
-        prog->nodes, checks_at,
-        batch ? Op::kCountProbeAll : (fuse ? Op::kCountSpan : Op::kCount));
+    prog->code = LayOutLoop(prog->nodes, Op::kEmit);
+    // Counting fuses the innermost loop into one span-sized add: every
+    // candidate there counts. When the innermost node hangs off the
+    // second-deepest one, the whole parent span collapses into one
+    // batched probe sweep (kCountProbeAll).
+    const bool batch = n >= 2 && prog->nodes[n - 1].index != nullptr &&
+                       prog->nodes[n - 1].parent == n - 2;
+    prog->count_code =
+        LayOutLoop(prog->nodes, batch ? Op::kCountProbeAll : Op::kCountSpan);
   }
 
   if (trace != nullptr) {
@@ -251,50 +259,32 @@ Compilation CompilePlan(std::shared_ptr<const IndexedFreeConnexPlan> plan,
     TraceCounter(trace, "vm.code_len",
                  prog->code.size() + prog->count_code.size());
   }
-  Compilation c;
-  c.program = std::move(prog);
-  return c;
+  return std::shared_ptr<const Program>(std::move(prog));
+}
+
+}  // namespace
+
+Result<std::shared_ptr<const Program>> CompileFreeConnex(
+    const ConjunctiveQuery& q, const Database& db, const ExecContext& ctx) {
+  FGQ_ASSIGN_OR_RETURN(FreeConnexPlan fc, BuildFreeConnexPlan(q, db, ctx));
+  FGQ_ASSIGN_OR_RETURN(auto indexed,
+                       IndexFreeConnexPlan(std::move(fc), q.head(), ctx));
+  return CompilePlan(std::move(indexed), q, ctx.trace());
 }
 
 Result<Compilation> CompileQuery(const ConjunctiveQuery& q, const Database& db,
                                  const ExecContext& ctx) {
   FGQ_RETURN_NOT_OK(q.Validate());
   const QueryClass cls = Engine::Classify(q);
-  switch (cls) {
-    case QueryClass::kBooleanAcyclic:
-    case QueryClass::kFreeConnexAcyclic: {
-      FGQ_ASSIGN_OR_RETURN(FreeConnexPlan fc, BuildFreeConnexPlan(q, db, ctx));
-      FGQ_ASSIGN_OR_RETURN(auto indexed,
-                           IndexFreeConnexPlan(std::move(fc), q.head(), ctx));
-      return CompilePlan(std::move(indexed), q, ctx.trace());
-    }
-    case QueryClass::kAcyclicDisequalities: {
-      for (const Comparison& c : q.comparisons()) {
-        if (c.op != Comparison::Op::kNotEqual || HeadIndex(q, c.lhs) < 0 ||
-            HeadIndex(q, c.rhs) < 0) {
-          return Fallback("disequality over a quantified variable");
-        }
-      }
-      // Strip the comparisons; if what remains is free-connex, its plan
-      // enumerates a superset that the kCheckNeq filters cut back down.
-      ConjunctiveQuery stripped = q;
-      stripped.mutable_comparisons()->clear();
-      if (Engine::Classify(stripped) != QueryClass::kFreeConnexAcyclic) {
-        return Fallback("comparison-stripped query is not free-connex");
-      }
-      FGQ_ASSIGN_OR_RETURN(FreeConnexPlan fc,
-                           BuildFreeConnexPlan(stripped, db, ctx));
-      FGQ_ASSIGN_OR_RETURN(
-          auto indexed, IndexFreeConnexPlan(std::move(fc), q.head(), ctx));
-      return CompilePlan(std::move(indexed), q, ctx.trace());
-    }
-    case QueryClass::kGeneralAcyclic:
-    case QueryClass::kAcyclicOrderComparisons:
-    case QueryClass::kNegated:
-    case QueryClass::kCyclic:
-      break;
+  Compilation c;
+  if (cls == QueryClass::kBooleanAcyclic ||
+      cls == QueryClass::kFreeConnexAcyclic) {
+    FGQ_ASSIGN_OR_RETURN(c.program, CompileFreeConnex(q, db, ctx));
+  } else {
+    c.fallback_reason =
+        std::string(QueryClassName(cls)) + " is not compilable";
   }
-  return Fallback(std::string(QueryClassName(cls)) + " is not compilable");
+  return c;
 }
 
 }  // namespace vm

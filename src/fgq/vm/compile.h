@@ -13,55 +13,45 @@
 /// \file compile.h
 /// The lowering pass: classified plan -> fgq::vm bytecode.
 ///
-/// Compilation is *total* over the inputs it accepts and explicit about
-/// the ones it does not: a Compilation either carries a Program or a
-/// human-readable fallback_reason ("cyclic is not compilable",
-/// "disequality over a quantified variable", ...), so every caller — the
-/// Engine tier dispatch, the serving layer's Prepare, EXPLAIN — makes the
-/// same clean "compiled or interpreted" decision.
-///
-/// What compiles today (the classes whose evaluation-loop shape the
-/// paper fixes):
+/// The VM is the only executor of the Theorem 4.6 plan shape, so
+/// compilation is the last step of preparing a Boolean or free-connex
+/// query:
 ///   * Boolean acyclic CQs — the plan reduces to a satisfiability bit;
 ///     the program is a single (conditional) nullary emit.
 ///   * Free-connex acyclic CQs — the Theorem 4.6 odometer walk, unrolled
-///     per join-tree node with key-arity-specialized probes. The compiled
-///     stream is bit-identical to PlanCursorEnumerator's.
-///   * Acyclic CQs whose comparisons are all disequalities between HEAD
-///     variables and whose comparison-stripped query is free-connex: the
-///     stripped plan plus post-emit kCheckNeq filters. (Sound exactly
-///     because the filters only read output slots; the answer set matches
-///     the interpreter's, the order may not.)
-/// Everything else — order comparisons, negation, cyclic queries,
-/// quantified disequalities — reports a fallback reason.
+///     per join-tree node with key-arity-specialized probes.
+/// CompileFreeConnex is the one builder (plan -> indexes -> program) that
+/// the constant-delay enumerator, the Engine and the serving layer share.
+/// CompileQuery wraps it for callers that ask about any query (EXPLAIN,
+/// the differ): every other class reports a human-readable
+/// fallback_reason ("cyclic is not compilable", ...) instead of a
+/// program. Disequalities are served by witness elimination (diseq.h),
+/// never by the VM.
 
 namespace fgq {
-
-class TraceContext;  // fgq/trace/trace.h
-
 namespace vm {
 
 /// The outcome of a lowering attempt: a Program, or why not.
 struct Compilation {
   std::shared_ptr<const Program> program;
-  /// Set iff `program` is null: why the plan stays on the interpreter.
+  /// Set iff `program` is null: why the query's class does not compile.
   std::string fallback_reason;
 
   bool ok() const { return program != nullptr; }
 };
 
-/// Lowers an already-built indexed plan for `q` (whose comparisons, if
-/// any, become kCheckNeq filters). Records a "vm.compile" span with code
-/// size counters on `trace`. Never fails hard — returns a fallback
-/// Compilation for shapes it cannot lower.
-Compilation CompilePlan(std::shared_ptr<const IndexedFreeConnexPlan> plan,
-                        const ConjunctiveQuery& q,
-                        TraceContext* trace = nullptr);
+/// Builds the Theorem 4.6 plan of a Boolean or free-connex query against
+/// `db`, indexes it, and lowers it, recording a "vm.compile" span with
+/// code size counters on ctx.trace(). Errors are the plan builders' (not
+/// acyclic, not free-connex, missing relation, cancellation) plus
+/// Unsupported for a plan too large for the 16-bit operands.
+Result<std::shared_ptr<const Program>> CompileFreeConnex(
+    const ConjunctiveQuery& q, const Database& db,
+    const ExecContext& ctx = ExecContext());
 
-/// Classifies `q`, builds the (comparison-stripped, for disequalities)
-/// free-connex plan against `db`, and lowers it. A non-OK Status means
-/// plan construction itself failed (missing relation, cancellation);
-/// "this class does not compile" is an OK Compilation with a
+/// Classifies `q` and, for Boolean and free-connex queries, runs
+/// CompileFreeConnex. A non-OK Status means plan construction itself
+/// failed; "this class does not compile" is an OK Compilation with a
 /// fallback_reason.
 Result<Compilation> CompileQuery(const ConjunctiveQuery& q, const Database& db,
                                  const ExecContext& ctx = ExecContext());

@@ -13,8 +13,6 @@ const char* OpName(Op op) {
       return "probe2";
     case Op::kProbeN:
       return "probeN";
-    case Op::kCheckNeq:
-      return "check_neq";
     case Op::kEmit:
       return "emit";
     case Op::kEmitNullary:
@@ -53,10 +51,6 @@ void ListCode(const std::vector<Insn>& code, const char* title,
         line += " node=" + std::to_string(in.arg);
         line += " -> " + std::to_string(in.jump);
         break;
-      case Op::kCheckNeq:
-        line += " check=" + std::to_string(in.arg);
-        line += " fail-> " + std::to_string(in.jump);
-        break;
       case Op::kEmit:
       case Op::kEmitNullary:
       case Op::kCount:
@@ -90,13 +84,6 @@ std::string Program::Disassemble() const {
               " keys=" + std::to_string(n.index->NumKeys());
     }
     text += "\n";
-  }
-  for (size_t c = 0; c < checks.size(); ++c) {
-    text += "  check " + std::to_string(c) + ": (" +
-            std::to_string(checks[c].a_node) + "," +
-            std::to_string(checks[c].a_col) + ") != (" +
-            std::to_string(checks[c].b_node) + "," +
-            std::to_string(checks[c].b_col) + ")\n";
   }
   if (!out.empty()) {
     text += "  out:";

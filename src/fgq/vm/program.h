@@ -10,19 +10,17 @@
 #include "fgq/eval/enumerate.h"
 
 /// \file program.h
-/// The compiled-plan bytecode of the fgq::vm execution tier.
+/// The compiled-plan bytecode of fgq::vm, the executor of every Boolean
+/// and free-connex plan.
 ///
-/// Once a query is classified (free-connex ACQ, Boolean ACQ, ACQ with
-/// head-only disequalities), the shape of its evaluation loop is fixed by
-/// the paper's dichotomy: an odometer walk over the hash-indexed join-tree
-/// nodes of an IndexedFreeConnexPlan, in which every probe is nonempty
-/// after full reduction. The interpreter (PlanCursorEnumerator) walks that
-/// shape generically — a loop over levels, a vector-indexed probe-column
-/// gather per refill. The compiler (compile.h) instead *lowers* the plan
-/// into a straight-line register program whose control flow is the
-/// odometer unrolled per node, so the switch-threaded VM (vm.h) executes
-/// it with zero virtual calls, key-arity-specialized probes, and a fused
-/// count loop.
+/// Once a query is classified Boolean or free-connex ACQ, the shape of
+/// its evaluation loop is fixed by the paper's dichotomy: an odometer
+/// walk over the hash-indexed join-tree nodes of an IndexedFreeConnexPlan,
+/// in which every probe is nonempty after full reduction. The compiler
+/// (compile.h) *lowers* the plan into a straight-line register program
+/// whose control flow is the odometer unrolled per node, so the
+/// switch-threaded VM (vm.h) executes it with zero virtual calls,
+/// key-arity-specialized probes, and a fused count loop.
 ///
 /// The machine: one register ("frame") per join-tree node holding the
 /// node's current candidate span (a borrowed CSR RowSpan) and a position
@@ -37,30 +35,27 @@
 ///                 pos = 0; jump when empty.
 ///   kProbe2 n     Same, 2 key columns.
 ///   kProbeN n     Same, runtime key arity (covers 0 and >= 3).
-///   kCheckNeq c   Evaluate disequality check c against the current
-///                 rows; jump when it FAILS (values equal).
 ///   kEmit n       Yield the output tuple gathered from `out`, stepping
 ///                 the deepest node n before returning (the fused
-///                 steady-state advance): the next call resumes at n's
-///                 check block while n has candidates, at the advance
+///                 steady-state advance): the next call resumes at this
+///                 instruction while n has candidates, at the advance
 ///                 chain past n (`jump` + 1) once it is exhausted.
 ///   kEmitNullary  Yield the empty tuple (satisfied Boolean query);
 ///                 resume at `jump`.
 ///   kAdvance n    If node n has another candidate: ++pos, go to `jump`
-///                 (re-check + refill everything deeper). Otherwise
-///                 fall through (advance the next-shallower node).
+///                 (refill everything deeper). Otherwise fall through
+///                 (advance the next-shallower node).
 ///   kCount        count += 1, go to `jump` (count_code only).
 ///   kCountSpan n  count += |frame[n].span|, go to `jump`: the fused
-///                 innermost loop of the counting variant, legal when no
-///                 check reads node n (count_code only).
+///                 innermost loop of the counting variant (count_code
+///                 only).
 ///   kCountProbeAll n
 ///                 Consume the *parent's* remaining span whole: probe the
 ///                 innermost node n once per parent candidate with the
 ///                 batched hash-8-ahead + prefetch kernel, adding every
 ///                 span size to the count, then leave the parent
 ///                 exhausted and go to `jump`. Legal when n's parent is
-///                 the second-deepest node and neither of them carries a
-///                 check (count_code only).
+///                 the second-deepest node (count_code only).
 ///   kHalt         Enumeration exhausted.
 ///
 /// A Program is immutable after compilation and holds a shared_ptr to the
@@ -77,7 +72,6 @@ enum class Op : uint8_t {
   kProbe1,
   kProbe2,
   kProbeN,
-  kCheckNeq,
   kEmit,
   kEmitNullary,
   kAdvance,
@@ -90,8 +84,8 @@ enum class Op : uint8_t {
 /// Stable mnemonic ("init_root", "probe1", ...), for disassembly.
 const char* OpName(Op op);
 
-/// One instruction. `arg` is the node id (kCheckNeq: the check id);
-/// `jump` is an absolute pc, meaning per opcode (see the table above).
+/// One instruction. `arg` is the node id; `jump` is an absolute pc,
+/// meaning per opcode (see the table above).
 struct Insn {
   Op op = Op::kHalt;
   uint16_t arg = 0;
@@ -119,17 +113,6 @@ struct OutSlot {
   uint32_t col = 0;
 };
 
-/// A post-emit disequality filter: the values at (a_node, a_col) and
-/// (b_node, b_col) must differ. Both slots are head variables — the
-/// soundness condition under which stripping the comparison preserves
-/// free-connexity and filtering the stream restores the answer set.
-struct NeqCheck {
-  uint32_t a_node = 0;
-  uint32_t a_col = 0;
-  uint32_t b_node = 0;
-  uint32_t b_col = 0;
-};
-
 /// One compiled plan: the enumeration program (`code`, kEmit yields) and
 /// the fused counting program (`count_code`, kCount/kCountSpan), over the
 /// same node table. Immutable shared state.
@@ -149,7 +132,6 @@ struct Program {
   /// multiplies (semiring.h semantics). RunSumProduct reads these;
   /// RunCount and the cursor ignore them.
   std::vector<OutSlot> weighted_out;
-  std::vector<NeqCheck> checks;
   uint32_t arity = 0;
   bool empty = false;
   bool is_boolean = false;

@@ -13,8 +13,8 @@ namespace {
 /// One odometer register: the node's current candidate span, the cursor
 /// position within it, and the *materialized* current row id. Reads go
 /// through the node's column base pointers (SoA storage), so the
-/// per-answer hot path — output gather and disequality checks — is one
-/// indexed load per slot: cols[c][rid].
+/// per-answer hot path — the output gather — is one indexed load per
+/// slot: cols[c][rid].
 struct Frame {
   HashIndex::RowSpan span;
   uint32_t pos = 0;
@@ -103,13 +103,6 @@ class ProgramCursor final : public AnswerEnumerator {
           ++probes;
           pc = Probe<0>(nodes, frames, in.arg) ? pc + 1 : in.jump;
           break;
-        case Op::kCheckNeq: {
-          const NeqCheck& c = program_->checks[in.arg];
-          const Value a = ReadSlot(nodes, frames, c.a_node, c.a_col);
-          const Value b = ReadSlot(nodes, frames, c.b_node, c.b_col);
-          pc = a != b ? pc + 1 : in.jump;
-          break;
-        }
         case Op::kEmit: {
           const OutSlot* const slots = program_->out.data();
           const size_t arity = program_->out.size();
@@ -118,12 +111,12 @@ class ProgramCursor final : public AnswerEnumerator {
             (*out)[i] = ReadSlot(nodes, frames, slots[i].node, slots[i].col);
           }
           // Fused steady-state advance: step the deepest node (in.arg)
-          // here so the next Next() resumes directly at its check block
-          // (this very instruction when there are none) — one dispatch
-          // per answer instead of a round-trip through the advance
-          // chain. code[in.jump] is kAdvance(deepest); its jump field is
-          // the check-block pc. When the deepest span is exhausted,
-          // resume at the next-shallower advance (in.jump + 1).
+          // here so the next Next() resumes directly at this very
+          // instruction — one dispatch per answer instead of a
+          // round-trip through the advance chain. code[in.jump] is
+          // kAdvance(deepest); its jump field is this pc. When the
+          // deepest span is exhausted, resume at the next-shallower
+          // advance (in.jump + 1).
           Frame& f = frames[in.arg];
           if (f.pos + 1 < f.span.count) {
             ++f.pos;
@@ -224,13 +217,6 @@ Result<uint64_t> RunCount(const Program& program, const CancelToken& cancel,
         ++probes;
         pc = Probe<0>(nodes, frames, in.arg) ? pc + 1 : in.jump;
         break;
-      case Op::kCheckNeq: {
-        const NeqCheck& c = program.checks[in.arg];
-        const Value a = ReadSlot(nodes, frames, c.a_node, c.a_col);
-        const Value b = ReadSlot(nodes, frames, c.b_node, c.b_col);
-        pc = a != b ? pc + 1 : in.jump;
-        break;
-      }
       case Op::kCount:
         // Not fused like kEmit: this tail also serves the node-less
         // Boolean count program, where there is no frame to step.
@@ -351,13 +337,6 @@ Result<typename S::ValueType> RunSumProduct(const Program& program, const S& s,
         ++probes;
         pc = Probe<0>(nodes, frames, in.arg) ? pc + 1 : in.jump;
         break;
-      case Op::kCheckNeq: {
-        const NeqCheck& c = program.checks[in.arg];
-        const Value a = ReadSlot(nodes, frames, c.a_node, c.a_col);
-        const Value b = ReadSlot(nodes, frames, c.b_node, c.b_col);
-        pc = a != b ? pc + 1 : in.jump;
-        break;
-      }
       case Op::kCount:
         // One answer at the current frame rows (also the node-less
         // Boolean program, where the product is empty and acc ⊕= 1).

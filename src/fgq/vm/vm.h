@@ -11,7 +11,7 @@
 #include "fgq/vm/program.h"
 
 /// \file vm.h
-/// The switch-threaded execution loop of the compiled tier.
+/// The switch-threaded execution loop of fgq::vm.
 ///
 /// Two entry points over one Program:
 ///
@@ -20,9 +20,9 @@
 ///   yield points: Next() runs the dispatch loop until one fires, stores
 ///   the resume pc, and returns the tuple. The cursor holds only
 ///   query-sized state (one span+position register per node), so any
-///   number of cursors share one cached Program, exactly like
-///   MakePlanEnumerator over a cached IndexedFreeConnexPlan — and for
-///   Boolean/free-connex programs the stream is bit-identical to it.
+///   number of cursors share one cached Program. This is the
+///   constant-delay enumerator of Theorem 4.6
+///   (MakeConstantDelayEnumerator returns one).
 /// * RunCount — executes the fused counting stream (`Program::count_code`)
 ///   to completion: no materialization, no yields, the innermost loop
 ///   collapsed to one span-sized add where the compiler proved it legal.

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 
 #include "fgq/count/acq_count.h"
 #include "fgq/count/fields.h"
 #include "fgq/count/matchings.h"
+#include "fgq/eval/engine.h"
 #include "fgq/eval/oracle.h"
 #include "fgq/hypergraph/star_size.h"
 #include "fgq/query/parser.h"
@@ -46,8 +48,8 @@ TEST(CountAcq0, SimpleJoin) {
   f.set_name("F");
   db.PutRelation(f);
   auto ones = [](Value) { return BigInt(1); };
-  auto c = WeightedCountAcq0<BigIntField>(
-      Q("Q(x, y, z) :- E(x, y), F(y, z)."), db, ones);
+  auto c = SemiringSumAcq0(Q("Q(x, y, z) :- E(x, y), F(y, z)."), db,
+                           BigIntField{ones});
   ASSERT_TRUE(c.ok()) << c.status();
   EXPECT_EQ(c->ToString(), "2");  // (1,2,3), (1,2,4).
 }
@@ -56,7 +58,7 @@ TEST(CountAcq0, RejectsQuantifiedQuery) {
   Database db;
   db.PutRelation(Relation("E", 2));
   auto ones = [](Value) { return BigInt(1); };
-  auto c = WeightedCountAcq0<BigIntField>(Q("Q(x) :- E(x, y)."), db, ones);
+  auto c = SemiringSumAcq0(Q("Q(x) :- E(x, y)."), db, BigIntField{ones});
   EXPECT_FALSE(c.ok());
 }
 
@@ -68,7 +70,7 @@ TEST(CountAcq0, WeightedSumMatchesManualComputation) {
   db.PutRelation(e);
   // Weight w(v) = v + 1; answers (0,1) and (1,2) weigh 1*2 and 2*3.
   auto w = [](Value v) { return static_cast<double>(v + 1); };
-  auto c = WeightedCountAcq0<DoubleField>(Q("Q(x, y) :- E(x, y)."), db, w);
+  auto c = SemiringSumAcq0(Q("Q(x, y) :- E(x, y)."), db, DoubleField{w});
   ASSERT_TRUE(c.ok());
   EXPECT_DOUBLE_EQ(*c, 8.0);
 }
@@ -76,12 +78,12 @@ TEST(CountAcq0, WeightedSumMatchesManualComputation) {
 TEST(CountAcq0, FieldsAgreeModulo) {
   ConjunctiveQuery q = Q("Q(x, y, z) :- R(x, y), S(y, z), T(z).");
   Database db = RandomDbFor(q, 60, 6, 404);
-  auto big = WeightedCountAcq0<BigIntField>(q, db,
-                                            [](Value) { return BigInt(1); });
-  auto mod = WeightedCountAcq0<ModField<1000000007>>(
-      q, db, [](Value) { return uint64_t{1}; });
-  auto i64 = WeightedCountAcq0<Int64Field>(q, db,
-                                           [](Value) { return int64_t{1}; });
+  auto big =
+      SemiringSumAcq0(q, db, BigIntField{[](Value) { return BigInt(1); }});
+  auto mod = SemiringSumAcq0(
+      q, db, ModField<1000000007>{[](Value) { return uint64_t{1}; }});
+  auto i64 =
+      SemiringSumAcq0(q, db, Int64Field{[](Value) { return int64_t{1}; }});
   ASSERT_TRUE(big.ok());
   ASSERT_TRUE(mod.ok());
   ASSERT_TRUE(i64.ok());
@@ -164,6 +166,18 @@ TEST(CountAnswers, FallsBackOnCyclicQueries) {
   ASSERT_TRUE(c.ok()) << c.status();
   auto oracle = EvaluateBacktrack(q, db);
   EXPECT_EQ(c->ToString(), std::to_string(oracle->NumTuples()));
+}
+
+TEST(CountAnswers, EngineCountHonorsTheDeadlineOnCyclicQueries) {
+  // The oracle fallback polls req.cancel: a deadline that has already
+  // passed surfaces as DeadlineExceeded instead of a completed count.
+  ConjunctiveQuery q = Q("Q(x, y, z) :- E(x, y), F(y, z), G(z, x).");
+  Database db = RandomDbFor(q, 15, 5, 81);
+  ExecRequest req(q, db);
+  req.cancel = CancelToken::WithTimeout(std::chrono::nanoseconds(0));
+  Result<BigInt> c = Engine().Count(req);
+  ASSERT_FALSE(c.ok());
+  EXPECT_EQ(c.status().code(), StatusCode::kDeadlineExceeded) << c.status();
 }
 
 TEST(WeightedCountAcq, QuantifiedWeighted) {

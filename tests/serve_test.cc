@@ -118,11 +118,12 @@ TEST(PlanCache, PlanKeyHashSwappedFields) {
   EXPECT_FALSE(c == d);
   EXPECT_NE(h(c), h(d));
 
-  // Version vs tier swap: xor of identically hashed small ints cancelled.
+  // Version vs semiring swap: xor of identically hashed small ints
+  // cancelled.
   PlanKey e{"q", 3};
-  e.tier = 1;
+  e.semiring = 1;
   PlanKey f{"q", 1};
-  f.tier = 3;
+  f.semiring = 3;
   EXPECT_FALSE(e == f);
   EXPECT_NE(h(e), h(f));
 
@@ -485,49 +486,14 @@ TEST(QueryService, OnDoneHookFiresForRejectedRequests) {
   for (auto& f : futs) f.get();
 }
 
-TEST(QueryService, ExecTierIsPartOfTheCacheKey) {
-  // The same query at different tiers must never alias one cache entry:
-  // a kInterpret request would otherwise be handed a compiled program
-  // (or a compiled request a plain plan) prepared under the other tier.
-  Database db = TinyGraph();
-  QueryService service(&db);
-
-  ServiceRequest req;
-  req.query = Q("Q(x) :- E(x, y), B(y).");
-  req.tier = ExecTier::kInterpret;
-  ServiceResponse interp = service.Submit(req).get();
-  ASSERT_TRUE(interp.status.ok()) << interp.status;
-  EXPECT_FALSE(interp.cache_hit);
-  EXPECT_EQ(interp.algorithm, "constant-delay-enumeration");
-  EXPECT_EQ(Rows(*interp.answers), (std::set<Tuple>{{0}, {1}}));
-
-  // Same canonical query, compiled tier: a *miss* (fresh entry), served
-  // by the VM, with identical answers.
-  req.tier = ExecTier::kCompile;
-  ServiceResponse compiled = service.Submit(req).get();
-  ASSERT_TRUE(compiled.status.ok()) << compiled.status;
-  EXPECT_FALSE(compiled.cache_hit);
-  EXPECT_EQ(compiled.algorithm, "constant-delay-enumeration+vm");
-  EXPECT_EQ(Rows(*compiled.answers), (std::set<Tuple>{{0}, {1}}));
-  EXPECT_EQ(service.cache().size(), 2u);
-
-  // Each tier now hits its own entry.
-  req.tier = ExecTier::kInterpret;
-  EXPECT_TRUE(service.Submit(req).get().cache_hit);
-  req.tier = ExecTier::kCompile;
-  EXPECT_TRUE(service.Submit(req).get().cache_hit);
-  EXPECT_EQ(service.cache().size(), 2u);
-}
-
 TEST(QueryService, MutationInvalidatesCompiledPrograms) {
   // A compiled program bakes in raw row pointers of the database it was
   // built against; the version component of the cache key must retire it
-  // on any mutation, exactly like an interpreted plan.
+  // on any mutation.
   Database db = TinyGraph();
   QueryService service(&db);
   ServiceRequest req;
   req.query = Q("Q(x) :- E(x, y), B(y).");
-  req.tier = ExecTier::kCompile;
   ServiceResponse first = service.Submit(req).get();
   ASSERT_TRUE(first.status.ok()) << first.status;
   EXPECT_EQ(first.algorithm, "constant-delay-enumeration+vm");

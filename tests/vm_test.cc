@@ -1,9 +1,9 @@
-// Unit tests of the fgq::vm compiled tier: lowering, program structure,
-// the switch-threaded cursor (including the bit-identity contract against
-// the interpreted plan cursor), the fused count stream, disequality
-// filters, and the engine's tier dispatch. The fuzzer (fuzz_check)
-// additionally diffs every random case VM-vs-interpreter; these tests pin
-// the specific shapes the compiler promises.
+// Unit tests of fgq::vm, the executor of every Boolean and free-connex
+// plan: lowering, program structure, the switch-threaded cursor, the
+// fused count stream, and the engine routes that run it. The fuzzer
+// (fuzz_check) additionally diffs every random case against the
+// brute-force reference; these tests pin the specific shapes the compiler
+// promises.
 
 #include <gtest/gtest.h>
 
@@ -81,13 +81,15 @@ TEST(VmCompile, FreeConnexQueryCompiles) {
 
 TEST(VmCompile, NonCompilableClassesReportAReason) {
   Database db = TinyGraph();
-  // Cyclic, order comparison, negation, quantified disequality: all stay
-  // on the interpreter — with a reason, never an error.
+  // Cyclic, order comparison, negation, disequalities (served by witness
+  // elimination), general acyclic: a reason, never an error.
   for (const char* text : {
            "T(x, y, z) :- E(x, y), E(y, z), E(z, x).",
            "Q(x, y) :- E(x, y), x < y.",
            "Q(x) :- E(x, y), not B(y).",
-           "Q(x) :- E(x, y), x != y.",  // y is quantified
+           "Q(x) :- E(x, y), x != y.",
+           "Q(x, y) :- E(x, y), x != y.",
+           "Q(x, z) :- E(x, y), E(y, z).",
        }) {
     vm::Compilation comp = Compile(Q(text), db);
     EXPECT_FALSE(comp.ok()) << text;
@@ -109,21 +111,20 @@ TEST(VmCompile, DisassemblyListsBothStreams) {
 
 // ---- The cursor -------------------------------------------------------------
 
-TEST(VmCursor, BitIdenticalToInterpretedPlanCursor) {
+TEST(VmCursor, ConstantDelayEnumeratorRunsTheProgram) {
   Database db = TinyGraph();
-  // Two join-tree levels; the odometer order must match exactly, not just
-  // the answer set — that is the kAuto substitution contract.
+  // MakeConstantDelayEnumerator is a cursor over the same program: the
+  // same odometer order, not just the same answer set.
   const ConjunctiveQuery q = Q("Q(x, y) :- E(x, y), B(y).");
   vm::Compilation comp = Compile(q, db);
   ASSERT_TRUE(comp.ok()) << comp.fallback_reason;
   std::vector<Tuple> compiled =
       DrainAll(vm::MakeProgramCursor(comp.program).get());
-  Result<std::unique_ptr<AnswerEnumerator>> interp =
+  Result<std::unique_ptr<AnswerEnumerator>> e =
       MakeConstantDelayEnumerator(q, db);
-  ASSERT_TRUE(interp.ok()) << interp.status();
-  std::vector<Tuple> interpreted = DrainAll(interp->get());
-  EXPECT_EQ(compiled, interpreted);
-  EXPECT_EQ(compiled.size(), 2u);  // (0,1) and (1,2).
+  ASSERT_TRUE(e.ok()) << e.status();
+  EXPECT_EQ(DrainAll(e->get()), compiled);
+  EXPECT_EQ(compiled, (std::vector<Tuple>{{0, 1}, {1, 2}}));
 }
 
 TEST(VmCursor, BooleanProgramsYieldOneNullaryAnswer) {
@@ -139,33 +140,6 @@ TEST(VmCursor, BooleanProgramsYieldOneNullaryAnswer) {
   EXPECT_EQ(DrainAll(vm::MakeProgramCursor(unsat.program).get()).size(), 0u);
 }
 
-TEST(VmCursor, HeadDisequalityFiltersTheStream) {
-  Database db = TinyGraph();
-  // x != y holds between HEAD variables: compiles to post-emit checks.
-  vm::Compilation comp = Compile(Q("Q(x, y) :- E(x, y), x != y."), db);
-  ASSERT_TRUE(comp.ok()) << comp.fallback_reason;
-  EXPECT_EQ(comp.program->algorithm, "neq-filtered-enumeration+vm");
-  EXPECT_FALSE(comp.program->checks.empty());
-  std::vector<Tuple> got =
-      DrainAll(vm::MakeProgramCursor(comp.program).get());
-  // All four E edges have x != y.
-  EXPECT_EQ(got.size(), 4u);
-  for (const Tuple& t : got) EXPECT_NE(t[0], t[1]);
-
-  // And the filter actually removes something when a loop edge exists.
-  Relation e("E", 2);
-  e.Add({0, 1});
-  e.Add({2, 2});
-  Database db2;
-  db2.PutRelation(std::move(e));
-  vm::Compilation comp2 = Compile(Q("Q(x, y) :- E(x, y), x != y."), db2);
-  ASSERT_TRUE(comp2.ok());
-  std::vector<Tuple> got2 =
-      DrainAll(vm::MakeProgramCursor(comp2.program).get());
-  ASSERT_EQ(got2.size(), 1u);
-  EXPECT_EQ(got2[0], Tuple({0, 1}));
-}
-
 // ---- The count stream -------------------------------------------------------
 
 TEST(VmCount, MatchesEnumerationAndFusesTheInnermostLoop) {
@@ -176,22 +150,13 @@ TEST(VmCount, MatchesEnumerationAndFusesTheInnermostLoop) {
   Result<uint64_t> n = vm::RunCount(*comp.program, CancelToken());
   ASSERT_TRUE(n.ok()) << n.status();
   EXPECT_EQ(*n, 2u);
-  // No check reads the innermost node, so the counting stream must use
-  // the span-fused opcode rather than per-answer kCount.
+  // The counting stream must use the span-fused opcode rather than
+  // per-answer kCount.
   bool fused = false;
   for (const vm::Insn& in : comp.program->count_code) {
     fused = fused || in.op == vm::Op::kCountSpan;
   }
   EXPECT_TRUE(fused);
-}
-
-TEST(VmCount, DisequalityProgramsCountPerAnswer) {
-  Database db = TinyGraph();
-  vm::Compilation comp = Compile(Q("Q(x, y) :- E(x, y), x != y."), db);
-  ASSERT_TRUE(comp.ok());
-  Result<uint64_t> n = vm::RunCount(*comp.program, CancelToken());
-  ASSERT_TRUE(n.ok()) << n.status();
-  EXPECT_EQ(*n, 4u);
 }
 
 TEST(VmCount, CancellationSurfaces) {
@@ -208,59 +173,39 @@ TEST(VmCount, CancellationSurfaces) {
   }
 }
 
-// ---- Engine tier dispatch ---------------------------------------------------
+// ---- Engine routes -----------------------------------------------------------
 
-TEST(VmEngine, CompileTierLabelsTheAlgorithm) {
+TEST(VmEngine, FreeConnexRunsOnTheVm) {
   Database db = TinyGraph();
   Engine engine;
   const ConjunctiveQuery q = Q("Q(x, y) :- E(x, y), B(y).");
-  ExecRequest req(q, db);
-
-  req.tier = ExecTier::kCompile;
-  Result<ExecResult> compiled = engine.Run(req);
-  ASSERT_TRUE(compiled.ok()) << compiled.status();
-  EXPECT_EQ(compiled->algorithm, "constant-delay-enumeration+vm");
-
-  req.tier = ExecTier::kInterpret;
-  Result<ExecResult> interpreted = engine.Run(req);
-  ASSERT_TRUE(interpreted.ok()) << interpreted.status();
-  EXPECT_EQ(interpreted->algorithm.find("+vm"), std::string::npos);
-
-  EXPECT_EQ(Rows(compiled->answers), Rows(interpreted->answers));
-}
-
-TEST(VmEngine, CompileTierFallsBackForNonCompilableClasses) {
-  Database db = TinyGraph();
-  Engine engine;
-  // General acyclic (not free-connex): y is joined away but the head
-  // projection is not free-connex-coverable — interpreter serves it even
-  // at kCompile, with identical answers.
-  const ConjunctiveQuery q = Q("Q(x, z) :- E(x, y), E(y, z).");
-  ExecRequest req(q, db);
-  req.tier = ExecTier::kCompile;
-  Result<ExecResult> r = engine.Run(req);
+  Result<ExecResult> r = engine.Run(ExecRequest(q, db));
   ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->algorithm.find("+vm"), std::string::npos);
-  ExecRequest ireq(q, db);
-  ireq.tier = ExecTier::kInterpret;
-  Result<ExecResult> i = engine.Run(ireq);
-  ASSERT_TRUE(i.ok());
-  EXPECT_EQ(Rows(r->answers), Rows(i->answers));
+  EXPECT_EQ(r->algorithm, "constant-delay-enumeration+vm");
+  Result<std::unique_ptr<AnswerEnumerator>> e = engine.Enumerate(q, db);
+  ASSERT_TRUE(e.ok()) << e.status();
+  std::vector<Tuple> rows = DrainAll(e->get());
+  EXPECT_EQ(std::set<Tuple>(rows.begin(), rows.end()), Rows(r->answers));
 }
 
-TEST(VmEngine, EnumerateAtCompileTierMatchesInterpret) {
+TEST(VmEngine, OtherClassesKeepTheirAlgorithms) {
   Database db = TinyGraph();
   Engine engine;
-  const ConjunctiveQuery q = Q("Q(x, y) :- E(x, y), B(y).");
-  ExecRequest creq(q, db);
-  creq.tier = ExecTier::kCompile;
-  Result<std::unique_ptr<AnswerEnumerator>> ce = engine.Enumerate(creq);
-  ASSERT_TRUE(ce.ok()) << ce.status();
-  ExecRequest ireq(q, db);
-  ireq.tier = ExecTier::kInterpret;
-  Result<std::unique_ptr<AnswerEnumerator>> ie = engine.Enumerate(ireq);
-  ASSERT_TRUE(ie.ok()) << ie.status();
-  EXPECT_EQ(DrainAll(ce->get()), DrainAll(ie->get()));
+  // Boolean Run stays the semijoin sweep; general acyclic queries and
+  // disequalities never reach the VM.
+  const struct {
+    const char* text;
+    const char* algorithm;
+  } cases[] = {
+      {"Q() :- E(x, y), B(y).", "boolean-semijoin-sweep"},
+      {"Q(x, z) :- E(x, y), E(y, z).", "yannakakis"},
+      {"Q(x, y) :- E(x, y), x != y.", "neq-witness-elimination"},
+  };
+  for (const auto& c : cases) {
+    Result<ExecResult> r = engine.Run(ExecRequest(Q(c.text), db));
+    ASSERT_TRUE(r.ok()) << c.text << ": " << r.status();
+    EXPECT_EQ(r->algorithm, c.algorithm) << c.text;
+  }
 }
 
 }  // namespace

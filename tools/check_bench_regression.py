@@ -7,34 +7,29 @@ the contracts that are meaningful *within the same run* — the only
 comparison robust across machines and runner load. Which gates fire
 depends on which benchmarks the snapshot contains:
 
-bench_service snapshots (BM_ServeCached* present):
-1. Per size N, BM_ServeCachedCompiled/N must not be slower than
-   BM_ServeCachedInterpret/N by more than --threshold (default 10%):
-   a compiled-tier regression tripwire with noise headroom.
-2. The geometric-mean rows speedup across sizes must stay above the
-   noise floor (1 / (1 + threshold)): a net loss beyond noise fails.
-   (The recorded BENCH_PR7.json medians show the compiled tier winning
-   rows at every size; single-shot CI runs are too noisy to insist.)
-3. Per size N, BM_ServeCachedCountCompiled/N must beat
-   BM_ServeCachedCountInterpret/N outright: the fused kCountSpan loop
-   wins by a wide margin (2x+), so this is robust to noise.
+bench_service snapshots (BM_ServeCached/* present):
+1. Per size N, BM_ServeCold/N must cost at least COLD_RATIO (3.0) x
+   BM_ServeCached/N: the plan-cache contract — a cached
+   hit skips the O(||D||) preprocessing and runs only the VM cursor.
+   (BENCH_PR4.json records 9.0x, 7.7x and 8.0x; the gate keeps headroom
+   for noisy runners.)
 
 bench_yannakakis snapshots (BM_HashIndexProbe* / BM_SemijoinSweep*
 present, --baseline BENCH_PR4.json given):
-3b. Every probe and semijoin-sweep fixture must hold --speedup x
-    (default 2.0) over the recorded PR 4 flat-data-plane numbers — the
-    PR 9 tag-probed columnar plane contract. Absolute ns against a
-    committed baseline, so treat cross-machine runs with care: the
-    BENCH_PR4/BENCH_PR9 numbers come from the same recording machine,
-    and CI applies a reduced floor for runner-speed headroom.
+2. Every probe and semijoin-sweep fixture must hold --speedup x
+   (default 2.0) over the recorded PR 4 flat-data-plane numbers — the
+   PR 9 tag-probed columnar plane contract. Absolute ns against a
+   committed baseline, so treat cross-machine runs with care: the
+   BENCH_PR4/BENCH_PR9 numbers come from the same recording machine,
+   and CI applies a reduced floor for runner-speed headroom.
 
 bench_semiring snapshots (BM_ServeCountCounting* present):
-3c. Per size N and non-counting instance S, BM_ServeCountS/N must stay
-    within --semiring-ratio (default 1.3x) of BM_ServeCountCounting/N:
-    the PR 10 contract that generalizing the count DP to arbitrary
-    semirings costs the cached-serve path nothing. Same-run ratio; the
-    memoized-aggregate hits typically sit far *below* the fused
-    counting baseline, so the gate has a wide margin.
+3. Per size N and non-counting instance S, BM_ServeCountS/N must stay
+   within --semiring-ratio (default 1.3x) of BM_ServeCountCounting/N:
+   the PR 10 contract that generalizing the count DP to arbitrary
+   semirings costs the cached-serve path nothing. Same-run ratio; the
+   memoized-aggregate hits typically sit far *below* the fused
+   counting baseline, so the gate has a wide margin.
 
 bench_mutation snapshots (BM_IndexDeltaBuild* present):
 4. Per (rows, batch) point with batch <= --small-batch (default 16),
@@ -51,22 +46,24 @@ With --baseline BENCH_PR*.json (schema: suites[].benchmarks[] with the
 recorded "after_real_ns"), additionally diffs absolute numbers against
 the recorded baseline — a cross-run drift tripwire for local use on the
 machine that recorded the baseline; too load-sensitive for shared CI
-runners. Names match exactly (BENCH_PR8.json records bench_mutation
-names verbatim) or through the tier mapping (current compiled-tier
-names onto the BENCH_PR7.json rows/count entries, and either tier onto
-the pre-tier BENCH_PR4.json BM_ServeCached entries).
+runners. Names match exactly (BENCH_PR4.json, BENCH_PR7.json and
+BENCH_PR8.json record BM_ServeCached, BM_ServeCachedCount and the
+bench_mutation names verbatim), and BM_ServeCached/N also maps onto
+the BENCH_PR7.json BM_ServeCachedRows/N entries.
 
 Usage:
   tools/check_bench_regression.py --current build/bench_service.json \
-      [--threshold 0.10] [--baseline BENCH_PR7.json]
+      [--baseline BENCH_PR7.json]
   tools/check_bench_regression.py --current build/bench_mutation.json \
       [--delta-ratio 3.0] [--baseline BENCH_PR8.json]
 """
 
 import argparse
 import json
-import math
 import sys
+
+# Minimum BM_ServeCold/N over BM_ServeCached/N at every size (gate 1).
+COLD_RATIO = 3.0
 
 
 def load_baseline(path):
@@ -95,22 +92,14 @@ def real_ns(current, name):
 def baseline_candidates(name):
     """Baseline entries a current benchmark may diff against, in order.
 
-    Exact match first (BENCH_PR8.json records bench_mutation names
-    verbatim). The tier variants measure the same cached-serve request
-    as the pre-tier BM_ServeCached (BENCH_PR4.json), so both map onto
-    it; only the compiled variants map onto the BENCH_PR7.json entries,
-    whose "after" numbers *are* the compiled tier.
+    Exact match first (BENCH_PR4.json records BM_ServeCached,
+    BENCH_PR7.json BM_ServeCachedCount, BENCH_PR8.json the
+    bench_mutation names). BENCH_PR7.json records the cached rows
+    request as BM_ServeCachedRows.
     """
     cands = [name]
-    for prefix in ("BM_ServeCachedInterpret/", "BM_ServeCachedCompiled/"):
-        if name.startswith(prefix):
-            cands.append("BM_ServeCached/" + name[len(prefix):])
-    if name.startswith("BM_ServeCachedCompiled/"):
-        cands.append("BM_ServeCachedRows/" +
-                     name[len("BM_ServeCachedCompiled/"):])
-    if name.startswith("BM_ServeCachedCountCompiled/"):
-        cands.append("BM_ServeCachedCount/" +
-                     name[len("BM_ServeCachedCountCompiled/"):])
+    if name.startswith("BM_ServeCached/"):
+        cands.append("BM_ServeCachedRows/" + name[len("BM_ServeCached/"):])
     return cands
 
 
@@ -121,60 +110,30 @@ def suffixes(current, prefix):
                                       for x in s.split("/")))
 
 
-def check_serve(current, threshold, failures):
-    # 1 + 2: rows — per-size tolerance, then net geomean win.
-    sizes = suffixes(current, "BM_ServeCachedInterpret/")
-    speedups = []
-    for size in sizes:
-        interp = real_ns(current, f"BM_ServeCachedInterpret/{size}")
-        if f"BM_ServeCachedCompiled/{size}" not in current:
-            failures.append(f"missing BM_ServeCachedCompiled/{size}")
+def check_serve(current, failures):
+    """1: a cached hit must beat a cold prepare by COLD_RATIO."""
+    for size in suffixes(current, "BM_ServeCached/"):
+        cached = real_ns(current, f"BM_ServeCached/{size}")
+        if f"BM_ServeCold/{size}" not in current:
+            failures.append(f"missing BM_ServeCold/{size}")
             continue
-        comp = real_ns(current, f"BM_ServeCachedCompiled/{size}")
-        speedup = interp / comp if comp > 0 else float("inf")
-        speedups.append(speedup)
-        verdict = "ok"
-        if comp > interp * (1.0 + threshold):
-            verdict = "REGRESSION"
+        cold = real_ns(current, f"BM_ServeCold/{size}")
+        ratio = cold / cached if cached > 0 else float("inf")
+        verdict = "ok" if ratio >= COLD_RATIO else "CACHE TOO SLOW"
+        print(f"serve /{size}: cold {cold:.0f} ns vs cached {cached:.0f} ns"
+              f"  ratio {ratio:.2f}x (floor {COLD_RATIO:.2f}x)  {verdict}")
+        if ratio < COLD_RATIO:
             failures.append(
-                f"compiled rows serve slower than interpreted at /{size}: "
-                f"{comp:.0f} ns vs {interp:.0f} ns "
-                f"(allowed {1.0 + threshold:.2f}x)")
-        print(f"rows /{size}: compiled {comp:.0f} ns vs interpreted "
-              f"{interp:.0f} ns  speedup {speedup:.2f}x  {verdict}")
-    if speedups:
-        geomean = math.exp(sum(math.log(s) for s in speedups) / len(speedups))
-        floor = 1.0 / (1.0 + threshold)
-        verdict = "ok" if geomean >= floor else "COMPILED SLOWER ON NET"
-        print(f"rows geomean speedup: {geomean:.2f}x  "
-              f"(floor {floor:.2f}x)  {verdict}")
-        if geomean < floor:
-            failures.append(
-                f"compiled rows serve loses to interpreted beyond noise "
-                f"(geomean speedup {geomean:.2f}x < {floor:.2f}x)")
-
-    # 3: count — the fused loop must win outright.
-    for size in suffixes(current, "BM_ServeCachedCountInterpret/"):
-        interp = real_ns(current, f"BM_ServeCachedCountInterpret/{size}")
-        if f"BM_ServeCachedCountCompiled/{size}" not in current:
-            failures.append(f"missing BM_ServeCachedCountCompiled/{size}")
-            continue
-        comp = real_ns(current, f"BM_ServeCachedCountCompiled/{size}")
-        speedup = interp / comp if comp > 0 else float("inf")
-        verdict = "ok" if comp < interp else "COMPILED SLOWER"
-        print(f"count /{size}: compiled {comp:.0f} ns vs interpreted "
-              f"{interp:.0f} ns  speedup {speedup:.2f}x  {verdict}")
-        if comp >= interp:
-            failures.append(
-                f"compiled count serve slower than interpreted at /{size}: "
-                f"{comp:.0f} ns >= {interp:.0f} ns")
+                f"cached serve only {ratio:.2f}x faster than cold at /{size}"
+                f": {cached:.0f} ns vs {cold:.0f} ns "
+                f"(required {COLD_RATIO:.1f}x)")
 
 
 DATA_PLANE_PREFIXES = ("BM_HashIndexProbe/", "BM_SemijoinSweep/")
 
 
 def check_data_plane(current, baseline, speedup, failures):
-    """3b: tag-probed probe/sweep fixtures vs the PR 4 recorded plane."""
+    """2: tag-probed probe/sweep fixtures vs the PR 4 recorded plane."""
     points = [n for n in sorted(current) if n.startswith(DATA_PLANE_PREFIXES)]
     gated = 0
     for name in points:
@@ -201,7 +160,7 @@ SEMIRING_VARIANTS = ("Boolean", "MinPlus", "MaxMin", "TopK")
 
 
 def check_semiring(current, semiring_ratio, failures):
-    """3c: every semiring's cached count serve vs the fused counting path."""
+    """3: every semiring's cached count serve vs the fused counting path."""
     for size in suffixes(current, SEMIRING_SERVE_PREFIX):
         base = real_ns(current, f"{SEMIRING_SERVE_PREFIX}{size}")
         for variant in SEMIRING_VARIANTS:
@@ -270,9 +229,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--current", required=True)
     ap.add_argument("--threshold", type=float, default=0.10,
-                    help="allowed compiled-vs-interpreted slowdown per "
-                         "size (0.10 = +10%%); also the baseline-diff "
-                         "allowance when --baseline is given")
+                    help="allowed slowdown vs --baseline (0.10 = +10%%)")
     ap.add_argument("--delta-ratio", type=float, default=3.0,
                     help="minimum DeltaBuild-vs-rebuild speedup at small "
                          "batches (recorded medians are 5x+; the default "
@@ -296,12 +253,12 @@ def main():
     current = load_current(args.current)
     failures = []
 
-    has_serve = any(n.startswith("BM_ServeCachedInterpret/") for n in current)
+    has_serve = any(n.startswith("BM_ServeCached/") for n in current)
     has_mutation = any(n.startswith("BM_IndexDeltaBuild/") for n in current)
     has_data_plane = any(n.startswith(DATA_PLANE_PREFIXES) for n in current)
     has_semiring = any(n.startswith(SEMIRING_SERVE_PREFIX) for n in current)
     if has_serve:
-        check_serve(current, args.threshold, failures)
+        check_serve(current, failures)
     if has_mutation:
         check_mutation(current, args.delta_ratio, args.small_batch, failures)
     if has_semiring:
@@ -310,7 +267,7 @@ def main():
         check_data_plane(current, load_baseline(args.baseline), args.speedup,
                          failures)
     if not (has_serve or has_mutation or has_data_plane or has_semiring):
-        failures.append("no BM_ServeCachedInterpret/*, BM_IndexDeltaBuild/*, "
+        failures.append("no BM_ServeCached/*, BM_IndexDeltaBuild/*, "
                         "BM_HashIndexProbe/*, BM_SemijoinSweep/*, or "
                         "BM_ServeCountCounting/* entries in snapshot "
                         "(wrong --current file?)")

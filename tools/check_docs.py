@@ -53,12 +53,20 @@ PATH_DIRS = ("src/", "docs/", "tests/", "examples/", "bench/", "tools/",
 CODE_PATH_RE = re.compile(
     r"`((?:%s)[A-Za-z0-9_./-]+)`" % "|".join(re.escape(d) for d in PATH_DIRS))
 
-# API removed after its [[deprecated]] cycle (PR 7).  Docs may describe the
+# API removed from the tree (after a [[deprecated]] cycle, or deleted
+# with the interpreter tier and the field DP).  Docs may describe the
 # removal but must not present these as callable.
 DELETED_SYMBOLS = [
     "QueryService::TrySubmit",
     "QueryService::Call",
     "TrySubmit(",
+    "ExecTier",
+    "default_tier",
+    "MakePlanEnumerator",
+    "PlanCursorEnumerator",
+    "WeightedCountAcq0",
+    "QueryResult",
+    "--tier",
 ]
 REMOVAL_CONTEXT_RE = re.compile(r"removed|retired|deprecat", re.IGNORECASE)
 
