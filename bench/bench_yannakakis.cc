@@ -106,6 +106,57 @@ BENCHMARK(BM_FullReduce)
     ->Unit(benchmark::kMillisecond)
     ->Complexity(benchmark::oN);
 
+// ---- Canonical sort/dedup (Relation::SortDedup) -----------------------------
+//
+// The one sort every materializing path pays. Values from a 5e4-id domain
+// (16 bits per column) take the packed-key radix kernel; BM_SortDedupWide
+// spreads column 0 over all of int64, so the rows no longer pack into 64
+// bits and the comparator fallback runs. About a tenth of the rows repeat.
+
+Relation SortDedupInput(size_t arity, size_t n, bool wide) {
+  Rng rng(17);
+  Relation r("R", arity);
+  Tuple t(arity);
+  for (size_t i = 0; i < n; ++i) {
+    if (i % 10 == 9) {
+      t = r.Row(i / 2).ToTuple();
+    } else {
+      for (size_t c = 0; c < arity; ++c) {
+        t[c] = wide && c == 0 ? static_cast<Value>(rng.Next())
+                              : static_cast<Value>(rng.Below(50000));
+      }
+    }
+    r.Add(t);
+  }
+  return r;
+}
+
+void RunSortDedup(benchmark::State& state, bool wide) {
+  const size_t arity = static_cast<size_t>(state.range(0));
+  const size_t n = static_cast<size_t>(state.range(1));
+  const Relation input = SortDedupInput(arity, n, wide);
+  for (auto _ : state) {
+    state.PauseTiming();
+    Relation r = input;
+    state.ResumeTiming();
+    r.SortDedup();
+    benchmark::DoNotOptimize(r.NumTuples());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+  state.counters["n"] = static_cast<double>(n);
+}
+
+void BM_SortDedup(benchmark::State& state) { RunSortDedup(state, false); }
+BENCHMARK(BM_SortDedup)
+    ->ArgsProduct({{2, 3}, {1 << 12, 1 << 16, 1 << 20}})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_SortDedupWide(benchmark::State& state) { RunSortDedup(state, true); }
+BENCHMARK(BM_SortDedupWide)
+    ->ArgsProduct({{2, 3}, {1 << 12, 1 << 16, 1 << 20}})
+    ->Unit(benchmark::kMicrosecond);
+
 // ---- Data-plane kernel microbenchmarks (EXPERIMENTS.md E25) ----------------
 //
 // The two kernels every algorithm class bottoms out in: the O(N) hash-index

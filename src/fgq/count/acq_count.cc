@@ -5,6 +5,7 @@
 #include "fgq/eval/oracle.h"
 #include "fgq/eval/yannakakis.h"
 #include "fgq/hypergraph/star_size.h"
+#include "fgq/trace/trace.h"
 
 namespace fgq {
 
@@ -26,9 +27,9 @@ std::vector<size_t> SharedColumnOrder(const PreparedAtom& node,
 /// an enriched database (the S-component materialization of Theorem
 /// 4.28). Returns the new query; the new relations are added to
 /// `scratch`.
-Result<ConjunctiveQuery> MaterializeAcqComponents(const ConjunctiveQuery& q,
-                                                  const Database& db,
-                                                  Database* scratch) {
+Result<ConjunctiveQuery> MaterializeAcqComponents(
+    const ConjunctiveQuery& q, const Database& db, Database* scratch,
+    TraceContext* trace) {
   Hypergraph hg = Hypergraph::FromQuery(q);
   std::vector<int> s_ids;
   for (const std::string& v : q.head()) {
@@ -60,7 +61,9 @@ Result<ConjunctiveQuery> MaterializeAcqComponents(const ConjunctiveQuery& q,
     for (int e : comp.edges) {
       sub.AddAtom(q.atoms()[hg.EdgeLabel(e)]);
     }
-    FGQ_ASSIGN_OR_RETURN(Relation res, EvaluateYannakakis(sub, db));
+    FGQ_ASSIGN_OR_RETURN(
+        Relation res,
+        EvaluateYannakakis(sub, db, ExecContext().WithTrace(trace)));
     std::string rel_name = "__" + q.name() + "_comp" + std::to_string(comp_id);
     res.set_name(rel_name);
     scratch->PutRelation(std::move(res));
@@ -93,7 +96,8 @@ namespace {
 /// 4.28). Every counting entry point below shares this one sequence.
 template <typename S>
 Result<typename S::ValueType> SumAcq(const ConjunctiveQuery& q,
-                                     const Database& db, const S& s) {
+                                     const Database& db, const S& s,
+                                     TraceContext* trace = nullptr) {
   FGQ_RETURN_NOT_OK(q.Validate());
   if (q.HasNegation() || !q.comparisons().empty()) {
     return Status::Unsupported("the join-tree DP handles plain ACQ");
@@ -101,17 +105,24 @@ Result<typename S::ValueType> SumAcq(const ConjunctiveQuery& q,
   if (!IsAcyclicQuery(q)) {
     return Status::InvalidArgument("query is not acyclic: " + q.ToString());
   }
-  if (q.ExistentialVariables().empty()) return SemiringSumAcq0(q, db, s);
+  if (q.ExistentialVariables().empty()) {
+    TraceSpan span(trace, "count.dp", "count");
+    return SemiringSumAcq0(q, db, s, trace);
+  }
   Database scratch;
-  FGQ_ASSIGN_OR_RETURN(ConjunctiveQuery qf,
-                       MaterializeAcqComponents(q, db, &scratch));
+  Result<ConjunctiveQuery> qf = [&] {
+    TraceSpan span(trace, "count.s_components", "count");
+    return MaterializeAcqComponents(q, db, &scratch, trace);
+  }();
+  FGQ_RETURN_NOT_OK(qf.status());
   Database merged = MergeAcqViews(db, scratch);
-  if (!IsAcyclicQuery(qf)) {
+  if (!IsAcyclicQuery(*qf)) {
     return Status::Internal(
         "S-component materialization produced a cyclic query for: " +
         q.ToString());
   }
-  return SemiringSumAcq0(qf, merged, s);
+  TraceSpan span(trace, "count.dp", "count");
+  return SemiringSumAcq0(*qf, merged, s, trace);
 }
 
 /// Runs SumAcq for one semiring instance, wrapping the carrier into a
@@ -119,8 +130,8 @@ Result<typename S::ValueType> SumAcq(const ConjunctiveQuery& q,
 template <typename S, typename Wrap>
 Result<SemiringValue> RunSemiringDp(const ConjunctiveQuery& q,
                                     const Database& db, const S& s,
-                                    Wrap wrap) {
-  FGQ_ASSIGN_OR_RETURN(typename S::ValueType v, SumAcq(q, db, s));
+                                    TraceContext* trace, Wrap wrap) {
+  FGQ_ASSIGN_OR_RETURN(typename S::ValueType v, SumAcq(q, db, s, trace));
   return wrap(std::move(v));
 }
 
@@ -159,23 +170,24 @@ SemiringValue FoldRows(const Relation& answers, const S& s,
 }  // namespace
 
 Result<SemiringValue> SemiringSumAcq(const ConjunctiveQuery& q,
-                                     const Database& db, SemiringId id) {
+                                     const Database& db, SemiringId id,
+                                     TraceContext* trace) {
   switch (id) {
     case SemiringId::kCounting:
-      return RunSemiringDp(q, db, CountingSemiring{},
+      return RunSemiringDp(q, db, CountingSemiring{}, trace,
                            [](BigInt v) { return SemiringValue::Counting(std::move(v)); });
     case SemiringId::kBoolean:
-      return RunSemiringDp(q, db, BooleanSemiring{},
+      return RunSemiringDp(q, db, BooleanSemiring{}, trace,
                            [](bool v) { return SemiringValue::Boolean(v); });
     case SemiringId::kMinPlus:
-      return RunSemiringDp(q, db, MinPlusSemiring{},
+      return RunSemiringDp(q, db, MinPlusSemiring{}, trace,
                            [](int64_t v) { return SemiringValue::MinPlus(v); });
     case SemiringId::kMaxMin:
-      return RunSemiringDp(q, db, MaxMinSemiring{},
+      return RunSemiringDp(q, db, MaxMinSemiring{}, trace,
                            [](int64_t v) { return SemiringValue::MaxMin(v); });
     case SemiringId::kTopK:
       return RunSemiringDp(
-          q, db, TopKSemiring(kTopKWireK),
+          q, db, TopKSemiring(kTopKWireK), trace,
           [](std::vector<int64_t> v) { return SemiringValue::TopK(std::move(v)); });
   }
   return Status::InvalidArgument("unknown semiring id");
@@ -222,10 +234,10 @@ Result<double> WeightedCountAcq(const ConjunctiveQuery& q, const Database& db,
 }
 
 Result<BigInt> CountAnswers(const ConjunctiveQuery& q, const Database& db,
-                            const CancelToken& cancel) {
+                            const CancelToken& cancel, TraceContext* trace) {
   FGQ_RETURN_NOT_OK(q.Validate());
   if (!q.HasNegation() && q.comparisons().empty() && IsAcyclicQuery(q)) {
-    return CountAcq(q, db);
+    return SumAcq(q, db, CountingSemiring{}, trace);
   }
   // Exponential fallback: materialize with the oracle.
   FGQ_ASSIGN_OR_RETURN(Relation res, EvaluateBacktrack(q, db, cancel));

@@ -49,10 +49,12 @@ std::vector<size_t> SharedColumnOrder(const PreparedAtom& node,
 /// tropical aggregates are all instances. Each variable is owned by its
 /// highest node and weighted exactly once (at its first column there, so
 /// R(x,x) weighs x once), per-child aggregate maps keep the pass
-/// O(||phi|| * ||D||).
+/// O(||phi|| * ||D||). `trace`, when set, receives the atom scans'
+/// counters.
 template <typename S>
 Result<typename S::ValueType> SemiringSumAcq0(const ConjunctiveQuery& q,
-                                              const Database& db, const S& s) {
+                                              const Database& db, const S& s,
+                                              TraceContext* trace = nullptr) {
   using V = typename S::ValueType;
   FGQ_RETURN_NOT_OK(q.Validate());
   if (q.HasNegation() || !q.comparisons().empty()) {
@@ -68,7 +70,8 @@ Result<typename S::ValueType> SemiringSumAcq0(const ConjunctiveQuery& q,
   if (!gyo.acyclic) {
     return Status::InvalidArgument("query is not acyclic: " + q.ToString());
   }
-  FGQ_ASSIGN_OR_RETURN(std::vector<PreparedAtom> atoms, PrepareAtoms(q, db));
+  FGQ_ASSIGN_OR_RETURN(std::vector<PreparedAtom> atoms,
+                       PrepareAtoms(q, db, ExecContext().WithTrace(trace)));
 
   std::vector<int> order = gyo.tree.TopDownOrder();
   std::vector<size_t> depth(atoms.size(), 0);
@@ -163,10 +166,11 @@ Result<typename S::ValueType> SemiringSumAcq0(const ConjunctiveQuery& q,
 /// its head variables (the S-component materialization of Theorem 4.28).
 /// Fresh component relations are added to `scratch`; evaluate the
 /// returned query against MergeAcqViews(db, *scratch). Shared by the
-/// counting and semiring sum-product pipelines.
-Result<ConjunctiveQuery> MaterializeAcqComponents(const ConjunctiveQuery& q,
-                                                  const Database& db,
-                                                  Database* scratch);
+/// counting and semiring sum-product pipelines. `trace`, when set,
+/// receives each component's Yannakakis spans.
+Result<ConjunctiveQuery> MaterializeAcqComponents(
+    const ConjunctiveQuery& q, const Database& db, Database* scratch,
+    TraceContext* trace = nullptr);
 
 /// A view containing both the original and the materialized relations.
 Database MergeAcqViews(const Database& db, const Database& scratch);
@@ -174,9 +178,12 @@ Database MergeAcqViews(const Database& db, const Database& scratch);
 /// Sum-product for any acyclic conjunctive query under the registered
 /// semiring `id` (quantified queries go through the S-component
 /// pipeline first). kCounting is served by this generic DP too; the
-/// Engine usually routes it to the fused counting path instead.
+/// Engine reaches the same DP for it through Count and CountAnswers.
+/// `trace`, when set, receives the `count.s_components` and `count.dp`
+/// spans.
 Result<SemiringValue> SemiringSumAcq(const ConjunctiveQuery& q,
-                                     const Database& db, SemiringId id);
+                                     const Database& db, SemiringId id,
+                                     TraceContext* trace = nullptr);
 
 /// Folds a materialized answer relation into the semiring aggregate:
 /// ⊕ over rows of (⊗ over first-occurrence head columns of the weight).
@@ -198,9 +205,11 @@ Result<double> WeightedCountAcq(const ConjunctiveQuery& q, const Database& db,
 
 /// Counts answers of an arbitrary CQ: DP/star-size pipeline when acyclic,
 /// exponential backtracking fallback otherwise (oracle use only). The
-/// fallback polls `cancel` and fails with its status once it trips.
+/// fallback polls `cancel` and fails with its status once it trips;
+/// `trace`, when set, receives the DP's spans as in SemiringSumAcq.
 Result<BigInt> CountAnswers(const ConjunctiveQuery& q, const Database& db,
-                            const CancelToken& cancel = CancelToken());
+                            const CancelToken& cancel = CancelToken(),
+                            TraceContext* trace = nullptr);
 
 }  // namespace fgq
 

@@ -106,10 +106,10 @@ struct BooleanSemiring {
   ValueType Weight(Value) const { return true; }
 };
 
-/// (+, ×) over exact integers. The engine routes this id through the
-/// existing fused counting path (CountAnswers / vm::RunCount); this
-/// instance exists so the generalized DP and the differ can cross-check
-/// that path against the generic one.
+/// (+, ×) over exact integers: the instance every counting path runs.
+/// Engine::SumProduct(kCounting) goes Count -> CountAnswers -> the
+/// join-tree DP with this instance; the serving layer's cached plans run
+/// the VM's count stream (vm::RunCount) instead.
 struct CountingSemiring {
   using ValueType = BigInt;
   static constexpr SemiringId kId = SemiringId::kCounting;

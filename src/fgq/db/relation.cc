@@ -1,11 +1,15 @@
 #include "fgq/db/relation.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <queue>
 #include <sstream>
+
+#include "fgq/trace/trace.h"
 
 namespace fgq {
 
@@ -14,6 +18,131 @@ namespace {
 /// Row count below which parallel mutators fall back to the serial path:
 /// scheduling a morsel costs more than sorting a few thousand rows.
 constexpr size_t kParallelRowCutoff = size_t{1} << 13;
+
+/// Key count below which the packed kernel std::sorts its keys: a radix
+/// sort pays a fixed cost per pass to clear and prefix-sum its histogram.
+constexpr size_t kRadixMinRows = 512;
+
+/// Widest LSD radix digit: 2^11 counters keep a pass's histogram in L1.
+constexpr unsigned kMaxDigitBits = 11;
+
+using KeyVec = std::vector<uint64_t, PoolAllocator<uint64_t>>;
+
+/// How a row packs into one uint64_t key: column c contributes its offset
+/// v - min[c] in width[c] bits at shift[c], column 0 most significant.
+/// The fields are disjoint and ordered, so unsigned key order is exactly
+/// the lexicographic row order, and equal keys are equal rows.
+struct KeyLayout {
+  std::vector<Value> min;
+  std::vector<unsigned> width;
+  std::vector<unsigned> shift;
+  unsigned bits = 0;  ///< Total key width; 0 when every column is constant.
+};
+
+/// Lays out the packed key of the rows of `cols` (nonempty columns), or
+/// nullopt when the column widths sum past 64 bits.
+std::optional<KeyLayout> PlanKeys(
+    const std::vector<Relation::ColumnVec>& cols) {
+  KeyLayout k;
+  k.min.resize(cols.size());
+  k.width.resize(cols.size());
+  k.shift.resize(cols.size());
+  for (size_t c = 0; c < cols.size(); ++c) {
+    Value lo = cols[c][0], hi = cols[c][0];
+    for (Value v : cols[c]) {
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
+    k.min[c] = lo;
+    k.width[c] = static_cast<unsigned>(std::bit_width(
+        static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo)));
+    k.bits += k.width[c];
+    if (k.bits > 64) return std::nullopt;
+  }
+  unsigned shift = k.bits;
+  for (size_t c = 0; c < cols.size(); ++c) {
+    shift -= k.width[c];
+    k.shift[c] = shift;
+  }
+  return k;
+}
+
+/// ORs the packed key of every row of `cols` into `keys` (zeroed).
+void PackKeys(const std::vector<Relation::ColumnVec>& cols, const KeyLayout& k,
+              uint64_t* keys) {
+  for (size_t c = 0; c < cols.size(); ++c) {
+    if (k.width[c] == 0) continue;
+    const Value* src = cols[c].data();
+    const size_t n = cols[c].size();
+    const uint64_t lo = static_cast<uint64_t>(k.min[c]);
+    const unsigned sh = k.shift[c];
+    for (size_t i = 0; i < n; ++i) {
+      keys[i] |= (static_cast<uint64_t>(src[i]) - lo) << sh;
+    }
+  }
+}
+
+/// Decodes `n` keys into the first `n` rows of `cols`.
+void UnpackKeys(const uint64_t* keys, size_t n, const KeyLayout& k,
+                std::vector<Relation::ColumnVec>* cols) {
+  for (size_t c = 0; c < cols->size(); ++c) {
+    Value* dst = (*cols)[c].data();
+    if (k.width[c] == 0) {
+      std::fill(dst, dst + n, k.min[c]);
+      continue;
+    }
+    const uint64_t lo = static_cast<uint64_t>(k.min[c]);
+    const uint64_t mask =
+        k.width[c] == 64 ? ~uint64_t{0} : (uint64_t{1} << k.width[c]) - 1;
+    const unsigned sh = k.shift[c];
+    for (size_t i = 0; i < n; ++i) {
+      dst[i] = static_cast<Value>(lo + ((keys[i] >> sh) & mask));
+    }
+  }
+}
+
+/// Sorts `n` keys whose differing bits all lie below bit `bits`. Small
+/// inputs std::sort in place; larger ones take an LSD radix sort that
+/// ping-pongs with `tmp` (n entries). Returns the buffer holding the
+/// sorted keys.
+uint64_t* SortKeys(uint64_t* keys, uint64_t* tmp, size_t n, unsigned bits) {
+  if (n < kRadixMinRows) {
+    std::sort(keys, keys + n);
+    return keys;
+  }
+  if (bits == 0) return keys;
+  const unsigned passes = (bits + kMaxDigitBits - 1) / kMaxDigitBits;
+  const unsigned digit = (bits + passes - 1) / passes;
+  const size_t radix = size_t{1} << digit;
+  const uint64_t mask = radix - 1;
+  std::vector<size_t> hist(passes * radix, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t key = keys[i];
+    for (unsigned p = 0; p < passes; ++p) {
+      ++hist[p * radix + ((key >> (p * digit)) & mask)];
+    }
+  }
+  uint64_t* src = keys;
+  uint64_t* dst = tmp;
+  for (unsigned p = 0; p < passes; ++p) {
+    size_t* h = hist.data() + p * radix;
+    const unsigned sh = p * digit;
+    // A digit shared by every key leaves the order as it is.
+    if (h[(src[0] >> sh) & mask] == n) continue;
+    size_t sum = 0;
+    for (size_t d = 0; d < radix; ++d) {
+      const size_t count = h[d];
+      h[d] = sum;
+      sum += count;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t key = src[i];
+      dst[h[(key >> sh) & mask]++] = key;
+    }
+    std::swap(src, dst);
+  }
+  return src;
+}
 
 }  // namespace
 
@@ -112,7 +241,7 @@ std::vector<Value> Relation::ToRowMajor() const {
 }
 
 /// Rewrites every column as the gather of its first `keep_n` entries of
-/// `order` — the one materialization shared by the sort paths.
+/// `order` — the one materialization shared by the comparator sorts.
 void Relation::ApplyOrder(const std::vector<uint32_t>& order, size_t keep_n) {
   ColumnVec tmp(keep_n);
   for (size_t c = 0; c < arity_; ++c) {
@@ -124,14 +253,37 @@ void Relation::ApplyOrder(const std::vector<uint32_t>& order, size_t keep_n) {
   sorted_ = false;  // Callers that establish canonical order re-set it.
 }
 
-void Relation::SortDedup() {
-  if (arity_ == 0 || num_tuples_ == 0) {
-    sorted_ = true;
-    return;
+void Relation::SortDedup() { SortDedup(ExecContext()); }
+
+void Relation::SortDedup(const ExecContext& ctx) {
+  // The bit already means "strictly ascending set": nothing to do.
+  if (sorted_) return;
+  if (arity_ > 0 && num_tuples_ > 0) {
+    TraceCounter(ctx.trace(), "sort_dedup_rows", num_tuples_);
+    if (!SortDedupPacked()) {
+      TraceCounter(ctx.trace(), "sort_dedup_fallback_rows", num_tuples_);
+      SortDedupByComparator(ctx);
+    }
   }
+  sorted_ = true;
+}
+
+bool Relation::SortDedupPacked() {
   const size_t n = num_tuples_;
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
+  const std::optional<KeyLayout> layout = PlanKeys(cols_);
+  if (!layout.has_value()) return false;
+  KeyVec keys(n), tmp(n);
+  PackKeys(cols_, *layout, keys.data());
+  uint64_t* sorted = SortKeys(keys.data(), tmp.data(), n, layout->bits);
+  const size_t w = static_cast<size_t>(std::unique(sorted, sorted + n) - sorted);
+  for (ColumnVec& col : cols_) col.resize(w);
+  num_tuples_ = w;
+  UnpackKeys(sorted, w, *layout, &cols_);
+  return true;
+}
+
+void Relation::SortDedupByComparator(const ExecContext& ctx) {
+  const size_t n = num_tuples_;
   auto row_less = [this](uint32_t a, uint32_t b) {
     for (size_t c = 0; c < arity_; ++c) {
       const Value va = cols_[c][a], vb = cols_[c][b];
@@ -139,42 +291,28 @@ void Relation::SortDedup() {
     }
     return false;
   };
-  std::sort(order.begin(), order.end(), row_less);
-  // Dedup equal consecutive rows of the sorted order in place.
   auto rows_equal = [this](uint32_t a, uint32_t b) {
     for (size_t c = 0; c < arity_; ++c) {
       if (cols_[c][a] != cols_[c][b]) return false;
     }
     return true;
   };
-  size_t w = 1;
-  for (size_t i = 1; i < n; ++i) {
-    if (!rows_equal(order[i], order[w - 1])) order[w++] = order[i];
-  }
-  ApplyOrder(order, w);
-  sorted_ = true;
-}
-
-void Relation::SortDedup(const ExecContext& ctx) {
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
   ThreadPool* pool = ctx.pool();
-  const size_t n = NumTuples();
-  if (pool == nullptr || pool->num_threads() <= 1 || arity_ == 0 ||
-      n < kParallelRowCutoff) {
-    SortDedup();
+  if (pool == nullptr || pool->num_threads() <= 1 || n < kParallelRowCutoff) {
+    std::sort(order.begin(), order.end(), row_less);
+    // Dedup equal consecutive rows of the sorted order in place.
+    size_t w = 1;
+    for (size_t i = 1; i < n; ++i) {
+      if (!rows_equal(order[i], order[w - 1])) order[w++] = order[i];
+    }
+    ApplyOrder(order, w);
     return;
   }
   // Morsel-parallel sort: each chunk of the row-index array is sorted by a
   // pool lane, then one dedup pass k-way-merges the sorted runs. The
   // output is the canonical sorted set, identical to the serial result.
-  auto row_less = [this](uint32_t a, uint32_t b) {
-    for (size_t c = 0; c < arity_; ++c) {
-      const Value va = cols_[c][a], vb = cols_[c][b];
-      if (va != vb) return va < vb;
-    }
-    return false;
-  };
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
   const size_t num_runs =
       std::min<size_t>(pool->num_threads(), (n + kParallelRowCutoff - 1) /
                                                 kParallelRowCutoff);
@@ -207,12 +345,6 @@ void Relation::SortDedup(const ExecContext& ctx) {
   std::priority_queue<size_t, std::vector<size_t>, decltype(heap_greater)>
       heap(heap_greater);
   for (size_t r = 0; r < runs.size(); ++r) heap.push(r);
-  auto rows_equal = [this](uint32_t a, uint32_t b) {
-    for (size_t c = 0; c < arity_; ++c) {
-      if (cols_[c][a] != cols_[c][b]) return false;
-    }
-    return true;
-  };
   std::vector<uint32_t> merged;
   merged.reserve(n);
   while (!heap.empty()) {
@@ -225,7 +357,6 @@ void Relation::SortDedup(const ExecContext& ctx) {
     if (++runs[r].pos < runs[r].end) heap.push(r);
   }
   ApplyOrder(merged, merged.size());
-  sorted_ = true;
 }
 
 void Relation::SortBy(const std::vector<size_t>& cols) {
@@ -258,10 +389,19 @@ Relation Relation::Project(const std::vector<size_t>& cols,
     return out;
   }
   // Column-wise the projection itself is free: each output column is a
-  // straight copy of a source column. All the work is the trailing dedup.
-  for (size_t j = 0; j < cols.size(); ++j) out.cols_[j] = cols_[cols[j]];
+  // straight copy of a source column. All the work is the trailing dedup,
+  // and the identity projection of a canonical set needs none.
+  bool identity = cols.size() == arity_;
+  for (size_t j = 0; j < cols.size(); ++j) {
+    out.cols_[j] = cols_[cols[j]];
+    identity = identity && cols[j] == j;
+  }
   out.num_tuples_ = n;
-  out.SortDedup(ctx);
+  out.sorted_ = identity && sorted_;
+  if (!out.sorted_) {
+    TraceSpan span(ctx.trace(), "sort_dedup");
+    out.SortDedup(ctx);
+  }
   return out;
 }
 

@@ -18,8 +18,14 @@
 /// A Relation is a named bag of fixed-arity tuples stored column-wise:
 /// one contiguous vector per column. All evaluation algorithms treat
 /// relations as sets; Relation::SortDedup establishes set semantics in
-/// O(N log N), matching the paper's convention that the input encoding
-/// induces a linear order on tuples. The mutators that dominate hot loops
+/// canonical lexicographic order, matching the paper's convention that
+/// the input encoding induces a linear order on tuples. It is linear in
+/// the paper's RAM model: when the min-subtracted column bit widths sum
+/// to at most 64, every row packs into one uint64_t key (column 0 most
+/// significant), the keys are LSD-radix-sorted (std::sort below a small
+/// fixed row count), and the deduplicated keys decode straight back into
+/// the columns. Only rows that do not pack take the O(N log N)
+/// comparator index sort. The mutators that dominate hot loops
 /// (SortDedup, Filter, Project) have morsel-parallel variants taking an
 /// ExecContext; with a serial context they are bit-for-bit identical to
 /// the plain overloads.
@@ -114,18 +120,23 @@ class Relation {
   /// equality). O(N * arity) — not for hot paths.
   std::vector<Value> ToRowMajor() const;
 
-  /// True when the rows are currently in canonical lexicographic sorted
-  /// order (established by SortDedup, preserved by the order-keeping
-  /// mutators CompactRows/Filter, cleared by appends and resorts). The
+  /// True when the rows are a strictly ascending set in canonical
+  /// lexicographic order (established by SortDedup, preserved by the
+  /// order-keeping mutators CompactRows/Filter and by copies, cleared by
+  /// appends and resorts). SortDedup on such a relation is a no-op. The
   /// semijoin data plane keys fast paths off this: a sorted column probes
   /// in runs, and two relations sorted on a shared leading column can be
   /// semijoined by a linear merge with no hash table at all.
   bool sorted() const { return sorted_; }
 
   /// Sorts rows lexicographically and removes duplicates (set semantics).
+  /// Returns at once when sorted() already holds.
   void SortDedup();
-  /// Parallel variant: morsel-local sorts plus a dedup merge. The result
-  /// is the same canonical sorted set for any thread count.
+  /// Parallel variant: rows that pack run the same serial packed kernel;
+  /// rows that do not take morsel-local sorts plus a dedup merge. The
+  /// result is the same canonical sorted set for any thread count.
+  /// Reports `sort_dedup_rows` and `sort_dedup_fallback_rows` to the
+  /// context's trace.
   void SortDedup(const ExecContext& ctx);
 
   /// Sorts rows lexicographically by the given column permutation/subset
@@ -133,9 +144,11 @@ class Relation {
   void SortBy(const std::vector<size_t>& cols);
 
   /// Returns the projection of this relation onto `cols` (with dedup).
+  /// The identity column list on a sorted relation is a plain copy.
   Relation Project(const std::vector<size_t>& cols,
                    const std::string& name) const;
-  /// Parallel variant (same result for any thread count).
+  /// Parallel variant (same result for any thread count); the dedup runs
+  /// under a `sort_dedup` span.
   Relation Project(const std::vector<size_t>& cols, const std::string& name,
                    const ExecContext& ctx) const;
 
@@ -166,6 +179,11 @@ class Relation {
   std::string ToString(size_t limit = 20) const;
 
  private:
+  /// The packed-key kernel: false (rows untouched) when the rows do not
+  /// pack into 64 bits.
+  bool SortDedupPacked();
+  /// The index-sort fallback for rows that do not pack.
+  void SortDedupByComparator(const ExecContext& ctx);
   void ApplyOrder(const std::vector<uint32_t>& order, size_t keep_n);
 
   std::string name_;

@@ -181,7 +181,7 @@ Result<BigInt> Engine::Count(const ExecRequest& req) const {
   // CountAnswers already dispatches: counting DP (Theorems 4.21/4.28) for
   // plain acyclic queries, oracle fallback (polling req.cancel) for
   // everything else.
-  return CountAnswers(*req.query, *db, req.cancel);
+  return CountAnswers(*req.query, *db, req.cancel, req.trace);
 }
 
 Result<SemiringValue> Engine::SumProduct(const ExecRequest& req) const {
@@ -192,8 +192,9 @@ Result<SemiringValue> Engine::SumProduct(const ExecRequest& req) const {
   const ConjunctiveQuery& q = *req.query;
   FGQ_RETURN_NOT_OK(q.Validate());
   if (req.semiring == SemiringId::kCounting) {
-    // The fused counting path (CountAnswers / vm::RunCount downstream of
-    // the service) is the fast (+,×) instantiation; keep it canonical.
+    // Counting is Count: CountAnswers runs the join-tree DP with the
+    // (+,×) instance (the oracle outside plain ACQ). Only the serving
+    // layer's cached plans run the VM's count stream (vm::RunCount).
     FGQ_ASSIGN_OR_RETURN(BigInt c, Count(req));
     return SemiringValue::Counting(std::move(c));
   }
@@ -213,7 +214,7 @@ Result<SemiringValue> Engine::SumProduct(const ExecRequest& req) const {
     }
     case QueryClass::kBooleanAcyclic:
     case QueryClass::kGeneralAcyclic:
-      return SemiringSumAcq(q, *db, req.semiring);
+      return SemiringSumAcq(q, *db, req.semiring, ctx.trace());
     case QueryClass::kAcyclicDisequalities:
     case QueryClass::kAcyclicOrderComparisons:
     case QueryClass::kNegated:

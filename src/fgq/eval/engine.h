@@ -162,11 +162,11 @@ class Engine {
 
   /// Sum-product aggregation under req.semiring (semiring.h): ⊕ over
   /// distinct answers of the ⊗ of first-occurrence head-element weights.
-  /// kCounting routes through the fused counting path (identical to
-  /// Count); free-connex queries run the per-semiring VM instantiation,
-  /// the other plain acyclic classes the generalized join-tree DP
-  /// (Theorems 4.21/4.28 lifted to semirings), and everything else
-  /// materializes with Run and folds.
+  /// kCounting is Count (CountAnswers: the join-tree DP, or the oracle
+  /// outside plain ACQ). Otherwise free-connex queries run the
+  /// per-semiring VM instantiation, the other plain acyclic classes the
+  /// generalized join-tree DP (Theorems 4.21/4.28 lifted to semirings),
+  /// and everything else materializes with Run and folds.
   Result<SemiringValue> SumProduct(const ExecRequest& req) const;
 
   /// Streams the answers with the strongest delay guarantee available:

@@ -244,6 +244,10 @@ Result<FreeConnexPlan> BuildFreeConnexPlan(const ConjunctiveQuery& q,
   TraceSpan projection_span(ctx.trace(), "free_projection");
   // One projection task per atom (slots are disjoint; empty slots are
   // purely existential atoms, reduced away), each morsel-parallel inside.
+  // Spans open on orchestration threads only, so pooled tasks project
+  // untraced.
+  const ExecContext task_ctx =
+      ctx.pool() == nullptr ? ctx : ctx.WithTrace(nullptr);
   std::vector<PreparedAtom> slots(rq.atoms.size());
   ParallelFor(ctx.pool(), rq.atoms.size(), 1, [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i) {
@@ -258,7 +262,7 @@ Result<FreeConnexPlan> BuildFreeConnexPlan(const ConjunctiveQuery& q,
       }
       if (keep.empty()) continue;
       slots[i].vars = std::move(keep);
-      slots[i].rel = a.rel.Project(cols, a.rel.name(), ctx);
+      slots[i].rel = a.rel.Project(cols, a.rel.name(), task_ctx);
     }
   });
   std::vector<PreparedAtom> projected;

@@ -115,6 +115,14 @@ Result<PreparedAtom> PrepareAtom(const Atom& atom, const Database& db,
     return out;
   }
 
+  // All distinct variables in column order (no constant, no repeat): every
+  // row is admitted unchanged, so a canonical source is already the
+  // answer and skips the scan and the sort.
+  if (out.vars.size() == arity && rel->sorted()) {
+    out.rel = *rel;
+    return out;
+  }
+
   // Admission bitmap first (morsel-parallel; bytes are position-disjoint),
   // then each output column is one filtered gather of a source column —
   // fully column-wise, identical for any thread count.
@@ -380,7 +388,10 @@ PreparedAtom JoinProject(const PreparedAtom& left, const PreparedAtom& right,
     });
     for (const Relation& part : parts) out.rel.AppendFrom(part);
   }
-  out.rel.SortDedup(ctx);
+  {
+    TraceSpan span(ctx.trace(), "sort_dedup");
+    out.rel.SortDedup(ctx);
+  }
   return out;
 }
 

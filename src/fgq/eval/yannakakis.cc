@@ -52,49 +52,59 @@ Result<ReducedQuery> FullReduce(const ConjunctiveQuery& q, const Database& db,
 
 namespace {
 
-/// Joins the subtree rooted at `e` bottom-up, keeping free variables plus
-/// the connector to e's parent.
+/// Joins the subtree rooted at `e` bottom-up. Each step keeps a variable
+/// only while it is free or the parent or a later child still needs it:
+/// by running intersection no other subtree mentions it, so it is
+/// projected away as soon as its last occurrence is joined. At the root
+/// the last step keeps exactly the head's variables, in head order.
 PreparedAtom JoinSubtree(const ReducedQuery& rq,
-                         const std::set<std::string>& free, int e,
+                         const std::set<std::string>& free,
+                         const std::vector<std::string>& head, int e,
                          const ExecContext& ctx) {
   PreparedAtom acc = rq.atoms[e];
   // Cooperative cancellation: the per-node joins are the output-dependent
   // (possibly superlinear) phase; bail with whatever was accumulated and
   // let the caller turn the tripped token into a Status.
   if (ctx.cancel().cancelled()) return acc;
-  // Variables of the parent, used to decide what must be kept.
-  std::set<std::string> parent_vars;
-  int p = rq.tree.parent[e];
-  if (p >= 0) {
-    parent_vars.insert(rq.atoms[p].vars.begin(), rq.atoms[p].vars.end());
-  }
-  for (int c : rq.tree.children[e]) {
-    PreparedAtom sub = JoinSubtree(rq, free, c, ctx);
-    // Keep: free variables present on either side, plus variables of e
-    // (needed to connect to remaining children and the parent).
-    std::vector<std::string> keep;
-    std::set<std::string> seen;
-    auto add = [&](const std::string& v) {
-      if (seen.insert(v).second) keep.push_back(v);
+  const int p = rq.tree.parent[e];
+  const std::vector<int>& children = rq.tree.children[e];
+  // The variables of `a` and `b` still needed once the children before
+  // `next_child` are joined.
+  auto keep_after = [&](const PreparedAtom& a, const PreparedAtom* b,
+                        size_t next_child) {
+    auto needed = [&](const std::string& v) {
+      if (free.count(v) || (p >= 0 && rq.atoms[p].VarIndex(v) >= 0)) {
+        return true;
+      }
+      for (size_t j = next_child; j < children.size(); ++j) {
+        if (rq.atoms[children[j]].VarIndex(v) >= 0) return true;
+      }
+      return false;
     };
-    for (const std::string& v : acc.vars) {
-      if (free.count(v) || rq.atoms[e].VarIndex(v) >= 0 || parent_vars.count(v)) {
-        add(v);
+    std::vector<std::string> keep;
+    auto add = [&](const std::string& v) {
+      if ((a.VarIndex(v) >= 0 || (b != nullptr && b->VarIndex(v) >= 0)) &&
+          needed(v) && std::find(keep.begin(), keep.end(), v) == keep.end()) {
+        keep.push_back(v);
       }
+    };
+    if (p < 0 && next_child == children.size()) {
+      for (const std::string& v : head) add(v);
+      return keep;
     }
-    for (const std::string& v : sub.vars) {
-      if (free.count(v) || rq.atoms[e].VarIndex(v) >= 0 || parent_vars.count(v)) {
-        add(v);
-      }
+    for (const std::string& v : a.vars) add(v);
+    if (b != nullptr) {
+      for (const std::string& v : b->vars) add(v);
     }
-    acc = JoinProject(acc, sub, keep, ctx);
+    return keep;
+  };
+  for (size_t i = 0; i < children.size(); ++i) {
+    PreparedAtom sub = JoinSubtree(rq, free, head, children[i], ctx);
+    acc = JoinProject(acc, sub, keep_after(acc, &sub, i + 1), ctx);
   }
-  // Project away existential variables not needed by the parent.
-  std::vector<std::string> keep;
-  for (const std::string& v : acc.vars) {
-    if (free.count(v) || parent_vars.count(v)) keep.push_back(v);
-  }
-  if (keep.size() != acc.vars.size()) {
+  // A leaf (or a childless root) projects onto what its parent needs.
+  std::vector<std::string> keep = keep_after(acc, nullptr, children.size());
+  if (keep != acc.vars) {
     std::vector<size_t> cols;
     for (const std::string& v : keep) {
       cols.push_back(static_cast<size_t>(acc.VarIndex(v)));
@@ -123,7 +133,7 @@ Result<Relation> EvaluateYannakakis(const ConjunctiveQuery& q,
   }
   std::set<std::string> free(q.head().begin(), q.head().end());
   TraceSpan assembly(ctx.trace(), "join_assembly");
-  PreparedAtom joined = JoinSubtree(rq, free, rq.tree.root, ctx);
+  PreparedAtom joined = JoinSubtree(rq, free, q.head(), rq.tree.root, ctx);
   if (ctx.cancel().cancelled()) {
     Status base = ctx.cancel().Check("join assembly");
     return Status(base.code(),
@@ -147,7 +157,12 @@ Result<Relation> EvaluateYannakakis(const ConjunctiveQuery& q,
     }
     cols.push_back(static_cast<size_t>(c));
   }
-  out = joined.rel.Project(cols, q.name(), ctx);
+  // JoinSubtree emits the head order, so this is usually the identity.
+  bool identity = cols.size() == joined.vars.size();
+  for (size_t j = 0; j < cols.size(); ++j) identity = identity && cols[j] == j;
+  out = identity && joined.rel.sorted()
+            ? std::move(joined.rel)
+            : joined.rel.Project(cols, q.name(), ctx);
   out.set_name(q.name());
   return out;
 }

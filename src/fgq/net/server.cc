@@ -219,11 +219,11 @@ struct NetServer::Impl {
       for (int i = 0; i < n; ++i) {
         const uint64_t tag = evs[i].data.u64;
         if (tag == kListenTag) {
-          if (!draining) HandleAccept(s);
+          HandleAccept(s, draining);
           continue;
         }
         if (tag == kWakeTag) {
-          DrainWake(s, draining);
+          DrainWake(s);
           continue;
         }
         auto it = s->conns.find(tag);
@@ -252,6 +252,12 @@ struct NetServer::Impl {
     ids.reserve(s->conns.size());
     for (const auto& [id, conn] : s->conns) ids.push_back(id);
     for (uint64_t id : ids) CloseConn(s, id);
+    {
+      // Handed over by the router after this loop's last wake-up.
+      std::lock_guard<std::mutex> g(s->mu);
+      for (int fd : s->incoming) ::close(fd);
+      s->incoming.clear();
+    }
     if (s->listen_fd >= 0) ::close(s->listen_fd);
     ::close(s->wake_fd);
     ::close(s->epoll_fd);
@@ -259,23 +265,44 @@ struct NetServer::Impl {
 
   /// Shutdown progress check; true once every connection is gone. Flushes
   /// idle connections away and, past the drain deadline, cancels
-  /// in-flight work and force-closes the rest.
+  /// in-flight work and force-closes the rest. A connection is idle only
+  /// once its socket holds no unread request either: requests that
+  /// arrived after this round's epoll_wait are read and dispatched first.
   bool DrainTick(Shard* s) {
+    if (s->listen_fd >= 0) {
+      // Connections the kernel completed before the stop already belong
+      // to their clients: adopt the accept backlog once, then stop
+      // listening.
+      HandleAccept(s, /*draining=*/true);
+      ::close(s->listen_fd);
+      s->listen_fd = -1;
+    }
     const bool expired = std::chrono::steady_clock::now() >= drain_deadline;
     if (expired) s->service->CancelAll();
-    std::vector<uint64_t> to_close;
-    for (auto& [id, c] : s->conns) {
-      DrainReplies(s, c.get());
-      Flush(s, c.get());
+    std::vector<uint64_t> ids;
+    ids.reserve(s->conns.size());
+    for (const auto& [id, conn] : s->conns) ids.push_back(id);
+    for (uint64_t id : ids) {
+      auto it = s->conns.find(id);
+      if (!expired && !it->second->peer_closed &&
+          !it->second->close_after_flush) {
+        HandleReadable(s, it->second.get());
+        it = s->conns.find(id);  // Reads can close the connection.
+        if (it == s->conns.end()) continue;
+      }
+      Conn* c = it->second.get();
+      DrainReplies(s, c);
+      Flush(s, c);
       if (expired || (c->pending.empty() && c->unsent() == 0)) {
-        to_close.push_back(id);
+        CloseConn(s, id);
       }
     }
-    for (uint64_t id : to_close) CloseConn(s, id);
     return s->conns.empty();
   }
 
-  void HandleAccept(Shard* s) {
+  /// Accepts the whole backlog. Draining, every connection stays on this
+  /// shard, whose loop is known to be still running.
+  void HandleAccept(Shard* s, bool draining) {
     for (;;) {
       const int fd =
           ::accept4(s->listen_fd, nullptr, nullptr,
@@ -287,7 +314,7 @@ struct NetServer::Impl {
       accepted.fetch_add(1, std::memory_order_relaxed);
       int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      if (!opts.use_reuseport && shards.size() > 1) {
+      if (!draining && !opts.use_reuseport && shards.size() > 1) {
         // Router mode: shard 0 accepts, connections go round-robin.
         Shard* target =
             shards[rr_next.fetch_add(1, std::memory_order_relaxed) %
@@ -320,7 +347,7 @@ struct NetServer::Impl {
     s->conns.emplace(id, std::move(conn));
   }
 
-  void DrainWake(Shard* s, bool draining) {
+  void DrainWake(Shard* s) {
     uint64_t count = 0;
     while (::read(s->wake_fd, &count, sizeof(count)) > 0) {
     }
@@ -331,13 +358,8 @@ struct NetServer::Impl {
       incoming.swap(s->incoming);
       done.swap(s->done);
     }
-    for (int fd : incoming) {
-      if (draining) {
-        ::close(fd);
-      } else {
-        AdoptConn(s, fd);
-      }
-    }
+    // Routed before the stop: drained like any other connection.
+    for (int fd : incoming) AdoptConn(s, fd);
     for (uint64_t id : done) {
       auto it = s->conns.find(id);
       if (it == s->conns.end()) continue;  // Closed with work in flight.

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <set>
 
 #include "fgq/db/database.h"
 #include "fgq/db/index.h"
@@ -10,6 +14,8 @@
 #include "fgq/db/tag_key_set.h"
 #include "fgq/db/trie.h"
 #include "fgq/db/value.h"
+#include "fgq/eval/prepared.h"
+#include "fgq/trace/trace.h"
 #include "fgq/util/hash.h"
 #include "fgq/util/simd.h"
 
@@ -43,6 +49,217 @@ TEST(Relation, SortDedupEstablishesSetSemantics) {
   EXPECT_EQ(r.Row(0)[0], 0);
   EXPECT_EQ(r.Row(1)[0], 1);
   EXPECT_EQ(r.Row(2)[0], 2);
+}
+
+// ---- The packed-key SortDedup kernel vs a std::set reference ---------------
+
+/// Value shapes for the property test. Each names the key width it
+/// produces: kSmall and kConstantCols pack in a few bits per column,
+/// kExact64 packs in exactly 64 bits, kFullRange spans all of int64 in
+/// column 0 (packs at arity 1 only, so it drives the comparator fallback
+/// at arity >= 2).
+enum class Shape { kSmall, kConstantCols, kExact64, kFullRange };
+
+/// Bit widths summing to exactly 64 over `arity` columns.
+std::vector<unsigned> Exact64Widths(size_t arity) {
+  std::vector<unsigned> w(arity, static_cast<unsigned>(64 / arity));
+  for (size_t c = 0; c < 64 % arity; ++c) ++w[c];
+  return w;
+}
+
+/// A random relation of `n` rows with about a third repeated rows. Rows 0
+/// and 1 pin each column's extremes so the column widths are exact.
+Relation ShapedRelation(Shape shape, size_t arity, size_t n, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const std::vector<unsigned> widths = Exact64Widths(arity);
+  std::vector<Value> full_range_pool(50);
+  for (Value& v : full_range_pool) v = static_cast<Value>(rng());
+  full_range_pool[0] = std::numeric_limits<Value>::min();
+  full_range_pool[1] = std::numeric_limits<Value>::max();
+  auto cell = [&](size_t row, size_t c) -> Value {
+    switch (shape) {
+      case Shape::kSmall:
+        return static_cast<Value>(rng() % 44) - 3;  // kBottom included.
+      case Shape::kConstantCols:
+        if (c % 2 == 1) return c == 1 ? kBottom : 7;
+        return static_cast<Value>(rng() % 20) - 2;
+      case Shape::kExact64: {
+        const unsigned w = widths[c];
+        const uint64_t mask = w == 64 ? ~uint64_t{0} : (uint64_t{1} << w) - 1;
+        const uint64_t base = w == 64 ? uint64_t{1} << 63 : ~(mask >> 1);
+        const uint64_t off = row == 0 ? 0 : row == 1 ? mask : rng() & mask;
+        return static_cast<Value>(base + off);
+      }
+      case Shape::kFullRange:
+        if (c == 0) {
+          return row < 2 ? full_range_pool[row]
+                         : full_range_pool[rng() % full_range_pool.size()];
+        }
+        return row < 2 ? static_cast<Value>(3 * row)
+                       : static_cast<Value>(rng() % 4);
+    }
+    return 0;
+  };
+  Relation r("R", arity);
+  Tuple t(arity);
+  const size_t fresh = n - n / 3;
+  for (size_t i = 0; i < n; ++i) {
+    if (i < fresh || i < 2) {
+      for (size_t c = 0; c < arity; ++c) t[c] = cell(i, c);
+      r.Add(t);
+    } else {
+      t = r.Row(rng() % i).ToTuple();
+      r.Add(t);
+    }
+  }
+  // Shuffle so the duplicates are not adjacent.
+  std::vector<Tuple> rows;
+  for (size_t i = 0; i < n; ++i) rows.push_back(r.Row(i).ToTuple());
+  std::shuffle(rows.begin(), rows.end(), rng);
+  Relation out("R", arity);
+  for (const Tuple& row : rows) out.Add(row);
+  return out;
+}
+
+TEST(SortDedupKernel, MatchesSetReferenceOnEveryShape) {
+  const ExecContext serial;
+  const ExecContext pooled(ExecOptions::Parallel(4));
+  // Both sides of the radix cutoff (512 keys) and of the parallel row
+  // cutoff (8192 rows).
+  const size_t row_counts[] = {1, 2, 300, 511, 512, 513, 5000, 20000};
+  const Shape shapes[] = {Shape::kSmall, Shape::kConstantCols,
+                          Shape::kExact64, Shape::kFullRange};
+  uint64_t seed = 1;
+  for (size_t arity = 1; arity <= 5; ++arity) {
+    for (Shape shape : shapes) {
+      for (size_t n : row_counts) {
+        for (const ExecContext* base : {&serial, &pooled}) {
+          SCOPED_TRACE(testing::Message()
+                       << "arity " << arity << " shape "
+                       << static_cast<int>(shape) << " rows " << n
+                       << (base->serial() ? " serial" : " 4 threads"));
+          Relation r = ShapedRelation(shape, arity, n, seed++);
+          const std::set<Tuple> ref = [&] {
+            std::set<Tuple> s;
+            for (size_t i = 0; i < r.NumTuples(); ++i) {
+              s.insert(r.Row(i).ToTuple());
+            }
+            return s;
+          }();
+          TraceContext trace;
+          const ExecContext ctx = base->WithTrace(&trace);
+          r.SortDedup(ctx);
+          EXPECT_TRUE(r.sorted());
+          ASSERT_EQ(r.NumTuples(), ref.size());
+          size_t i = 0;
+          for (const Tuple& t : ref) {
+            ASSERT_EQ(r.Row(i).ToTuple(), t) << "row " << i;
+            ++i;
+          }
+          const bool packs =
+              shape != Shape::kFullRange || arity == 1 || n < 2;
+          EXPECT_EQ(trace.counter("sort_dedup_rows"), n);
+          EXPECT_EQ(trace.counter("sort_dedup_fallback_rows"), packs ? 0 : n);
+        }
+      }
+    }
+  }
+}
+
+TEST(SortDedupKernel, SortedRelationIsANoOp) {
+  Relation r = ShapedRelation(Shape::kSmall, 3, 2000, 99);
+  r.SortDedup();
+  ASSERT_TRUE(r.sorted());
+  const std::vector<Value> before = r.ToRowMajor();
+  const Value* col0 = r.Column(0);
+  TraceContext trace;
+  r.SortDedup(ExecContext().WithTrace(&trace));
+  EXPECT_TRUE(r.sorted());
+  EXPECT_EQ(r.Column(0), col0);  // Not even reallocated.
+  EXPECT_EQ(r.ToRowMajor(), before);
+  EXPECT_EQ(trace.counter("sort_dedup_rows"), 0u);
+  // An append clears the bit, and the next SortDedup sorts again.
+  r.Add({-3, -3, -3});
+  EXPECT_FALSE(r.sorted());
+  r.SortDedup(ExecContext().WithTrace(&trace));
+  EXPECT_EQ(trace.counter("sort_dedup_rows"), r.NumTuples());
+  EXPECT_EQ(r.Row(0).ToTuple(), (Tuple{-3, -3, -3}));
+}
+
+TEST(SortDedupKernel, IdentityProjectionOfASortedSetKeepsTheBit) {
+  Relation r = ShapedRelation(Shape::kSmall, 2, 1000, 7);
+  r.SortDedup();
+  TraceContext trace;
+  const ExecContext ctx = ExecContext().WithTrace(&trace);
+  Relation same = r.Project({0, 1}, "P", ctx);
+  EXPECT_TRUE(same.sorted());
+  EXPECT_EQ(same.ToRowMajor(), r.ToRowMajor());
+  EXPECT_EQ(trace.counter("sort_dedup_rows"), 0u);
+  Relation swapped = r.Project({1, 0}, "P", ctx);
+  EXPECT_TRUE(swapped.sorted());
+  EXPECT_EQ(trace.counter("sort_dedup_rows"), r.NumTuples());
+  for (size_t i = 1; i < swapped.NumTuples(); ++i) {
+    EXPECT_LT(swapped.Row(i - 1).ToTuple(), swapped.Row(i).ToTuple());
+  }
+}
+
+/// Prepares `atom` against `db` traced; returns the rows and how many
+/// rows the prepared relation's SortDedup was handed.
+std::pair<std::vector<Tuple>, uint64_t> PrepareTraced(const Atom& atom,
+                                                      const Database& db) {
+  TraceContext trace;
+  Result<PreparedAtom> pa =
+      PrepareAtom(atom, db, ExecContext().WithTrace(&trace));
+  EXPECT_TRUE(pa.ok()) << pa.status();
+  EXPECT_TRUE(pa->rel.sorted());
+  std::vector<Tuple> rows;
+  for (size_t i = 0; i < pa->rel.NumTuples(); ++i) {
+    rows.push_back(pa->rel.Row(i).ToTuple());
+  }
+  return {rows, trace.counter("sort_dedup_rows")};
+}
+
+TEST(SortDedupKernel, PrepareAtomPassesOnlyPlainAtomsOfSortedSources) {
+  Relation raw("U", 2);
+  for (const Tuple& t : std::vector<Tuple>{
+           {3, 3}, {1, 1}, {2, 1}, {3, 3}, {0, 1}, {1, 1}}) {
+    raw.Add(t);
+  }
+  Relation sorted = raw;
+  sorted.set_name("S");
+  sorted.SortDedup();
+  Database db;
+  db.PutRelation(raw);
+  db.PutRelation(sorted);
+  auto atom = [](const std::string& rel, std::vector<Term> args) {
+    Atom a;
+    a.relation = rel;
+    a.args = std::move(args);
+    return a;
+  };
+  const Term x = Term::Var("x"), y = Term::Var("y");
+  const std::vector<Tuple> all = {{0, 1}, {1, 1}, {2, 1}, {3, 3}};
+  const std::vector<Tuple> diag = {{1}, {3}};
+  const std::vector<Tuple> to_one = {{0}, {1}, {2}};
+  // Unsorted source: every shape dedups and sorts.
+  EXPECT_EQ(PrepareTraced(atom("U", {x, y}), db),
+            std::make_pair(all, uint64_t{6}));
+  EXPECT_EQ(PrepareTraced(atom("U", {x, x}), db),
+            std::make_pair(diag, uint64_t{4}));
+  EXPECT_EQ(PrepareTraced(atom("U", {x, Term::Const(1)}), db),
+            std::make_pair(to_one, uint64_t{4}));
+  // Sorted source: the plain atom passes through; a repeat or a constant
+  // still takes the sort.
+  EXPECT_EQ(PrepareTraced(atom("S", {x, y}), db),
+            std::make_pair(all, uint64_t{0}));
+  EXPECT_EQ(PrepareTraced(atom("S", {x, x}), db),
+            std::make_pair(diag, uint64_t{2}));
+  EXPECT_EQ(PrepareTraced(atom("S", {x, Term::Const(1)}), db),
+            std::make_pair(to_one, uint64_t{3}));
+  // Variable names do not matter: every column a distinct variable is
+  // the identity.
+  EXPECT_EQ(PrepareTraced(atom("S", {y, x}), db),
+            std::make_pair(all, uint64_t{0}));
 }
 
 TEST(Relation, ProjectDedups) {

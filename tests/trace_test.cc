@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -168,6 +169,38 @@ TEST(Trace, UntracedExecutionStillWorks) {
   auto res = engine.Run(ExecRequest(q, db));
   ASSERT_TRUE(res.ok()) << res.status();
   EXPECT_EQ(res->NumAnswers(), 2u);
+}
+
+/// Engine::Count and Engine::SumProduct hand their trace to the counting
+/// DP: the S-component materialization (with the component's Yannakakis
+/// spans inside it) and the DP each get a span.
+TEST(Trace, CountingDpReportsItsPhases) {
+  Database db = TinyGraph();
+  Engine engine;
+  // Not free-connex, so SumProduct takes the join-tree DP too.
+  ConjunctiveQuery q = Q("Q(x, z) :- E(x, y), F(y, z).");
+  for (SemiringId id : {SemiringId::kCounting, SemiringId::kMinPlus}) {
+    TraceContext trace;
+    ExecRequest req(q, db);
+    req.trace = &trace;
+    req.semiring = id;
+    auto v = engine.SumProduct(req);
+    ASSERT_TRUE(v.ok()) << v.status();
+    if (id == SemiringId::kCounting) {
+      EXPECT_EQ(v->count, BigInt::FromUint64(2));
+    }
+    std::vector<TraceContext::Event> evs = trace.events();
+    std::map<std::string, int> ids;
+    for (size_t i = 0; i < evs.size(); ++i) {
+      ids.emplace(evs[i].name, static_cast<int>(i));
+    }
+    ASSERT_TRUE(ids.count("count.s_components")) << trace.RenderText();
+    ASSERT_TRUE(ids.count("count.dp")) << trace.RenderText();
+    ASSERT_TRUE(ids.count("join_assembly")) << trace.RenderText();
+    EXPECT_EQ(evs[static_cast<size_t>(ids["join_assembly"])].parent,
+              ids["count.s_components"]);
+    EXPECT_GT(trace.counter("tuples_scanned"), 0u);
+  }
 }
 
 // ---- EXPLAIN ----------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include "fgq/eval/oracle.h"
 #include "fgq/eval/yannakakis.h"
 #include "fgq/query/parser.h"
+#include "fgq/trace/trace.h"
 #include "fgq/workload/generators.h"
 
 namespace fgq {
@@ -26,6 +27,17 @@ std::string Key(const Relation& r) {
     s += ";";
   }
   return s;
+}
+
+/// Asserts that `r` is a canonical set: rows strictly ascending, and the
+/// sorted bit set when there are rows to order.
+void ExpectCanonical(const Relation& r) {
+  if (r.arity() > 0 && r.NumTuples() > 0) {
+    EXPECT_TRUE(r.sorted());
+  }
+  for (size_t i = 1; i < r.NumTuples(); ++i) {
+    ASSERT_LT(r.Row(i - 1).ToTuple(), r.Row(i).ToTuple()) << "row " << i;
+  }
 }
 
 /// Asserts that two relations hold the same tuple set.
@@ -197,6 +209,7 @@ TEST_P(YannakakisSweep, MatchesOracle) {
   auto slow = EvaluateBacktrack(q, db);
   ASSERT_TRUE(fast.ok()) << fast.status();
   ASSERT_TRUE(slow.ok()) << slow.status();
+  ExpectCanonical(*fast);
   ExpectSameAnswers(*fast, *slow);
 }
 
@@ -215,7 +228,39 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{"Q(x) :- R(x, x, y), S(y, 2).", 40, 4, 9},
         SweepParam{"Q(u, v) :- A(u), B(v), C(u, v).", 15, 5, 10},
         SweepParam{"Q(x) :- R(x, y), S(y, z), U(z), V(y).", 25, 5, 11},
-        SweepParam{"Q(x, w) :- R(x, y), S(x, w), T(w, u).", 25, 5, 12}));
+        SweepParam{"Q(x, w) :- R(x, y), S(x, w), T(w, u).", 25, 5, 12},
+        SweepParam{"Q(z, x) :- R(x, y), S(y, z).", 30, 5, 13},
+        SweepParam{"Q(c, a, d) :- R(a, b), S(b, c), T(b, d), U(d).", 25, 4,
+                   14}));
+
+/// The non-free-connex 2-path over sorted base relations: the atoms pass
+/// through unsorted, the (x, y, z) intermediate is never built, and the
+/// answer comes out of the one join in head order, so the whole
+/// evaluation pays exactly one sort-dedup, inside join_assembly.
+TEST(Yannakakis, TwoPathPaysOneSortDedup) {
+  Rng rng(21);
+  Database db;
+  db.PutRelation(RandomRelation("E1", 2, 400, 30, &rng));
+  db.PutRelation(RandomRelation("E2", 2, 400, 30, &rng));
+  ConjunctiveQuery q = Q("Q(x, z) :- E1(x, y), E2(y, z).");
+  TraceContext trace;
+  auto fast = EvaluateYannakakis(q, db, ExecContext().WithTrace(&trace));
+  auto slow = EvaluateBacktrack(q, db);
+  ASSERT_TRUE(fast.ok()) << fast.status();
+  ASSERT_TRUE(slow.ok()) << slow.status();
+  ExpectCanonical(*fast);
+  ExpectSameAnswers(*fast, *slow);
+  const std::vector<TraceContext::Event> evs = trace.events();
+  int sorts = 0;
+  for (const TraceContext::Event& ev : evs) {
+    if (ev.name != "sort_dedup") continue;
+    ++sorts;
+    ASSERT_GE(ev.parent, 0);
+    EXPECT_EQ(evs[static_cast<size_t>(ev.parent)].name, "join_assembly");
+  }
+  EXPECT_EQ(sorts, 1) << trace.RenderText();
+  EXPECT_EQ(trace.counter("sort_dedup_fallback_rows"), 0u);
+}
 
 /// Full reduction leaves only tuples that participate in some answer
 /// (global consistency, the property both the constant-delay enumerator
