@@ -35,11 +35,12 @@ namespace {
 void ServeCountUnder(benchmark::State& state, SemiringId id) {
   const size_t tuples = static_cast<size_t>(state.range(0));
   Rng rng(7);
-  Database db = Figure1Database(tuples, static_cast<Value>(tuples / 4), &rng);
+  SnapshotStore store(
+      Figure1Database(tuples, static_cast<Value>(tuples / 4), &rng));
   ConjunctiveQuery q = Figure1Query();
   ServiceOptions opts;
   opts.num_workers = 1;
-  QueryService service(&db, opts);
+  QueryService service(&store, opts);
   {
     ServiceRequest warm;
     warm.query = q;

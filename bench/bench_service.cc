@@ -26,11 +26,12 @@ namespace {
 void BM_ServeCold(benchmark::State& state) {
   const size_t tuples = static_cast<size_t>(state.range(0));
   Rng rng(7);
-  Database db = Figure1Database(tuples, static_cast<Value>(tuples / 4), &rng);
+  SnapshotStore store(
+      Figure1Database(tuples, static_cast<Value>(tuples / 4), &rng));
   ConjunctiveQuery q = Figure1Query();
   ServiceOptions opts;
   opts.num_workers = 1;
-  QueryService service(&db, opts);
+  QueryService service(&store, opts);
   for (auto _ : state) {
     // A fresh key every iteration: clearing the cache forces the full
     // Theorem 4.6 preprocessing.
@@ -50,11 +51,12 @@ BENCHMARK(BM_ServeCold)->Arg(1000)->Arg(10000)->Arg(100000);
 void ServeCached(benchmark::State& state, ServeVerb verb) {
   const size_t tuples = static_cast<size_t>(state.range(0));
   Rng rng(7);
-  Database db = Figure1Database(tuples, static_cast<Value>(tuples / 4), &rng);
+  SnapshotStore store(
+      Figure1Database(tuples, static_cast<Value>(tuples / 4), &rng));
   ConjunctiveQuery q = Figure1Query();
   ServiceOptions opts;
   opts.num_workers = 1;
-  QueryService service(&db, opts);
+  QueryService service(&store, opts);
   {
     ServiceRequest warm;
     warm.query = q;
@@ -125,7 +127,8 @@ void BM_ServeMixedThroughput(benchmark::State& state) {
   ServiceOptions opts;
   opts.num_workers = workers;
   opts.max_pending = 256;
-  QueryService service(&db, opts);
+  SnapshotStore store(std::move(db));
+  QueryService service(&store, opts);
   // Warm the cache with one pass over the distinct queries: the steady
   // state is what throughput means here; BM_ServeCold covers cold costs.
   for (const ConjunctiveQuery& q : qs) {

@@ -369,12 +369,12 @@ int main(int argc, char** argv) {
       failed |= pr.transport_failed || pr.errors > 0;
     }
   } else {
-    const Database db = ServeWorkloadDatabase(opt.tuples, opt.seed);
+    SnapshotStore store(ServeWorkloadDatabase(opt.tuples, opt.seed));
     for (size_t shards : opt.shards) {
       net::NetServerOptions sopt;
       sopt.num_shards = shards;
       Result<std::unique_ptr<net::NetServer>> server =
-          net::NetServer::Start(&db, sopt);
+          net::NetServer::Start(&store, sopt);
       if (!server.ok()) {
         std::fprintf(stderr, "loadgen: cannot start server: %s\n",
                      server.status().ToString().c_str());

@@ -13,19 +13,18 @@
 //
 // With --listen=PORT the binary instead boots the fgq::net socket server
 // over the synthetic serving workload (see fgq_loadgen) and runs until
-// SIGINT/SIGTERM, then drains gracefully and dumps stats. The listen-mode
-// database lives in a SnapshotStore, so clients may send `mutate` frames
-// under live traffic: every query answers at one pinned epoch (reported
-// in its response), and a mutation of relation R retires only the cached
-// plans over R:
+// SIGINT/SIGTERM, then drains gracefully and dumps stats. Clients may
+// send `mutate` frames under live traffic: every query answers at one
+// pinned epoch (reported in its response), and a mutation of relation R
+// retires only the cached plans over R:
 //
 //   ./build/examples/fgq_serve --listen=7411 --shards=2 --tuples=2000 &
 //   ./build/examples/fgq_loadgen --connect=127.0.0.1:7411 --qps=500
 //
 // Commands:
-//   fact <Rel> <v1> <v2> ...   add a fact (bumps the db version,
-//                              invalidating cached plans)
-//   load <path>                load a fact file
+//   fact <Rel> <v1> <v2> ...   add a fact (a new epoch of <Rel>: retires
+//                              only the cached plans over <Rel>)
+//   load <path>                load a fact file (published like `fact`)
 //   query <rule>               evaluate, e.g. query Q(x) :- R(x, y).
 //   count <rule>               count answers
 //   explain <rule>             classification verdict + witness + theorem
@@ -49,6 +48,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "fgq/db/loader.h"
 #include "fgq/db/snapshot.h"
@@ -100,6 +100,31 @@ void PrintResponse(const ServiceResponse& resp, ServeVerb verb,
   if (resp.answers->NumTuples() > limit) std::cout << "    ...\n";
 }
 
+/// Publishes facts parsed into `scratch`: rows for relations the store
+/// already holds go in one Apply batch (validated first, so a bad arity
+/// publishes nothing), then each new relation is added at its own epoch.
+Status Publish(const Database& scratch, SnapshotStore* store) {
+  const std::shared_ptr<const Snapshot> cur = store->Current();
+  MutationBatch batch;
+  std::vector<const Relation*> fresh;
+  for (const auto& [name, rel] : scratch.relations()) {
+    if (!cur->db().Has(name)) {
+      fresh.push_back(rel.get());
+      continue;
+    }
+    RelationMutation m{name, {}, {}};
+    for (size_t i = 0; i < rel->NumTuples(); ++i) {
+      m.inserts.push_back(rel->Row(i).ToTuple());
+    }
+    batch.push_back(std::move(m));
+  }
+  if (!batch.empty()) FGQ_RETURN_NOT_OK(store->Apply(batch).status());
+  for (const Relation* rel : fresh) {
+    FGQ_RETURN_NOT_OK(store->AddRelation(*rel));
+  }
+  return Status::OK();
+}
+
 volatile std::sig_atomic_t g_stop = 0;
 void OnSignal(int) { g_stop = 1; }
 
@@ -122,8 +147,6 @@ int RunNetServer(uint16_t port, size_t shards, size_t tuples,
   net::NetServerOptions opts;
   opts.port = port;
   opts.num_shards = shards;
-  // Snapshot-backed: clients can mutate under live traffic; each request
-  // pins one epoch and selective plan invalidation keeps the cache warm.
   SnapshotStore store(std::move(db));
   Result<std::unique_ptr<net::NetServer>> server =
       net::NetServer::Start(&store, opts);
@@ -186,11 +209,11 @@ int main(int argc, char** argv) {
     return RunNetServer(listen_port, shards, tuples, fact_file);
   }
 
-  Database db;
+  SnapshotStore store{Database()};
   Dictionary dict;
   ServiceOptions opts;
   opts.num_workers = 2;
-  QueryService service(&db, opts);
+  QueryService service(&store, opts);
   // One long-lived sink for all `trace` verbs of the session; flushed to
   // --trace=PATH on exit. (Per-request isolation is about correctness of
   // nesting — each request still runs under its own serve.request span.)
@@ -216,17 +239,18 @@ int main(int argc, char** argv) {
     }
     std::string rest;
     std::getline(ls, rest);
-    if (cmd == "fact") {
-      // A mutation: the db version bump invalidates every cached plan.
-      Status st = LoadFactsFromString(rest, &db, &dict, "<stdin>");
-      if (!st.ok()) std::cout << "  " << st << "\n";
-      continue;
-    }
-    if (cmd == "load") {
-      std::istringstream rs(rest);
-      std::string path;
-      rs >> path;
-      Status st = LoadFactsFromFile(path, &db, &dict);
+    if (cmd == "fact" || cmd == "load") {
+      Database scratch;
+      Status st;
+      if (cmd == "fact") {
+        st = LoadFactsFromString(rest, &scratch, &dict, "<stdin>");
+      } else {
+        std::istringstream rs(rest);
+        std::string path;
+        rs >> path;
+        st = LoadFactsFromFile(path, &scratch, &dict);
+      }
+      if (st.ok()) st = Publish(scratch, &store);
       if (!st.ok()) std::cout << "  " << st << "\n";
       continue;
     }
@@ -241,7 +265,7 @@ int main(int argc, char** argv) {
         std::cout << "  " << q.status() << "\n";
         continue;
       }
-      Result<Explanation> ex = Explain(*q, db);
+      Result<Explanation> ex = Explain(*q, store.Current()->db());
       if (!ex.ok()) {
         std::cout << "  " << ex.status() << "\n";
         continue;

@@ -7,34 +7,6 @@
 
 namespace fgq {
 
-Database::Database(const Database& other)
-    : relations_(other.relations_),
-      declared_domain_(other.declared_domain_),
-      version_(other.version()) {}
-
-Database::Database(Database&& other) noexcept
-    : relations_(std::move(other.relations_)),
-      declared_domain_(other.declared_domain_),
-      version_(other.version()) {}
-
-Database& Database::operator=(const Database& other) {
-  if (this != &other) {
-    relations_ = other.relations_;
-    declared_domain_ = other.declared_domain_;
-    version_.store(other.version(), std::memory_order_relaxed);
-  }
-  return *this;
-}
-
-Database& Database::operator=(Database&& other) noexcept {
-  if (this != &other) {
-    relations_ = std::move(other.relations_);
-    declared_domain_ = other.declared_domain_;
-    version_.store(other.version(), std::memory_order_relaxed);
-  }
-  return *this;
-}
-
 Status Database::AddRelation(Relation rel) {
   std::string name = rel.name();
   auto [it, inserted] = relations_.try_emplace(
@@ -43,7 +15,6 @@ Status Database::AddRelation(Relation rel) {
   if (!inserted) {
     return Status::AlreadyExists("relation '" + name + "' already exists");
   }
-  BumpVersion();
   return Status::OK();
 }
 
@@ -51,13 +22,11 @@ void Database::PutRelation(Relation rel) {
   std::string name = rel.name();
   relations_.insert_or_assign(std::move(name),
                               std::make_shared<Relation>(std::move(rel)));
-  BumpVersion();
 }
 
 void Database::PutRelationShared(std::shared_ptr<const Relation> rel) {
   std::string name = rel->name();
   relations_.insert_or_assign(std::move(name), std::move(rel));
-  BumpVersion();
 }
 
 Result<const Relation*> Database::Find(const std::string& name) const {
@@ -80,7 +49,6 @@ Result<Relation*> Database::FindMutable(const std::string& name) {
   if (it == relations_.end()) {
     return Status::NotFound("relation '" + name + "' not found");
   }
-  BumpVersion();
   // Copy-on-write: clone when any other Database copy or Snapshot still
   // holds the payload. A concurrent reader can only *drop* a reference
   // (use_count observed high clones unnecessarily — safe); acquiring a

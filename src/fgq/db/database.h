@@ -1,7 +1,6 @@
 #ifndef FGQ_DB_DATABASE_H_
 #define FGQ_DB_DATABASE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -19,29 +18,19 @@ namespace fgq {
 
 /// A finite relational structure.
 ///
-/// The database carries a monotonic *version* counter, bumped by every
-/// mutating entry point (AddRelation, PutRelation, FindMutable,
-/// DeclareDomainSize). The serving layer keys cached plans by
-/// (canonical query, version), so any mutation — even one that does not
-/// change a queried relation — conservatively invalidates every cached
-/// plan. Mutation is not thread-safe and must not race with readers;
-/// version() may be read concurrently between mutations (it is an atomic
-/// with relaxed ordering — a bare counter, not a synchronization point).
+/// Mutation is not thread-safe and must not race with readers. To serve a
+/// database under concurrent mutation, hand it to a SnapshotStore
+/// (db/snapshot.h): readers pin immutable epochs, writers publish new
+/// ones.
 ///
 /// Relations are stored behind shared immutable payloads with
 /// copy-on-write semantics: copying a Database is O(#relations) pointer
 /// copies, and mutators clone a relation's payload only when another
-/// Database copy (or a pinned Snapshot, see db/snapshot.h) still
-/// references it. Value semantics are preserved — a copy never observes
-/// writes made through the original, and vice versa.
+/// Database copy (or a pinned Snapshot) still references it. Value
+/// semantics are preserved — a copy never observes writes made through
+/// the original, and vice versa.
 class Database {
  public:
-  Database() = default;
-  Database(const Database& other);
-  Database(Database&& other) noexcept;
-  Database& operator=(const Database& other);
-  Database& operator=(Database&& other) noexcept;
-
   /// Adds a relation; fails if a relation with the same name exists.
   Status AddRelation(Relation rel);
 
@@ -63,16 +52,11 @@ class Database {
   std::shared_ptr<const Relation> FindShared(const std::string& name) const;
 
   /// Mutable lookup (used by rewriting passes that enrich the database).
-  /// Conservatively counts as a mutation: the version is bumped even if
-  /// the caller never writes through the returned pointer. If the
-  /// relation payload is shared with a Database copy or Snapshot, it is
-  /// cloned first (copy-on-write), so writes through the pointer are
-  /// never visible outside this Database. The pointer is invalidated by
+  /// If the relation payload is shared with a Database copy or Snapshot,
+  /// it is cloned first (copy-on-write), so writes through the pointer
+  /// are never visible outside this Database. The pointer is invalidated by
   /// any later copy/mutation of this Database.
   Result<Relation*> FindMutable(const std::string& name);
-
-  /// Monotonic mutation counter, starting at 1 for a fresh database.
-  uint64_t version() const { return version_.load(std::memory_order_relaxed); }
 
   bool Has(const std::string& name) const {
     return relations_.count(name) > 0;
@@ -91,10 +75,7 @@ class Database {
   Value DomainSize() const;
 
   /// Declares that the domain is [0, n) even if not all values occur.
-  void DeclareDomainSize(Value n) {
-    declared_domain_ = n;
-    BumpVersion();
-  }
+  void DeclareDomainSize(Value n) { declared_domain_ = n; }
 
   /// ||D|| in the paper's size measure (Section 2.1).
   size_t SizeWeight() const;
@@ -106,11 +87,8 @@ class Database {
   std::string ToString(size_t per_relation_limit = 10) const;
 
  private:
-  void BumpVersion() { version_.fetch_add(1, std::memory_order_relaxed); }
-
   std::map<std::string, std::shared_ptr<const Relation>> relations_;
   Value declared_domain_ = 0;
-  std::atomic<uint64_t> version_{1};
 };
 
 }  // namespace fgq

@@ -190,6 +190,21 @@ Result<uint64_t> SnapshotStore::Apply(const MutationBatch& batch,
   return next_epoch;
 }
 
+Status SnapshotStore::AddRelation(Relation rel) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::shared_ptr<const Snapshot> cur = current_;
+  const std::string name = rel.name();
+  auto next_db = std::make_shared<Database>(*cur->db_);
+  FGQ_RETURN_NOT_OK(next_db->AddRelation(std::move(rel)));
+  // Indexes only exist over relations already present: they carry over.
+  auto next = std::make_shared<Snapshot>(*cur);
+  next->epoch_ = cur->epoch_ + 1;
+  next->rel_epochs_[name] = next->epoch_;
+  next->db_ = std::move(next_db);
+  current_ = std::move(next);
+  return Status::OK();
+}
+
 Status SnapshotStore::MaintainIndex(const std::string& relation,
                                     std::vector<size_t> key_cols) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -16,11 +16,11 @@
 /// \file snapshot.h
 /// Epoch-based database snapshots with incremental index maintenance.
 ///
-/// The serving stack used to race its plan cache against mutations: a
-/// request read `Database::version()` once, then executed over whatever
-/// the relations looked like when its cursors finally ran — a stale-plan
-/// window where answers could mix pre- and post-mutation rows. The
-/// snapshot layer closes it:
+/// A SnapshotStore is the one data root of the serving stack
+/// (QueryService, net::NetServer): readers never see a relation change
+/// under them, so an answer is always exactly one epoch's state, never a
+/// torn mix of pre- and post-mutation rows. A plain Database is served
+/// by wrapping it: `SnapshotStore store(std::move(db));` is epoch 1.
 ///
 ///   * Readers call SnapshotStore::Current() and hold the returned
 ///     `shared_ptr<const Snapshot>` for the lifetime of the request (and
@@ -34,6 +34,8 @@
 ///     epoch and the per-relation epoch of every touched relation, and
 ///     publishes a new Snapshot. Untouched relations, their indexes, and
 ///     their per-relation epochs are shared with the previous snapshot.
+///     AddRelation is the one way to create a relation: it publishes the
+///     new relation at a new epoch, and Apply rejects unknown names.
 ///   * Reclamation is RCU-shaped but needs no epoch lists: superseded
 ///     snapshots stay alive exactly as long as some reader still pins
 ///     them; dropping the last shared_ptr frees the relations and
@@ -143,6 +145,11 @@ class SnapshotStore {
   /// a db.apply span with delta-maintenance counters.
   Result<uint64_t> Apply(const MutationBatch& batch,
                          TraceContext* trace = nullptr);
+
+  /// Publishes `rel` as a new relation at a new epoch (its relation
+  /// epoch). AlreadyExists for a known name, mirroring
+  /// Database::AddRelation; Apply keeps rejecting unknown relations.
+  Status AddRelation(Relation rel);
 
   /// Registers a hash index over `relation` keyed by `key_cols` to be
   /// maintained across epochs: built now, delta-updated by every Apply

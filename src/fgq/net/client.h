@@ -49,9 +49,8 @@ class Client {
   /// Send + Receive for the unpipelined case.
   Result<Response> Call(const Request& req);
 
-  /// Applies `ops` as one atomic batch on a snapshot-backed server and
-  /// returns the newly published epoch. Read-only servers answer
-  /// Unsupported.
+  /// Applies `ops` as one atomic batch on the server's store and returns
+  /// the newly published epoch.
   Result<uint64_t> Mutate(std::vector<MutationOp> ops, uint64_t id = 0);
 
   /// Half-closes the write side (the server sees EOF, finishes pending

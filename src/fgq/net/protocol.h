@@ -62,13 +62,13 @@
 ///                            | name_len:u32 | name[name_len]
 ///                            | arity:u32 | nrows:u64
 ///                            | values[nrows*arity] (i64 each, row-major)
-///                    A read-only (database-backed) server answers
-///                    Unsupported; a snapshot-backed server applies the
-///                    batch atomically and reports the published epoch.
+///                    The server applies the batch atomically (a batch
+///                    naming an unknown relation publishes nothing) and
+///                    reports the published epoch.
 ///
 /// Every successful response carries `epoch`: the snapshot epoch the
-/// request executed against (the newly published epoch for kMutate; 0 on
-/// read-only servers). Clients use it to order answers relative to their
+/// request executed against (the newly published epoch for kMutate; 0 for
+/// kPing). Clients use it to order answers relative to their
 /// own mutations — a response with epoch >= e observed every mutation up
 /// to e, linearizably.
 ///
@@ -151,8 +151,8 @@ struct Response {
   uint8_t classification = 0;  ///< QueryClass as u8 (valid on success).
   std::string text;         ///< Error message or algorithm name.
   /// Snapshot epoch the request executed against: the newly published
-  /// epoch for kMutate, the pinned epoch for query verbs, 0 on read-only
-  /// (database-backed) servers. Present on every successful response.
+  /// epoch for kMutate, the pinned epoch for query verbs, 0 for kPing.
+  /// Present on every successful response.
   uint64_t epoch = 0;
   /// kRows/kEnumerateLimit body. `nrows` is explicit on the wire rather
   /// than derived from values.size()/arity because arity-0 (Boolean)

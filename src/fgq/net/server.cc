@@ -169,13 +169,7 @@ struct NetServer::Impl {
     }
   };
 
-  /// Shared Start body: exactly one of db/store is non-null.
-  static Result<std::unique_ptr<Impl>> Create(const Database* db,
-                                              SnapshotStore* store,
-                                              NetServerOptions opts);
-
-  const Database* db = nullptr;    ///< Legacy read-only mode.
-  SnapshotStore* store = nullptr;  ///< Snapshot mode (kMutate live).
+  SnapshotStore* store = nullptr;
   NetServerOptions opts;
   uint16_t port = 0;
   std::vector<std::unique_ptr<Shard>> shards;
@@ -474,13 +468,8 @@ struct NetServer::Impl {
     if (req.verb == Verb::kExplain) {
       // Pin the current snapshot for the (synchronous) explain so a
       // concurrent Apply cannot pull the relations out from under it.
-      std::shared_ptr<const Snapshot> snap;
-      const Database* xdb = db;
-      if (store != nullptr) {
-        snap = store->Current();
-        xdb = &snap->db();
-      }
-      Result<Explanation> ex = Explain(*parsed, *xdb);
+      const std::shared_ptr<const Snapshot> snap = store->Current();
+      Result<Explanation> ex = Explain(*parsed, snap->db());
       if (!ex.ok()) {
         PushErrorReply(c, req.id, ex.status());
         return;
@@ -489,7 +478,7 @@ struct NetServer::Impl {
       r.id = req.id;
       r.classification = static_cast<uint8_t>(ex->classification);
       r.text = "explain";
-      if (snap != nullptr) r.epoch = snap->epoch();
+      r.epoch = snap->epoch();
       r.explain = ex->Text();
       PushEncodedReply(c, r, Verb::kExplain);
       return;
@@ -532,12 +521,6 @@ struct NetServer::Impl {
   /// order trivially correct — the epoch a later pipelined query pins is
   /// always >= the epoch this mutate published.
   void HandleMutate(Conn* c, const Request& req) {
-    if (store == nullptr) {
-      PushErrorReply(c, req.id,
-                     Status::Unsupported(
-                         "mutate on a read-only (database-backed) server"));
-      return;
-    }
     MutationBatch batch;
     batch.reserve(req.mutations.size());
     for (const MutationOp& op : req.mutations) {
@@ -690,19 +673,21 @@ struct NetServer::Impl {
 NetServer::NetServer(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
 NetServer::~NetServer() { Stop(); }
 
-Result<std::unique_ptr<NetServer::Impl>> NetServer::Impl::Create(
-    const Database* db, SnapshotStore* store, NetServerOptions opts) {
+Result<std::unique_ptr<NetServer>> NetServer::Start(SnapshotStore* store,
+                                                    NetServerOptions opts) {
+  if (store == nullptr) {
+    return Status::InvalidArgument("NetServer needs a snapshot store");
+  }
   if (opts.num_shards == 0) opts.num_shards = ThreadPool::HardwareThreads();
   if (opts.max_frame_bytes > kMaxFramePayload) {
     opts.max_frame_bytes = kMaxFramePayload;
   }
   auto impl = std::make_unique<NetServer::Impl>();
-  impl->db = db;
   impl->store = store;
   impl->opts = opts;
 
   for (size_t i = 0; i < opts.num_shards; ++i) {
-    auto shard = std::make_unique<Shard>();
+    auto shard = std::make_unique<Impl::Shard>();
     shard->owner = impl.get();
     shard->index = i;
     impl->shards.push_back(std::move(shard));
@@ -746,37 +731,16 @@ Result<std::unique_ptr<NetServer::Impl>> NetServer::Impl::Create(
         return Errno("epoll_ctl(listen)");
       }
     }
-    s->service = store != nullptr
-                     ? std::make_unique<QueryService>(store, opts.service)
-                     : std::make_unique<QueryService>(db, opts.service);
+    s->service = std::make_unique<QueryService>(store, opts.service);
     s->flushes = &s->service->metrics().GetCounter("net.flushes");
     s->flushed_frames = &s->service->metrics().GetCounter("net.flushed_frames");
   }
   // Threads last: everything a shard touches exists before it runs.
   for (auto& s : impl->shards) {
     Impl* raw = impl.get();
-    Shard* sp = s.get();
+    Impl::Shard* sp = s.get();
     s->thread = std::thread([raw, sp] { raw->ShardLoop(sp); });
   }
-  return impl;
-}
-
-Result<std::unique_ptr<NetServer>> NetServer::Start(const Database* db,
-                                                    NetServerOptions opts) {
-  if (db == nullptr) {
-    return Status::InvalidArgument("NetServer needs a database");
-  }
-  FGQ_ASSIGN_OR_RETURN(auto impl, Impl::Create(db, nullptr, std::move(opts)));
-  return std::unique_ptr<NetServer>(new NetServer(std::move(impl)));
-}
-
-Result<std::unique_ptr<NetServer>> NetServer::Start(SnapshotStore* store,
-                                                    NetServerOptions opts) {
-  if (store == nullptr) {
-    return Status::InvalidArgument("NetServer needs a snapshot store");
-  }
-  FGQ_ASSIGN_OR_RETURN(auto impl,
-                       Impl::Create(nullptr, store, std::move(opts)));
   return std::unique_ptr<NetServer>(new NetServer(std::move(impl)));
 }
 
@@ -825,11 +789,6 @@ struct NetServer::Impl {};
 
 NetServer::NetServer(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
 NetServer::~NetServer() = default;
-
-Result<std::unique_ptr<NetServer>> NetServer::Start(const Database*,
-                                                    NetServerOptions) {
-  return Status::Unsupported("fgq::net requires Linux (epoll/eventfd)");
-}
 
 Result<std::unique_ptr<NetServer>> NetServer::Start(SnapshotStore*,
                                                     NetServerOptions) {

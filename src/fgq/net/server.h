@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "fgq/db/database.h"
+#include "fgq/db/snapshot.h"
 #include "fgq/net/protocol.h"
 #include "fgq/serve/query_service.h"
 #include "fgq/util/status.h"
@@ -24,9 +24,9 @@
 /// * **Shard-per-core.** The server runs `num_shards` independent shards.
 ///   Each shard owns an epoll event loop thread, its accepted
 ///   connections, and a private QueryService (plan cache, admission
-///   queue, worker threads) over the shared read-only Database. Shards
-///   share no mutable state, so throughput scales with shards instead of
-///   serializing on one service mutex/queue.
+///   queue, worker threads) over the shared SnapshotStore. Shards share
+///   no mutable state beyond the store, so throughput scales with shards
+///   instead of serializing on one service mutex/queue.
 /// * **Routing.** With `use_reuseport` (the default), every shard binds
 ///   its own listening socket with SO_REUSEPORT and the kernel routes
 ///   each new connection to one shard — zero cross-thread handoff.
@@ -46,17 +46,12 @@
 ///   parse failure, deadline, queue-full rejection) are per-request
 ///   responses on a healthy connection.
 ///
-/// The server reads its data through one of two roots, mirroring
-/// QueryService:
-///
-/// * **A SnapshotStore** (preferred). Shards share the store; every
-///   request pins the current epoch snapshot, and the kMutate verb is
-///   live: the shard applies the batch through SnapshotStore::Apply
-///   (atomic, totally ordered across shards) and replies with the new
-///   epoch while concurrent queries keep draining their pinned epochs.
-/// * **A bare `const Database*`** (legacy, read-only). The database is
-///   borrowed and must stay immutable while the server runs; kMutate is
-///   answered with Unsupported.
+/// The server reads its data through one root, a SnapshotStore, like
+/// QueryService. Shards share the store; every request pins the current
+/// epoch snapshot, and the kMutate verb applies its batch through
+/// SnapshotStore::Apply (atomic, totally ordered across shards) and
+/// replies with the new epoch while concurrent queries keep draining
+/// their pinned epochs.
 
 namespace fgq {
 namespace net {
@@ -104,13 +99,10 @@ struct NetServerStats {
 
 class NetServer {
  public:
-  /// Binds, starts the shard threads, returns a running read-only server.
-  /// Fails with Unavailable/Internal on socket errors, Unsupported on
-  /// platforms without epoll.
-  static Result<std::unique_ptr<NetServer>> Start(const Database* db,
-                                                  NetServerOptions opts);
-  /// Snapshot-backed server: requests pin epochs, kMutate is served.
-  /// `store` is not owned and must outlive the server.
+  /// Binds, starts the shard threads, returns a running server: requests
+  /// pin epochs of `store`, kMutate applies to it. `store` is not owned
+  /// and must outlive the server. Fails with Unavailable/Internal on
+  /// socket errors, Unsupported on platforms without epoll.
   static Result<std::unique_ptr<NetServer>> Start(SnapshotStore* store,
                                                   NetServerOptions opts);
 

@@ -65,8 +65,8 @@ std::string CanonicalQueryText(const ConjunctiveQuery& q) {
   return out;
 }
 
-PlanKey MakeSnapshotPlanKey(const ConjunctiveQuery& q, const Snapshot& snap,
-                            uint8_t semiring) {
+PlanKey MakePlanKey(const ConjunctiveQuery& q, const Snapshot& snap,
+                    uint8_t semiring) {
   PlanKey key;
   key.canonical = CanonicalQueryText(q);
   key.semiring = semiring;

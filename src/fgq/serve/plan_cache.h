@@ -27,10 +27,10 @@
 /// keeps the immutable preprocessing artifact — the fgq::vm Program
 /// lowered from the IndexedFreeConnexPlan for free-connex/Boolean
 /// queries, the materialized answer relation for the other classes —
-/// keyed by the *canonicalized* query text and the database's version
-/// counter, so a repeated query (even alpha-renamed) skips straight to
-/// the enumeration phase, and any mutation of the database invalidates
-/// every program built against it simply by changing the key.
+/// keyed by the *canonicalized* query text and the per-relation epochs of
+/// the pinned snapshot, so a repeated query (even alpha-renamed) skips
+/// straight to the enumeration phase, and a mutation of relation R
+/// invalidates the programs built over R simply by changing their key.
 
 namespace fgq {
 
@@ -45,31 +45,26 @@ std::string CanonicalQueryText(const ConjunctiveQuery& q);
 /// Cache key: canonical query text + the data state it was built against
 /// + the semiring of a count-verb request.
 ///
-/// The data state is one of two granularities:
-///   * Legacy (db-backed service): `db_version` = Database::version() —
-///     any mutation invalidates every plan.
-///   * Snapshot-backed service: `rel_epochs` = the pinned snapshot's
-///     per-relation epoch for each distinct relation the query mentions
-///     (first-occurrence order, which the canonical text fixes), with
-///     `db_version` left 0. A mutation of relation R changes only R's
-///     epoch, so plans over untouched relations keep hitting — selective
-///     invalidation. Stale entries age out of the LRU.
+/// The data state is `rel_epochs`: the pinned snapshot's per-relation
+/// epoch for each distinct relation the query mentions (first-occurrence
+/// order, which the canonical text fixes). A mutation of relation R
+/// changes only R's epoch, so plans over untouched relations keep hitting
+/// — selective invalidation. Stale entries age out of the LRU.
 struct PlanKey {
   std::string canonical;
-  uint64_t db_version = 0;
-  /// Per-relation epochs of the snapshot the plan was prepared against
-  /// (empty on the legacy whole-version path). Absent relations record
-  /// epoch 0, so creating one later invalidates too.
+  /// Per-relation epochs of the snapshot the plan was prepared against.
+  /// Absent relations record epoch 0, so creating one later invalidates
+  /// too.
   std::vector<uint64_t> rel_epochs;
   /// static_cast<uint8_t>(SemiringId) of the preparing request (0 =
-  /// counting — rows-verb and legacy count requests). A cached entry may
-  /// memoize the count-verb aggregate, which is semiring-specific, so
+  /// counting — rows-verb and counting count requests). A cached entry
+  /// may memoize the count-verb aggregate, which is semiring-specific, so
   /// aggregates under different semirings must never alias one entry.
   uint8_t semiring = 0;
 
   bool operator==(const PlanKey& o) const {
-    return db_version == o.db_version && semiring == o.semiring &&
-           rel_epochs == o.rel_epochs && canonical == o.canonical;
+    return semiring == o.semiring && rel_epochs == o.rel_epochs &&
+           canonical == o.canonical;
   }
 };
 
@@ -80,8 +75,7 @@ struct PlanKey {
 /// mix (see tests/serve_test.cc PlanKeyHashSwappedFields).
 struct PlanKeyHash {
   size_t operator()(const PlanKey& k) const {
-    uint64_t h = HashCombine(0x51ed270bu, k.db_version);
-    h = HashCombine(h, k.semiring);
+    uint64_t h = HashCombine(0x51ed270bu, k.semiring);
     h = HashCombine(h, k.rel_epochs.size());
     for (uint64_t e : k.rel_epochs) h = HashCombine(h, e);
     h = HashCombine(h, std::hash<std::string>()(k.canonical));
@@ -89,12 +83,12 @@ struct PlanKeyHash {
   }
 };
 
-/// Builds the snapshot-granularity key for `q` pinned at `snap`: the
-/// canonical text plus the epoch of each distinct relation the query
-/// mentions, in first-mention order (atoms, which the canonical text
-/// preserves, then negated atoms share the same list).
-PlanKey MakeSnapshotPlanKey(const ConjunctiveQuery& q, const Snapshot& snap,
-                            uint8_t semiring = 0);
+/// Builds the key for `q` pinned at `snap`: the canonical text plus the
+/// epoch of each distinct relation the query mentions, in first-mention
+/// order (atoms, which the canonical text preserves, then negated atoms
+/// share the same list).
+PlanKey MakePlanKey(const ConjunctiveQuery& q, const Snapshot& snap,
+                    uint8_t semiring = 0);
 
 /// One cached preparation. Exactly one of `program` / `answers` is set:
 /// free-connex and Boolean queries cache the fgq::vm program lowered from

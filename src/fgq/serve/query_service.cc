@@ -11,11 +11,6 @@ namespace fgq {
 
 namespace {
 
-/// Latency buckets, 1 ns .. ~8.6 s (Histogram::LatencyBounds). The old
-/// 1 us-start buckets clipped sub-microsecond enumeration steps into the
-/// bottom bucket, making p50 of a ~38 ns delay read as ~0.5 us.
-std::vector<double> LatencyBounds() { return Histogram::LatencyBounds(); }
-
 double ToMicros(std::chrono::nanoseconds d) {
   return static_cast<double>(d.count()) / 1000.0;
 }
@@ -54,31 +49,28 @@ void QueryService::Resolve(Pending& p, ServiceResponse resp) {
   }
 }
 
-QueryService::QueryService(const Database* db, ServiceOptions opts)
-    : db_(db),
-      store_(nullptr),
-      opts_(opts),
-      engine_(opts.exec),
-      cache_(opts.cache_capacity) {
-  if (opts_.num_workers == 0) opts_.num_workers = 1;
-  if (opts_.max_pending == 0) opts_.max_pending = 1;
-  if (opts_.max_concurrent_heavy == 0) {
-    opts_.max_concurrent_heavy = std::max<size_t>(1, opts_.num_workers / 2);
-  }
-  opts_.max_concurrent_heavy =
-      std::min(opts_.max_concurrent_heavy, opts_.num_workers);
-  workers_.reserve(opts_.num_workers);
-  for (size_t i = 0; i < opts_.num_workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
 QueryService::QueryService(SnapshotStore* store, ServiceOptions opts)
-    : db_(nullptr),
-      store_(store),
+    : store_(store),
       opts_(opts),
       engine_(opts.exec),
-      cache_(opts.cache_capacity) {
+      cache_(opts.cache_capacity),
+      requests_(metrics_.GetCounter("serve.requests")),
+      rejected_(metrics_.GetCounter("serve.rejected")),
+      pins_(metrics_.GetCounter("serve.snapshot.pins")),
+      hits_(metrics_.GetCounter("serve.cache.hits")),
+      misses_(metrics_.GetCounter("serve.cache.misses")),
+      compiled_(metrics_.GetCounter("serve.vm.compiled")),
+      deadline_exceeded_(metrics_.GetCounter("serve.deadline_exceeded")),
+      cancelled_(metrics_.GetCounter("serve.cancelled")),
+      queue_wait_us_(metrics_.GetHistogram("serve.queue_wait_us",
+                                           Histogram::LatencyBounds())),
+      exec_us_(metrics_.GetHistogram("serve.exec_us",
+                                     Histogram::LatencyBounds())) {
+  for (size_t c = 0; c < kNumClasses; ++c) {
+    requests_by_class_[c] = &metrics_.GetCounter(
+        std::string("serve.requests.") +
+        QueryClassName(static_cast<QueryClass>(c)));
+  }
   if (opts_.num_workers == 0) opts_.num_workers = 1;
   if (opts_.max_pending == 0) opts_.max_pending = 1;
   if (opts_.max_concurrent_heavy == 0) {
@@ -94,9 +86,8 @@ QueryService::QueryService(SnapshotStore* store, ServiceOptions opts)
 
 QueryService::~QueryService() { Stop(); }
 
-std::future<ServiceResponse> QueryService::Enqueue(ServiceRequest req,
-                                                   SubmitPolicy policy,
-                                                   Status* reject) {
+std::future<ServiceResponse> QueryService::Submit(ServiceRequest req,
+                                                  SubmitPolicy policy) {
   auto p = std::make_unique<Pending>();
   p->classification = Engine::Classify(req.query);
   p->cancel = req.timeout.count() > 0 ? CancelToken::WithTimeout(req.timeout)
@@ -105,6 +96,7 @@ std::future<ServiceResponse> QueryService::Enqueue(ServiceRequest req,
   p->req = std::move(req);
   std::future<ServiceResponse> fut = p->promise.get_future();
 
+  Status reject;
   {
     std::unique_lock<std::mutex> lock(mu_);
     if (policy.on_full == SubmitPolicy::OnFull::kBlock) {
@@ -118,35 +110,26 @@ std::future<ServiceResponse> QueryService::Enqueue(ServiceRequest req,
       }
     }
     if (stopping_) {
-      *reject = Status::Cancelled("service is stopping");
+      reject = Status::Cancelled("service is stopping");
     } else if (light_.size() + heavy_.size() >= opts_.max_pending) {
-      *reject = Status::ResourceExhausted(
+      reject = Status::ResourceExhausted(
           "request queue full (" + std::to_string(opts_.max_pending) +
           " pending)");
     } else {
       p->seq = next_seq_++;
-      metrics_.GetCounter("serve.requests").Increment();
-      metrics_
-          .GetCounter(std::string("serve.requests.") +
-                      QueryClassName(p->classification))
-          .Increment();
+      requests_.Increment();
+      requests_by_class_[static_cast<size_t>(p->classification)]->Increment();
       (TakesHeavyLane(*p) ? heavy_ : light_).push_back(std::move(p));
       work_cv_.notify_one();
       return fut;
     }
   }
-  metrics_.GetCounter("serve.rejected").Increment();
+  rejected_.Increment();
   ServiceResponse resp;
-  resp.status = *reject;
+  resp.status = std::move(reject);
   resp.classification = p->classification;
   Resolve(*p, std::move(resp));
   return fut;
-}
-
-std::future<ServiceResponse> QueryService::Submit(ServiceRequest req,
-                                                  SubmitPolicy policy) {
-  Status reject = Status::OK();
-  return Enqueue(std::move(req), policy, &reject);
 }
 
 void QueryService::CancelAll() {
@@ -243,9 +226,7 @@ ServiceResponse QueryService::Process(Pending& p) {
   ServiceResponse resp;
   resp.classification = p.classification;
   resp.queue_wait = started - p.enqueued;
-  metrics_
-      .GetHistogram("serve.queue_wait_us", LatencyBounds())
-      .Observe(ToMicros(resp.queue_wait));
+  queue_wait_us_.Observe(ToMicros(resp.queue_wait));
 
   TraceSpan request_span(p.req.trace, "serve.request", "serve");
   if (p.req.trace != nullptr) {
@@ -253,46 +234,34 @@ ServiceResponse QueryService::Process(Pending& p) {
     request_span.Arg("verb", p.req.verb == ServeVerb::kRows ? "rows" : "count");
   }
 
-  // Snapshot mode: pin the current epoch once, up front. Everything the
-  // request does — cache keying, preparation, cursor enumeration — reads
-  // this one immutable view, so a mutation applied mid-request can never
-  // produce a torn answer (the stale-plan window the legacy path has).
+  // Pin the current epoch once, up front. Everything the request does —
+  // cache keying, preparation, cursor enumeration — reads this one
+  // immutable view, so a mutation applied mid-request can never produce
+  // a torn answer.
   std::shared_ptr<const Snapshot> snap;
-  const Database* db = db_;
-  if (store_ != nullptr) {
-    {
-      TraceSpan pin_span(p.req.trace, "serve.snapshot_pin", "serve");
-      snap = store_->Current();
-    }
-    db = &snap->db();
-    resp.epoch = snap->epoch();
-    metrics_.GetCounter("serve.snapshot.pins").Increment();
-    if (p.req.trace != nullptr) {
-      request_span.Arg("epoch", std::to_string(snap->epoch()));
-    }
+  {
+    TraceSpan pin_span(p.req.trace, "serve.snapshot_pin", "serve");
+    snap = store_->Current();
+  }
+  resp.epoch = snap->epoch();
+  pins_.Increment();
+  if (p.req.trace != nullptr) {
+    request_span.Arg("epoch", std::to_string(snap->epoch()));
   }
 
-  // In snapshot mode the key carries per-relation epochs instead of the
-  // whole-database version — selective invalidation. The count verb's
-  // semiring is part of the key: an entry may memoize its aggregate, and
-  // a min-plus aggregate must never answer a boolean request. Rows
-  // requests always key semiring 0 (counting), so they keep sharing plans
-  // with counting requests.
+  // The key carries per-relation epochs — selective invalidation. The
+  // count verb's semiring is part of the key: an entry may memoize its
+  // aggregate, and a min-plus aggregate must never answer a boolean
+  // request. Rows requests always key semiring 0 (counting), so they
+  // keep sharing plans with counting requests.
   const SemiringId semiring = p.req.verb == ServeVerb::kCount
                                   ? p.req.semiring
                                   : SemiringId::kCounting;
   if (p.req.trace != nullptr && semiring != SemiringId::kCounting) {
     request_span.Arg("semiring", SemiringName(semiring));
   }
-  PlanKey key;
-  if (snap != nullptr) {
-    key = MakeSnapshotPlanKey(p.req.query, *snap,
-                              static_cast<uint8_t>(semiring));
-  } else {
-    key.canonical = CanonicalQueryText(p.req.query);
-    key.db_version = db_->version();
-    key.semiring = static_cast<uint8_t>(semiring);
-  }
+  const PlanKey key =
+      MakePlanKey(p.req.query, *snap, static_cast<uint8_t>(semiring));
   std::shared_ptr<const CachedPlan> cached;
   // A request whose deadline expired while queued fails fast.
   Status admitted = p.cancel.Check("queue wait");
@@ -301,12 +270,12 @@ ServiceResponse QueryService::Process(Pending& p) {
   } else {
     cached = cache_.Get(key);
     if (cached) {
-      metrics_.GetCounter("serve.cache.hits").Increment();
+      hits_.Increment();
       resp.cache_hit = true;
       request_span.Arg("cache", "hit");
     } else {
-      metrics_.GetCounter("serve.cache.misses").Increment();
-      cached = Prepare(p, *db, &resp);
+      misses_.Increment();
+      cached = Prepare(p, snap->db(), &resp);
       if (cached && resp.status.ok()) cache_.Put(key, cached);
     }
   }
@@ -408,14 +377,12 @@ ServiceResponse QueryService::Process(Pending& p) {
   }
 
   if (resp.status.code() == StatusCode::kDeadlineExceeded) {
-    metrics_.GetCounter("serve.deadline_exceeded").Increment();
+    deadline_exceeded_.Increment();
   } else if (resp.status.code() == StatusCode::kCancelled) {
-    metrics_.GetCounter("serve.cancelled").Increment();
+    cancelled_.Increment();
   }
   resp.exec_time = std::chrono::steady_clock::now() - started;
-  metrics_
-      .GetHistogram("serve.exec_us", LatencyBounds())
-      .Observe(ToMicros(resp.exec_time));
+  exec_us_.Observe(ToMicros(resp.exec_time));
   if (p.req.trace != nullptr) {
     // Per-phase attribution: completed evaluation spans of this request
     // become serve.phase.<name>_us observations, so the \stats dump shows
@@ -423,7 +390,9 @@ ServiceResponse QueryService::Process(Pending& p) {
     // enumeration), not just end-to-end exec_us.
     for (const TraceContext::Event& ev : p.req.trace->events()) {
       if (ev.end_ns < 0 || ev.name == "serve.request") continue;
-      metrics_.GetHistogram("serve.phase." + ev.name + "_us", LatencyBounds())
+      metrics_
+          .GetHistogram("serve.phase." + ev.name + "_us",
+                        Histogram::LatencyBounds())
           .Observe(static_cast<double>(ev.DurationNs()) / 1000.0);
     }
   }
@@ -449,7 +418,7 @@ std::shared_ptr<const CachedPlan> QueryService::Prepare(Pending& p,
     }
     plan->program = std::move(program).value();
     plan->algorithm = plan->program->algorithm;
-    metrics_.GetCounter("serve.vm.compiled").Increment();
+    compiled_.Increment();
     if (p.req.verb == ServeVerb::kCount &&
         p.req.semiring != SemiringId::kCounting) {
       // Memoize the aggregate on this (semiring-keyed, epoch-keyed)

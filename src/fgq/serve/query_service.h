@@ -31,9 +31,9 @@
 ///
 /// * **Plan caching.** Prepared plans (the Theorem 4.6 preprocessing for
 ///   free-connex queries, materialized answers otherwise) live in an LRU
-///   keyed by canonical query text + database version, so repeated
-///   queries skip the O(||D||) preparation and any database mutation
-///   invalidates stale plans by construction (see plan_cache.h).
+///   keyed by canonical query text + per-relation epochs, so repeated
+///   queries skip the O(||D||) preparation and a mutation of relation R
+///   invalidates the plans over R by construction (see plan_cache.h).
 /// * **Deadlines and cancellation.** Every request carries a CancelToken
 ///   that the evaluation loops poll; an expired deadline surfaces as
 ///   Status::DeadlineExceeded with partial-work accounting instead of a
@@ -52,22 +52,15 @@
 ///   and execution-time histograms, all readable as a text dump (the
 ///   `\stats` verb of examples/fgq_serve.cpp).
 ///
-/// The service reads its data through one of two roots given at
-/// construction:
-///
-/// * **A SnapshotStore** (preferred). Each request pins the store's
-///   current Snapshot once, executes entirely against that immutable
-///   epoch, and reports the epoch in its response — mutations applied
-///   concurrently via SnapshotStore::Apply are safe under live traffic,
-///   and every answer is exactly the pre- or post-mutation state, never a
-///   torn mix. Plans are cached per (canonical query, per-relation
-///   epochs, semiring), so a mutation invalidates only the plans whose
-///   atoms it touched.
-/// * **A bare `const Database*`** (legacy). The service never mutates it.
-///   Mutating the database between requests is fine (plans re-prepare
-///   against the new version, which invalidates the whole cache); but
-///   mutating it *while* requests are in flight is a data race, exactly
-///   as with a bare Engine.
+/// The service reads its data through one root, a SnapshotStore given at
+/// construction. Each request pins the store's current Snapshot once,
+/// executes entirely against that immutable epoch, and reports the epoch
+/// in its response — mutations applied concurrently via
+/// SnapshotStore::Apply are safe under live traffic, and every answer is
+/// exactly the pre- or post-mutation state, never a torn mix. Plans are
+/// cached per (canonical query, per-relation epochs, semiring), so a
+/// mutation invalidates only the plans whose atoms it touched. A plain
+/// Database is served by wrapping it in a one-epoch store.
 
 namespace fgq {
 
@@ -172,8 +165,8 @@ struct ServiceResponse {
   /// layer serializes semiring_value.Encode() as the count body.
   SemiringValue semiring_value;
   bool cache_hit = false;
-  /// Epoch of the snapshot the request executed against (snapshot-backed
-  /// services only; 0 on the legacy database-pointer path). The epoch is
+  /// Epoch of the snapshot the request executed against (0 for a request
+  /// that never ran: rejected, or cancelled while queued). The epoch is
   /// pinned once per request, so answers are linearizable at it.
   uint64_t epoch = 0;
   std::chrono::nanoseconds queue_wait{0};
@@ -184,12 +177,10 @@ struct ServiceResponse {
 /// queued requests, waits for in-flight ones, and joins.
 class QueryService {
  public:
-  /// Legacy read-only mode over a caller-owned database (see the file
-  /// comment for the mutation caveats).
-  QueryService(const Database* db, ServiceOptions opts = ServiceOptions());
-  /// Snapshot mode: every request pins `store`'s current snapshot for
-  /// its lifetime. `store` is not owned and must outlive the service.
-  QueryService(SnapshotStore* store, ServiceOptions opts = ServiceOptions());
+  /// Every request pins `store`'s current snapshot for its lifetime.
+  /// `store` is not owned and must outlive the service.
+  explicit QueryService(SnapshotStore* store,
+                        ServiceOptions opts = ServiceOptions());
   ~QueryService();
 
   QueryService(const QueryService&) = delete;
@@ -238,9 +229,9 @@ class QueryService {
   /// Executes one admitted request (snapshot pin, cache lookup,
   /// evaluation, metrics).
   ServiceResponse Process(Pending& p);
-  /// Evaluation on cache miss against `db` (the pinned snapshot's view in
-  /// snapshot mode); fills `out` and returns the plan to cache (nullptr
-  /// when the result must not be cached, e.g. after a deadline).
+  /// Evaluation on cache miss against `db` (the pinned snapshot's view);
+  /// fills `out` and returns the plan to cache (nullptr when the result
+  /// must not be cached, e.g. after a deadline).
   std::shared_ptr<const CachedPlan> Prepare(Pending& p, const Database& db,
                                             ServiceResponse* out);
 
@@ -251,15 +242,27 @@ class QueryService {
   /// the hook always observes a ready future).
   static void Resolve(Pending& p, ServiceResponse resp);
 
-  std::future<ServiceResponse> Enqueue(ServiceRequest req, SubmitPolicy policy,
-                                       Status* reject);
-
-  const Database* db_;        // Legacy mode; null in snapshot mode.
-  SnapshotStore* store_;      // Snapshot mode; null in legacy mode.
+  SnapshotStore* store_;
   ServiceOptions opts_;
   Engine engine_;
   PlanCache cache_;
   MetricsRegistry metrics_;
+
+  /// Instruments resolved once at construction: recording on a handle is
+  /// lock-free, looking one up by name takes the registry mutex.
+  static constexpr size_t kNumClasses =
+      static_cast<size_t>(QueryClass::kCyclic) + 1;
+  Counter& requests_;
+  Counter* requests_by_class_[kNumClasses];  // serve.requests.<class>
+  Counter& rejected_;
+  Counter& pins_;
+  Counter& hits_;
+  Counter& misses_;
+  Counter& compiled_;
+  Counter& deadline_exceeded_;
+  Counter& cancelled_;
+  Histogram& queue_wait_us_;
+  Histogram& exec_us_;
 
   /// Serializes Stop(): held for the entire shutdown (including the
   /// joins, which must happen outside mu_). Always acquired before mu_.

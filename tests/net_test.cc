@@ -74,9 +74,9 @@ std::set<Tuple> WireRows(const Response& resp) {
   return out;
 }
 
-std::unique_ptr<NetServer> StartOrSkip(const Database& db,
+std::unique_ptr<NetServer> StartOrSkip(SnapshotStore* store,
                                        NetServerOptions opts) {
-  auto server = NetServer::Start(&db, std::move(opts));
+  auto server = NetServer::Start(store, std::move(opts));
   if (!server.ok() &&
       server.status().code() == StatusCode::kUnsupported) {
     return nullptr;  // Non-Linux build of the stub; caller GTEST_SKIPs.
@@ -85,8 +85,8 @@ std::unique_ptr<NetServer> StartOrSkip(const Database& db,
   return server.ok() ? std::move(*server) : nullptr;
 }
 
-#define START_OR_SKIP(server, db, opts)                         \
-  std::unique_ptr<NetServer> server = StartOrSkip(db, opts);    \
+#define START_OR_SKIP(server, store, opts)                       \
+  std::unique_ptr<NetServer> server = StartOrSkip(store, opts); \
   if (!server) GTEST_SKIP() << "fgq::net unsupported platform"
 
 std::unique_ptr<Client> Connect(const NetServer& server) {
@@ -108,8 +108,8 @@ Request Make(uint64_t id, Verb verb, const std::string& query,
 // ---- Pipelined mixed verbs vs direct Engine --------------------------------
 
 TEST(NetTest, PipelinedMixedVerbsMatchDirectEngine) {
-  const Database db = TinyGraph();
-  START_OR_SKIP(server, db, NetServerOptions{});
+  SnapshotStore store(TinyGraph());
+  START_OR_SKIP(server, &store, NetServerOptions{});
   std::unique_ptr<Client> client = Connect(*server);
 
   const std::string rule = "Q(x, y) :- E(x, y), B(y).";
@@ -126,7 +126,8 @@ TEST(NetTest, PipelinedMixedVerbsMatchDirectEngine) {
 
   Engine engine;
   const ConjunctiveQuery q = Q(rule);
-  Result<ExecResult> direct = engine.Run(ExecRequest(q, db));
+  const std::shared_ptr<const Snapshot> snap = store.Current();
+  Result<ExecResult> direct = engine.Run(ExecRequest(q, snap->db()));
   ASSERT_TRUE(direct.ok()) << direct.status();
 
   Result<Response> rows = client->Receive(Verb::kRows);
@@ -180,8 +181,8 @@ TEST(NetTest, PipelinedMixedVerbsMatchDirectEngine) {
 }
 
 TEST(NetTest, CacheHitFlagSetOnRepeat) {
-  const Database db = TinyGraph();
-  START_OR_SKIP(server, db, NetServerOptions{});
+  SnapshotStore store(TinyGraph());
+  START_OR_SKIP(server, &store, NetServerOptions{});
   std::unique_ptr<Client> client = Connect(*server);
   const std::string rule = "Q(x) :- E(x, y).";
   Result<Response> cold = client->Call(Make(1, Verb::kRows, rule));
@@ -198,8 +199,8 @@ TEST(NetTest, CacheHitFlagSetOnRepeat) {
 // ---- Error handling ---------------------------------------------------------
 
 TEST(NetTest, ParseErrorKeepsConnectionUsable) {
-  const Database db = TinyGraph();
-  START_OR_SKIP(server, db, NetServerOptions{});
+  SnapshotStore store(TinyGraph());
+  START_OR_SKIP(server, &store, NetServerOptions{});
   std::unique_ptr<Client> client = Connect(*server);
 
   Result<Response> bad =
@@ -225,8 +226,8 @@ TEST(NetTest, ParseErrorKeepsConnectionUsable) {
 }
 
 TEST(NetTest, FramingErrorClosesConnection) {
-  const Database db = TinyGraph();
-  START_OR_SKIP(server, db, NetServerOptions{});
+  SnapshotStore store(TinyGraph());
+  START_OR_SKIP(server, &store, NetServerOptions{});
   std::unique_ptr<Client> client = Connect(*server);
 
   // Garbage with a wrong magic: a framing violation, not an application
@@ -249,8 +250,8 @@ TEST(NetTest, FramingErrorClosesConnection) {
 }
 
 TEST(NetTest, FreshConnectionWorksAfterFramingError) {
-  const Database db = TinyGraph();
-  START_OR_SKIP(server, db, NetServerOptions{});
+  SnapshotStore store(TinyGraph());
+  START_OR_SKIP(server, &store, NetServerOptions{});
   {
     std::unique_ptr<Client> broken = Connect(*server);
     ASSERT_TRUE(broken->SendRaw("not a frame at all.....").ok());
@@ -267,11 +268,11 @@ TEST(NetTest, FreshConnectionWorksAfterFramingError) {
 // ---- Routing ----------------------------------------------------------------
 
 TEST(NetTest, RouterModeServesManyConnections) {
-  const Database db = TinyGraph();
+  SnapshotStore store(TinyGraph());
   NetServerOptions opts;
   opts.num_shards = 2;
   opts.use_reuseport = false;  // Round-robin fd handoff through shard 0.
-  START_OR_SKIP(server, db, opts);
+  START_OR_SKIP(server, &store, opts);
   EXPECT_EQ(server->num_shards(), 2u);
 
   // More connections than shards so every shard serves at least one.
@@ -293,11 +294,11 @@ TEST(NetTest, RouterModeServesManyConnections) {
 }
 
 TEST(NetTest, ReuseportModeServesManyConnections) {
-  const Database db = TinyGraph();
+  SnapshotStore store(TinyGraph());
   NetServerOptions opts;
   opts.num_shards = 2;
   opts.use_reuseport = true;
-  START_OR_SKIP(server, db, opts);
+  START_OR_SKIP(server, &store, opts);
   for (int i = 0; i < 6; ++i) {
     std::unique_ptr<Client> client = Connect(*server);
     Result<Response> resp = client->Call(
@@ -311,8 +312,8 @@ TEST(NetTest, ReuseportModeServesManyConnections) {
 // ---- Shutdown ---------------------------------------------------------------
 
 TEST(NetTest, GracefulStopFlushesInFlightResponses) {
-  const Database db = TinyGraph();
-  START_OR_SKIP(server, db, NetServerOptions{});
+  SnapshotStore store(TinyGraph());
+  START_OR_SKIP(server, &store, NetServerOptions{});
   std::unique_ptr<Client> client = Connect(*server);
 
   // Pipeline a batch, then stop the server before reading: the drain
@@ -341,8 +342,8 @@ TEST(NetTest, GracefulStopFlushesInFlightResponses) {
 }
 
 TEST(NetTest, ClientHalfCloseDrainsThenEof) {
-  const Database db = TinyGraph();
-  START_OR_SKIP(server, db, NetServerOptions{});
+  SnapshotStore store(TinyGraph());
+  START_OR_SKIP(server, &store, NetServerOptions{});
   std::unique_ptr<Client> client = Connect(*server);
   ASSERT_TRUE(client->Send(Make(1, Verb::kCount, "Q(x) :- E(x, y).")).ok());
   client->ShutdownWrite();
@@ -354,17 +355,6 @@ TEST(NetTest, ClientHalfCloseDrainsThenEof) {
 }
 
 // ---- Mutations over the wire ------------------------------------------------
-
-std::unique_ptr<NetServer> StartStoreOrSkip(SnapshotStore* store,
-                                            NetServerOptions opts) {
-  auto server = NetServer::Start(store, std::move(opts));
-  if (!server.ok() &&
-      server.status().code() == StatusCode::kUnsupported) {
-    return nullptr;
-  }
-  EXPECT_TRUE(server.ok()) << server.status();
-  return server.ok() ? std::move(*server) : nullptr;
-}
 
 net::MutationOp Insert(const std::string& relation, uint32_t arity,
                        std::vector<Value> values) {
@@ -378,9 +368,7 @@ net::MutationOp Insert(const std::string& relation, uint32_t arity,
 
 TEST(NetTest, MutateThenQuerySeesTheNewEpoch) {
   SnapshotStore store(TinyGraph());
-  std::unique_ptr<NetServer> server =
-      StartStoreOrSkip(&store, NetServerOptions{});
-  if (!server) GTEST_SKIP() << "fgq::net unsupported platform";
+  START_OR_SKIP(server, &store, NetServerOptions{});
   std::unique_ptr<Client> client = Connect(*server);
 
   const std::string rule = "Q(x) :- E(x, y), B(y).";
@@ -405,9 +393,7 @@ TEST(NetTest, MutateThenQuerySeesTheNewEpoch) {
 
 TEST(NetTest, MutateDeleteRemovesEveryMatchingRow) {
   SnapshotStore store(TinyGraph());
-  std::unique_ptr<NetServer> server =
-      StartStoreOrSkip(&store, NetServerOptions{});
-  if (!server) GTEST_SKIP() << "fgq::net unsupported platform";
+  START_OR_SKIP(server, &store, NetServerOptions{});
   std::unique_ptr<Client> client = Connect(*server);
 
   net::MutationOp del;
@@ -426,25 +412,9 @@ TEST(NetTest, MutateDeleteRemovesEveryMatchingRow) {
             (std::set<Tuple>{{1, 2}, {2, 0}, {0, 3}}));
 }
 
-TEST(NetTest, MutateOnReadOnlyServerIsUnsupported) {
-  const Database db = TinyGraph();
-  START_OR_SKIP(server, db, NetServerOptions{});
-  std::unique_ptr<Client> client = Connect(*server);
-  Result<uint64_t> epoch = client->Mutate({Insert("B", 1, {7})}, 1);
-  ASSERT_FALSE(epoch.ok());
-  EXPECT_EQ(epoch.status().code(), StatusCode::kUnsupported);
-  // The error is per-request; the connection stays usable.
-  Result<Response> resp = client->Call(Make(2, Verb::kCount,
-                                            "Q(x) :- B(x)."));
-  ASSERT_TRUE(resp.ok()) << resp.status();
-  EXPECT_EQ(resp->count, "2");
-}
-
 TEST(NetTest, MutateRejectsUnknownRelationWithoutPublishing) {
   SnapshotStore store(TinyGraph());
-  std::unique_ptr<NetServer> server =
-      StartStoreOrSkip(&store, NetServerOptions{});
-  if (!server) GTEST_SKIP() << "fgq::net unsupported platform";
+  START_OR_SKIP(server, &store, NetServerOptions{});
   std::unique_ptr<Client> client = Connect(*server);
   Result<uint64_t> epoch = client->Mutate({Insert("Nope", 1, {1})}, 1);
   ASSERT_FALSE(epoch.ok());

@@ -369,9 +369,10 @@ TEST(ServeSemiring, CachedAggregatesPerSemiring) {
   e.Add({1, 2});
   e.Add({3, 4});
   db.PutRelation(e);
+  SnapshotStore store(std::move(db));
   ServiceOptions sopts;
   sopts.num_workers = 1;
-  QueryService service(&db, sopts);
+  QueryService service(&store, sopts);
   auto count_under = [&](SemiringId id) {
     ServiceRequest req;
     req.query = q;

@@ -81,21 +81,21 @@ TEST(CanonicalQueryText, DistinguishesStructure) {
 TEST(PlanCache, LruEviction) {
   PlanCache cache(2);
   auto mk = [] { return std::make_shared<const CachedPlan>(); };
-  cache.Put({"a", 1}, mk());
-  cache.Put({"b", 1}, mk());
-  EXPECT_NE(cache.Get({"a", 1}), nullptr);  // "a" is now most recent.
-  cache.Put({"c", 1}, mk());                // Evicts "b".
+  cache.Put({"a", {1}}, mk());
+  cache.Put({"b", {1}}, mk());
+  EXPECT_NE(cache.Get({"a", {1}}), nullptr);  // "a" is now most recent.
+  cache.Put({"c", {1}}, mk());                // Evicts "b".
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_NE(cache.Get({"a", 1}), nullptr);
-  EXPECT_EQ(cache.Get({"b", 1}), nullptr);
-  EXPECT_NE(cache.Get({"c", 1}), nullptr);
+  EXPECT_NE(cache.Get({"a", {1}}), nullptr);
+  EXPECT_EQ(cache.Get({"b", {1}}), nullptr);
+  EXPECT_NE(cache.Get({"c", {1}}), nullptr);
 }
 
-TEST(PlanCache, VersionIsPartOfKey) {
+TEST(PlanCache, EpochsArePartOfKey) {
   PlanCache cache(8);
-  cache.Put({"q", 1}, std::make_shared<const CachedPlan>());
-  EXPECT_NE(cache.Get({"q", 1}), nullptr);
-  EXPECT_EQ(cache.Get({"q", 2}), nullptr);
+  cache.Put({"q", {1}}, std::make_shared<const CachedPlan>());
+  EXPECT_NE(cache.Get({"q", {1}}), nullptr);
+  EXPECT_EQ(cache.Get({"q", {2}}), nullptr);
 }
 
 TEST(PlanCache, PlanKeyHashSwappedFields) {
@@ -104,59 +104,50 @@ TEST(PlanCache, PlanKeyHashSwappedFields) {
   // hashes that cancelled. These pairs compare unequal and must (with
   // overwhelming probability) hash apart.
   PlanKeyHash h;
-  PlanKey a{"q", 1};
-  a.rel_epochs = {2};
-  PlanKey b{"q", 2};
-  b.rel_epochs = {1};
+  // Semiring vs epoch swap: xor of identically hashed small ints
+  // cancelled.
+  PlanKey a{"q", {2}};
+  a.semiring = 1;
+  PlanKey b{"q", {1}};
+  b.semiring = 2;
   EXPECT_FALSE(a == b);
   EXPECT_NE(h(a), h(b));
 
-  PlanKey c{"q", 0};
-  c.rel_epochs = {1, 2};
-  PlanKey d{"q", 0};
-  d.rel_epochs = {2, 1};
+  // Epoch order participates.
+  PlanKey c{"q", {1, 2}};
+  PlanKey d{"q", {2, 1}};
   EXPECT_FALSE(c == d);
   EXPECT_NE(h(c), h(d));
 
-  // Version vs semiring swap: xor of identically hashed small ints
-  // cancelled.
-  PlanKey e{"q", 3};
-  e.semiring = 1;
-  PlanKey f{"q", 1};
-  f.semiring = 3;
+  // Epoch-list length participates: {0} vs {}.
+  PlanKey e{"q", {0}};
+  PlanKey f{"q", {}};
   EXPECT_FALSE(e == f);
   EXPECT_NE(h(e), h(f));
-
-  // Epoch-list length participates: {0} vs {} with matching version.
-  PlanKey g1{"q", 0};
-  g1.rel_epochs = {0};
-  PlanKey g2{"q", 0};
-  EXPECT_FALSE(g1 == g2);
-  EXPECT_NE(h(g1), h(g2));
 }
 
 TEST(PlanCache, PutReplacesExistingEntry) {
   PlanCache cache(2);
   auto first = std::make_shared<const CachedPlan>();
   auto second = std::make_shared<const CachedPlan>();
-  cache.Put({"q", 1}, first);
-  cache.Put({"r", 1}, std::make_shared<const CachedPlan>());
-  cache.Put({"q", 1}, second);  // Replace, not duplicate.
+  cache.Put({"q", {1}}, first);
+  cache.Put({"r", {1}}, std::make_shared<const CachedPlan>());
+  cache.Put({"q", {1}}, second);  // Replace, not duplicate.
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.Get({"q", 1}).get(), second.get());
+  EXPECT_EQ(cache.Get({"q", {1}}).get(), second.get());
   // Replacement spliced "q" to the front, so the next insert evicts "r".
-  cache.Put({"s", 1}, std::make_shared<const CachedPlan>());
-  EXPECT_NE(cache.Get({"q", 1}), nullptr);
-  EXPECT_EQ(cache.Get({"r", 1}), nullptr);
+  cache.Put({"s", {1}}, std::make_shared<const CachedPlan>());
+  EXPECT_NE(cache.Get({"q", {1}}), nullptr);
+  EXPECT_EQ(cache.Get({"r", {1}}), nullptr);
 }
 
 // ---- QueryService: caching --------------------------------------------------
 
 TEST(QueryService, CacheHitReturnsIdenticalResults) {
-  Database db = TinyGraph();
+  SnapshotStore store(TinyGraph());
   ServiceOptions opts;
   opts.num_workers = 2;
-  QueryService service(&db, opts);
+  QueryService service(&store, opts);
   ServiceRequest req;
   req.query = Q("Q(x) :- E(x, y), B(y).");
 
@@ -172,8 +163,8 @@ TEST(QueryService, CacheHitReturnsIdenticalResults) {
 }
 
 TEST(QueryService, AlphaRenamedQueryHitsCache) {
-  Database db = TinyGraph();
-  QueryService service(&db);
+  SnapshotStore store(TinyGraph());
+  QueryService service(&store);
   ServiceRequest a;
   a.query = Q("Q(x) :- E(x, y), B(y).");
   ASSERT_TRUE(service.Submit(a).get().status.ok());
@@ -185,8 +176,8 @@ TEST(QueryService, AlphaRenamedQueryHitsCache) {
 }
 
 TEST(QueryService, MutationInvalidatesCachedPlans) {
-  Database db = TinyGraph();
-  QueryService service(&db);
+  SnapshotStore store(TinyGraph());
+  QueryService service(&store);
   ServiceRequest req;
   req.query = Q("Q(x) :- E(x, y), B(y).");
 
@@ -194,13 +185,9 @@ TEST(QueryService, MutationInvalidatesCachedPlans) {
   ASSERT_TRUE(before.status.ok());
   EXPECT_EQ(Rows(*before.answers), (std::set<Tuple>{{0}, {1}}));
 
-  // Mutate the database: B gains 3, so E(0,3) now witnesses 0 — and the
-  // stale plan (which pre-projects B) must not be reused.
-  Relation b("B", 1);
-  b.Add({1});
-  b.Add({2});
-  b.Add({3});
-  db.PutRelation(std::move(b));
+  // Mutate B: it gains 3, so E(0,3) now witnesses 0 — and the stale
+  // plan (which pre-projects B) must not be reused.
+  ASSERT_TRUE(store.Apply({{"B", {{3}}, {}}}).ok());
 
   ServiceResponse after = service.Submit(req).get();
   ASSERT_TRUE(after.status.ok());
@@ -216,8 +203,8 @@ TEST(QueryService, MutationInvalidatesCachedPlans) {
 }
 
 TEST(QueryService, CountVerbMatchesRowCount) {
-  Database db = TinyGraph();
-  QueryService service(&db);
+  SnapshotStore store(TinyGraph());
+  QueryService service(&store);
   ServiceRequest rows;
   rows.query = Q("Q(x, y) :- E(x, y).");
   ServiceResponse r = service.Submit(rows).get();
@@ -233,8 +220,8 @@ TEST(QueryService, CountVerbMatchesRowCount) {
 }
 
 TEST(QueryService, BooleanAndNonFreeConnexClasses) {
-  Database db = TinyGraph();
-  QueryService service(&db);
+  SnapshotStore store(TinyGraph());
+  QueryService service(&store);
 
   ServiceRequest boolean;
   boolean.query = Q("Q() :- E(x, y), B(y).");
@@ -265,10 +252,10 @@ TEST(QueryService, BooleanAndNonFreeConnexClasses) {
 }
 
 TEST(QueryService, LruEvictionBoundsResidentPlans) {
-  Database db = TinyGraph();
+  SnapshotStore store(TinyGraph());
   ServiceOptions opts;
   opts.cache_capacity = 2;
-  QueryService service(&db, opts);
+  QueryService service(&store, opts);
   for (const char* text :
        {"A(x) :- E(x, y).", "B(y) :- E(x, y).", "C(x) :- B(x)."}) {
     ServiceRequest req;
@@ -285,8 +272,8 @@ TEST(QueryService, LruEvictionBoundsResidentPlans) {
 // ---- QueryService: deadlines and cancellation -------------------------------
 
 TEST(QueryService, ZeroDeadlineCyclicQueryReturnsDeadlineExceeded) {
-  Database db = TriangleDatabase(800);
-  QueryService service(&db);
+  SnapshotStore store(TriangleDatabase(800));
+  QueryService service(&store);
   ServiceRequest req;
   req.query = TriangleQuery();
   req.timeout = std::chrono::nanoseconds(1);
@@ -302,8 +289,8 @@ TEST(QueryService, ZeroDeadlineCyclicQueryReturnsDeadlineExceeded) {
 
 TEST(QueryService, ZeroDeadlineFreeConnexReturnsDeadlineExceeded) {
   Rng rng(9);
-  Database db = Figure1Database(5000, 500, &rng);
-  QueryService service(&db);
+  SnapshotStore store(Figure1Database(5000, 500, &rng));
+  QueryService service(&store);
   ServiceRequest req;
   req.query = Figure1Query();
   req.timeout = std::chrono::nanoseconds(1);
@@ -313,10 +300,10 @@ TEST(QueryService, ZeroDeadlineFreeConnexReturnsDeadlineExceeded) {
 }
 
 TEST(QueryService, CancelAllInterruptsInflightRequests) {
-  Database db = TriangleDatabase(2000);
+  SnapshotStore store(TriangleDatabase(2000));
   ServiceOptions opts;
   opts.num_workers = 1;
-  QueryService service(&db, opts);
+  QueryService service(&store, opts);
   ServiceRequest req;
   req.query = TriangleQuery();
   std::future<ServiceResponse> fut = service.Submit(std::move(req));
@@ -326,11 +313,11 @@ TEST(QueryService, CancelAllInterruptsInflightRequests) {
 }
 
 TEST(QueryService, StopCancelsQueuedRequests) {
-  Database db = TriangleDatabase(2000);
+  SnapshotStore store(TriangleDatabase(2000));
   ServiceOptions opts;
   opts.num_workers = 1;
   opts.max_pending = 8;
-  auto service = std::make_unique<QueryService>(&db, opts);
+  auto service = std::make_unique<QueryService>(&store, opts);
   std::vector<std::future<ServiceResponse>> futs;
   for (int i = 0; i < 4; ++i) {
     ServiceRequest req;
@@ -347,11 +334,11 @@ TEST(QueryService, StopCancelsQueuedRequests) {
 // ---- QueryService: admission control ----------------------------------------
 
 TEST(QueryService, RejectPolicyBouncesWhenQueueFull) {
-  Database db = TriangleDatabase(2000);
+  SnapshotStore store(TriangleDatabase(2000));
   ServiceOptions opts;
   opts.num_workers = 1;
   opts.max_pending = 1;
-  QueryService service(&db, opts);
+  QueryService service(&store, opts);
 
   // Occupy the single worker with a slow cyclic query, then fill the
   // one queue slot; the next Reject-policy Submit must bounce — its
@@ -384,11 +371,11 @@ TEST(QueryService, RejectPolicyBouncesWhenQueueFull) {
 }
 
 TEST(QueryService, BlockPolicyBoundedWaitTimesOut) {
-  Database db = TriangleDatabase(2000);
+  SnapshotStore store(TriangleDatabase(2000));
   ServiceOptions opts;
   opts.num_workers = 1;
   opts.max_pending = 1;
-  QueryService service(&db, opts);
+  QueryService service(&store, opts);
 
   std::vector<std::future<ServiceResponse>> futs;
   ServiceRequest slow;
@@ -408,8 +395,8 @@ TEST(QueryService, BlockPolicyBoundedWaitTimesOut) {
 }
 
 TEST(QueryService, RowLimitTruncatesAnswers) {
-  Database db = TinyGraph();
-  QueryService service(&db);
+  SnapshotStore store(TinyGraph());
+  QueryService service(&store);
   ServiceRequest req;
   req.query = Q("Q(x, y) :- E(x, y).");
   req.limit = 1;
@@ -431,8 +418,8 @@ TEST(QueryService, RowLimitTruncatesAnswers) {
 }
 
 TEST(QueryService, OnDoneHookFiresAfterFutureIsReady) {
-  Database db = TinyGraph();
-  QueryService service(&db);
+  SnapshotStore store(TinyGraph());
+  QueryService service(&store);
   ServiceRequest req;
   req.query = Q("Q(x) :- E(x, y).");
   std::promise<Status> hook;
@@ -451,11 +438,11 @@ TEST(QueryService, OnDoneHookFiresAfterFutureIsReady) {
 }
 
 TEST(QueryService, OnDoneHookFiresForRejectedRequests) {
-  Database db = TriangleDatabase(2000);
+  SnapshotStore store(TriangleDatabase(2000));
   ServiceOptions opts;
   opts.num_workers = 1;
   opts.max_pending = 1;
-  QueryService service(&db, opts);
+  QueryService service(&store, opts);
   std::vector<std::future<ServiceResponse>> futs;
   ServiceRequest slow;
   slow.query = TriangleQuery();
@@ -487,11 +474,11 @@ TEST(QueryService, OnDoneHookFiresForRejectedRequests) {
 }
 
 TEST(QueryService, MutationInvalidatesCompiledPrograms) {
-  // A compiled program bakes in raw row pointers of the database it was
-  // built against; the version component of the cache key must retire it
-  // on any mutation.
-  Database db = TinyGraph();
-  QueryService service(&db);
+  // A compiled program bakes in raw row pointers of the snapshot it was
+  // built against; B's epoch in the cache key must retire it when B
+  // changes.
+  SnapshotStore store(TinyGraph());
+  QueryService service(&store);
   ServiceRequest req;
   req.query = Q("Q(x) :- E(x, y), B(y).");
   ServiceResponse first = service.Submit(req).get();
@@ -500,11 +487,7 @@ TEST(QueryService, MutationInvalidatesCompiledPrograms) {
   EXPECT_EQ(Rows(*first.answers), (std::set<Tuple>{{0}, {1}}));
 
   // B = {0, 1, 2} makes E(2, 0) join, so the answer set grows.
-  Relation b("B", 1);
-  b.Add({0});
-  b.Add({1});
-  b.Add({2});
-  db.PutRelation(std::move(b));
+  ASSERT_TRUE(store.Apply({{"B", {{0}}, {}}}).ok());
 
   ServiceResponse second = service.Submit(req).get();
   ASSERT_TRUE(second.status.ok()) << second.status;
@@ -518,11 +501,12 @@ TEST(QueryService, HeavyLaneCannotStarveLightQueries) {
   Relation b("B", 1);
   b.Add({0});
   db.PutRelation(std::move(b));
+  SnapshotStore store(std::move(db));
   ServiceOptions opts;
   opts.num_workers = 2;
   opts.max_concurrent_heavy = 1;  // One worker always free for light work.
   opts.max_pending = 64;
-  QueryService service(&db, opts);
+  QueryService service(&store, opts);
 
   // Flood the heavy lane with slow cyclic queries...
   std::vector<std::future<ServiceResponse>> heavy;
@@ -548,8 +532,8 @@ TEST(QueryService, HeavyLaneCannotStarveLightQueries) {
 // ---- QueryService: metrics --------------------------------------------------
 
 TEST(QueryService, MetricsCountersMatchIssuedRequests) {
-  Database db = TinyGraph();
-  QueryService service(&db);
+  SnapshotStore store(TinyGraph());
+  QueryService service(&store);
   const int kFreeConnex = 5;
   const int kCyclic = 2;
   for (int i = 0; i < kFreeConnex; ++i) {
@@ -587,10 +571,10 @@ TEST(QueryService, ConcurrentStopIsSerialized) {
   // a double join and a data race on workers_. Stop() now serializes the
   // whole shutdown; under TSan this test fails on the old code.
   for (int round = 0; round < 8; ++round) {
-    Database db = TinyGraph();
+    SnapshotStore store(TinyGraph());
     ServiceOptions opts;
     opts.num_workers = 3;
-    QueryService service(&db, opts);
+    QueryService service(&store, opts);
     // Keep workers busy so Stop() has in-flight work to wait for.
     std::vector<std::future<ServiceResponse>> pending;
     for (int i = 0; i < 6; ++i) {
@@ -668,6 +652,35 @@ TEST(SnapshotService, MutationInvalidatesOnlyPlansOverTouchedRelations) {
   EXPECT_GT(service.cache().hits(), 0u);
 }
 
+TEST(SnapshotService, AddedRelationServesQueriesAndKeepsOtherPlansCached) {
+  SnapshotStore store(TinyGraph());
+  QueryService service(&store);
+  ServiceRequest over_c;
+  over_c.query = Q("Q(x) :- E(x, y), C(y).");
+  ServiceRequest over_b;
+  over_b.query = Q("P(x) :- B(x).");
+  ASSERT_TRUE(service.Submit(over_b).get().status.ok());
+
+  // C does not exist yet: the query fails and nothing is cached for it.
+  ServiceResponse absent = service.Submit(over_c).get();
+  EXPECT_FALSE(absent.status.ok());
+
+  Relation c("C", 1);
+  c.Add({3});
+  ASSERT_TRUE(store.AddRelation(std::move(c)).ok());
+
+  ServiceResponse present = service.Submit(over_c).get();
+  ASSERT_TRUE(present.status.ok()) << present.status;
+  EXPECT_FALSE(present.cache_hit);
+  EXPECT_EQ(present.epoch, 2u);
+  EXPECT_EQ(Rows(*present.answers), (std::set<Tuple>{{0}}));
+
+  // Adding C bumped only C's epoch: the plan over B still hits.
+  ServiceResponse b = service.Submit(over_b).get();
+  ASSERT_TRUE(b.status.ok()) << b.status;
+  EXPECT_TRUE(b.cache_hit);
+}
+
 TEST(SnapshotService, NoStalePlanWindowUnderConcurrentMutation) {
   // Regression for the stale-plan read window: a request that raced a
   // mutation used to key its plan on one version but execute over newer
@@ -708,19 +721,6 @@ TEST(SnapshotService, NoStalePlanWindowUnderConcurrentMutation) {
     EXPECT_EQ(Rows(*resp.answers), want) << "epoch " << resp.epoch;
   }
   writer.join();
-}
-
-TEST(QueryService, DatabaseVersionBumpsOnMutation) {
-  Database db;
-  uint64_t v0 = db.version();
-  Relation e("E", 2);
-  e.Add({0, 1});
-  db.PutRelation(std::move(e));
-  EXPECT_GT(db.version(), v0);
-  uint64_t v1 = db.version();
-  (void)db.FindMutable("E");
-  EXPECT_GT(db.version(), v1);  // Conservative: handing out a mutable
-                                // pointer counts as a mutation.
 }
 
 }  // namespace

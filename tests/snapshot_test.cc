@@ -65,6 +65,38 @@ TEST(SnapshotStore, ApplyBumpsOnlyTouchedRelationEpochs) {
   EXPECT_EQ(snap->db().Find("R").value()->NumTuples(), 4u);
 }
 
+TEST(SnapshotStore, AddRelationPublishesANewEpoch) {
+  SnapshotStore store(TwoRelations());
+  ASSERT_TRUE(store.MaintainIndex("R", {0}).ok());
+  auto before = store.Current();
+  Relation t("T", 1);
+  t.Add({7});
+  ASSERT_TRUE(store.AddRelation(std::move(t)).ok());
+  auto snap = store.Current();
+  EXPECT_EQ(snap->epoch(), 2u);
+  EXPECT_EQ(snap->RelationEpoch("T"), 2u);
+  EXPECT_EQ(snap->RelationEpoch("R"), 1u);  // Existing relations keep
+  EXPECT_EQ(snap->RelationEpoch("S"), 1u);  // their epochs...
+  EXPECT_NE(snap->MaintainedIndex("R", {0}), nullptr);  // ...and indexes.
+  EXPECT_EQ(snap->db().Find("T").value()->NumTuples(), 1u);
+  EXPECT_FALSE(before->db().Has("T"));  // The pinned epoch is unchanged.
+  // The new relation is now a legal Apply target.
+  RelationMutation m{"T", {{8}}, {}};
+  Result<uint64_t> e = store.Apply({m});
+  ASSERT_TRUE(e.ok()) << e.status();
+  EXPECT_EQ(*e, 3u);
+}
+
+TEST(SnapshotStore, AddRelationRejectsAnExistingName) {
+  SnapshotStore store(TwoRelations());
+  Status st = store.AddRelation(Relation("R", 2));
+  EXPECT_EQ(st.code(), StatusCode::kAlreadyExists) << st;
+  auto snap = store.Current();
+  EXPECT_EQ(snap->epoch(), 1u);  // Nothing published.
+  EXPECT_EQ(snap->RelationEpoch("R"), 1u);
+  EXPECT_EQ(snap->db().Find("R").value()->NumTuples(), 3u);
+}
+
 TEST(SnapshotStore, PinnedSnapshotIsImmutableAcrossApply) {
   SnapshotStore store(TwoRelations());
   auto before = store.Current();
@@ -267,30 +299,6 @@ TEST(DeltaBuild, FuzzedChainsMatchFreshBuilds) {
     const SnapshotStoreStats st = store.stats();
     EXPECT_EQ(st.batches_applied, 6u);
   }
-}
-
-// Database::version() is documented readable while another thread
-// mutates (it is the one atomic member); everything else requires
-// snapshots. TSan verifies the version counter itself is race-free.
-TEST(SnapshotStore, VersionReadableWhileMutating) {
-  Database db = TwoRelations();
-  std::atomic<bool> stop{false};
-  uint64_t last_seen = 0;
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      const uint64_t v = db.version();
-      EXPECT_GE(v, last_seen);  // Monotonic from this thread's view.
-      last_seen = v;
-    }
-  });
-  for (int i = 0; i < 1000; ++i) {
-    Relation r("T", 1);
-    r.Add({static_cast<Value>(i)});
-    db.PutRelation(std::move(r));
-  }
-  stop.store(true, std::memory_order_release);
-  reader.join();
-  EXPECT_GE(db.version(), 1000u);
 }
 
 // Readers pin snapshots while a writer publishes epochs: every pinned

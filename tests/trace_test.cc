@@ -305,10 +305,10 @@ TEST(Explain, ExecuteModeCarriesTraceAndAnswers) {
 // service must never bleed spans between requests. Run under TSan this
 // also vouches for TraceContext's internal locking.
 TEST(Trace, ConcurrentServiceRequestsProduceDisjointTraces) {
-  Database db = TinyGraph();
+  SnapshotStore store(TinyGraph());
   ServiceOptions opts;
   opts.num_workers = 4;
-  QueryService service(&db, opts);
+  QueryService service(&store, opts);
 
   constexpr int kRequests = 32;
   std::vector<std::unique_ptr<TraceContext>> traces;

@@ -67,6 +67,8 @@ DELETED_SYMBOLS = [
     "WeightedCountAcq0",
     "QueryResult",
     "--tier",
+    "Database::version",
+    "db_version",
 ]
 REMOVAL_CONTEXT_RE = re.compile(r"removed|retired|deprecat", re.IGNORECASE)
 
