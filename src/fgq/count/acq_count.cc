@@ -23,13 +23,17 @@ std::vector<size_t> SharedColumnOrder(const PreparedAtom& node,
   return cols;
 }
 
+namespace {
+
 /// Rewrites a quantified ACQ into an equivalent quantifier-free ACQ over
 /// an enriched database (the S-component materialization of Theorem
 /// 4.28). Returns the new query; the new relations are added to
-/// `scratch`.
-Result<ConjunctiveQuery> MaterializeAcqComponents(
-    const ConjunctiveQuery& q, const Database& db, Database* scratch,
-    TraceContext* trace) {
+/// `scratch`. Each component's Yannakakis run gets `ctx` (spans, pool,
+/// cancellation).
+Result<ConjunctiveQuery> MaterializeAcqComponents(const ConjunctiveQuery& q,
+                                                  const Database& db,
+                                                  Database* scratch,
+                                                  const ExecContext& ctx) {
   Hypergraph hg = Hypergraph::FromQuery(q);
   std::vector<int> s_ids;
   for (const std::string& v : q.head()) {
@@ -61,9 +65,7 @@ Result<ConjunctiveQuery> MaterializeAcqComponents(
     for (int e : comp.edges) {
       sub.AddAtom(q.atoms()[hg.EdgeLabel(e)]);
     }
-    FGQ_ASSIGN_OR_RETURN(
-        Relation res,
-        EvaluateYannakakis(sub, db, ExecContext().WithTrace(trace)));
+    FGQ_ASSIGN_OR_RETURN(Relation res, EvaluateYannakakis(sub, db, ctx));
     std::string rel_name = "__" + q.name() + "_comp" + std::to_string(comp_id);
     res.set_name(rel_name);
     scratch->PutRelation(std::move(res));
@@ -89,15 +91,15 @@ Database MergeAcqViews(const Database& db, const Database& scratch) {
   return merged;
 }
 
-namespace {
-
-/// The DP for one instance over any plain acyclic query: quantified
-/// queries first go through the S-component materialization (Theorem
-/// 4.28). Every counting entry point below shares this one sequence.
-template <typename S>
-Result<typename S::ValueType> SumAcq(const ConjunctiveQuery& q,
-                                     const Database& db, const S& s,
-                                     TraceContext* trace = nullptr) {
+/// Runs `dp(query, db)` on the quantifier-free form of a plain acyclic
+/// query: quantified queries first go through the S-component
+/// materialization (Theorem 4.28). Every counting entry point below
+/// shares this one sequence, so a second DP over the same rewrite (the
+/// exact counting rerun) never rebuilds the components.
+template <typename Dp>
+auto OnQuantifierFree(const ConjunctiveQuery& q, const Database& db,
+                      const ExecContext& ctx, Dp&& dp)
+    -> decltype(dp(q, db)) {
   FGQ_RETURN_NOT_OK(q.Validate());
   if (q.HasNegation() || !q.comparisons().empty()) {
     return Status::Unsupported("the join-tree DP handles plain ACQ");
@@ -105,14 +107,11 @@ Result<typename S::ValueType> SumAcq(const ConjunctiveQuery& q,
   if (!IsAcyclicQuery(q)) {
     return Status::InvalidArgument("query is not acyclic: " + q.ToString());
   }
-  if (q.ExistentialVariables().empty()) {
-    TraceSpan span(trace, "count.dp", "count");
-    return SemiringSumAcq0(q, db, s, trace);
-  }
+  if (q.ExistentialVariables().empty()) return dp(q, db);
   Database scratch;
   Result<ConjunctiveQuery> qf = [&] {
-    TraceSpan span(trace, "count.s_components", "count");
-    return MaterializeAcqComponents(q, db, &scratch, trace);
+    TraceSpan span(ctx.trace(), "count.s_components", "count");
+    return MaterializeAcqComponents(q, db, &scratch, ctx);
   }();
   FGQ_RETURN_NOT_OK(qf.status());
   Database merged = MergeAcqViews(db, scratch);
@@ -121,8 +120,64 @@ Result<typename S::ValueType> SumAcq(const ConjunctiveQuery& q,
         "S-component materialization produced a cyclic query for: " +
         q.ToString());
   }
-  TraceSpan span(trace, "count.dp", "count");
-  return SemiringSumAcq0(*qf, merged, s, trace);
+  return dp(*qf, merged);
+}
+
+/// The DP for one semiring instance over any plain acyclic query.
+template <typename S>
+Result<typename S::ValueType> SumAcq(const ConjunctiveQuery& q,
+                                     const Database& db, const S& s,
+                                     const ExecContext& ctx) {
+  return OnQuantifierFree(
+      q, db, ctx, [&](const ConjunctiveQuery& qf, const Database& view) {
+        TraceSpan span(ctx.trace(), "count.dp", "count");
+        return SemiringSumAcq0(qf, view, s, ctx);
+      });
+}
+
+/// (+, ×) over uint64_t with every operation overflow-checked: an
+/// overflow sets a sticky flag (the value is garbage from then on) and
+/// the caller reruns the DP in BigInt. Counting weighs every element 1.
+class CheckedCountingSemiring {
+ public:
+  using ValueType = uint64_t;
+  ValueType Zero() const { return 0; }
+  ValueType One() const { return 1; }
+  ValueType Plus(ValueType a, ValueType b) const {
+    ValueType r;
+    overflow_ |= __builtin_add_overflow(a, b, &r);
+    return r;
+  }
+  ValueType Times(ValueType a, ValueType b) const {
+    ValueType r;
+    overflow_ |= __builtin_mul_overflow(a, b, &r);
+    return r;
+  }
+  ValueType Weight(Value) const { return 1; }
+  bool overflowed() const { return overflow_; }
+
+ private:
+  mutable bool overflow_ = false;
+};
+
+/// Exact counting through the DP: the checked uint64_t instance first;
+/// on overflow the same DP reruns with CountingSemiring (BigInt) over the
+/// same quantifier-free rewrite, inside a `count.dp_exact` span.
+Result<BigInt> CountAcqDp(const ConjunctiveQuery& q, const Database& db,
+                          const ExecContext& ctx) {
+  return OnQuantifierFree(
+      q, db, ctx,
+      [&](const ConjunctiveQuery& qf, const Database& view) -> Result<BigInt> {
+        CheckedCountingSemiring fast;
+        {
+          TraceSpan span(ctx.trace(), "count.dp", "count");
+          FGQ_ASSIGN_OR_RETURN(uint64_t n,
+                               SemiringSumAcq0(qf, view, fast, ctx));
+          if (!fast.overflowed()) return BigInt::FromUint64(n);
+        }
+        TraceSpan span(ctx.trace(), "count.dp_exact", "count");
+        return SemiringSumAcq0(qf, view, CountingSemiring{}, ctx);
+      });
 }
 
 /// Runs SumAcq for one semiring instance, wrapping the carrier into a
@@ -130,8 +185,8 @@ Result<typename S::ValueType> SumAcq(const ConjunctiveQuery& q,
 template <typename S, typename Wrap>
 Result<SemiringValue> RunSemiringDp(const ConjunctiveQuery& q,
                                     const Database& db, const S& s,
-                                    TraceContext* trace, Wrap wrap) {
-  FGQ_ASSIGN_OR_RETURN(typename S::ValueType v, SumAcq(q, db, s, trace));
+                                    const ExecContext& ctx, Wrap wrap) {
+  FGQ_ASSIGN_OR_RETURN(typename S::ValueType v, SumAcq(q, db, s, ctx));
   return wrap(std::move(v));
 }
 
@@ -171,23 +226,24 @@ SemiringValue FoldRows(const Relation& answers, const S& s,
 
 Result<SemiringValue> SemiringSumAcq(const ConjunctiveQuery& q,
                                      const Database& db, SemiringId id,
-                                     TraceContext* trace) {
+                                     const ExecContext& ctx) {
   switch (id) {
-    case SemiringId::kCounting:
-      return RunSemiringDp(q, db, CountingSemiring{}, trace,
-                           [](BigInt v) { return SemiringValue::Counting(std::move(v)); });
+    case SemiringId::kCounting: {
+      FGQ_ASSIGN_OR_RETURN(BigInt c, CountAcqDp(q, db, ctx));
+      return SemiringValue::Counting(std::move(c));
+    }
     case SemiringId::kBoolean:
-      return RunSemiringDp(q, db, BooleanSemiring{}, trace,
+      return RunSemiringDp(q, db, BooleanSemiring{}, ctx,
                            [](bool v) { return SemiringValue::Boolean(v); });
     case SemiringId::kMinPlus:
-      return RunSemiringDp(q, db, MinPlusSemiring{}, trace,
+      return RunSemiringDp(q, db, MinPlusSemiring{}, ctx,
                            [](int64_t v) { return SemiringValue::MinPlus(v); });
     case SemiringId::kMaxMin:
-      return RunSemiringDp(q, db, MaxMinSemiring{}, trace,
+      return RunSemiringDp(q, db, MaxMinSemiring{}, ctx,
                            [](int64_t v) { return SemiringValue::MaxMin(v); });
     case SemiringId::kTopK:
       return RunSemiringDp(
-          q, db, TopKSemiring(kTopKWireK), trace,
+          q, db, TopKSemiring(kTopKWireK), ctx,
           [](std::vector<int64_t> v) { return SemiringValue::TopK(std::move(v)); });
   }
   return Status::InvalidArgument("unknown semiring id");
@@ -225,22 +281,22 @@ Result<SemiringValue> FoldAnswersSemiring(const ConjunctiveQuery& q,
 }
 
 Result<BigInt> CountAcq(const ConjunctiveQuery& q, const Database& db) {
-  return SumAcq(q, db, CountingSemiring{});
+  return CountAcqDp(q, db, ExecContext());
 }
 
 Result<double> WeightedCountAcq(const ConjunctiveQuery& q, const Database& db,
                                 const std::function<double(Value)>& weight) {
-  return SumAcq(q, db, DoubleField{weight});
+  return SumAcq(q, db, DoubleField{weight}, ExecContext());
 }
 
 Result<BigInt> CountAnswers(const ConjunctiveQuery& q, const Database& db,
-                            const CancelToken& cancel, TraceContext* trace) {
+                            const ExecContext& ctx) {
   FGQ_RETURN_NOT_OK(q.Validate());
   if (!q.HasNegation() && q.comparisons().empty() && IsAcyclicQuery(q)) {
-    return SumAcq(q, db, CountingSemiring{}, trace);
+    return CountAcqDp(q, db, ctx);
   }
   // Exponential fallback: materialize with the oracle.
-  FGQ_ASSIGN_OR_RETURN(Relation res, EvaluateBacktrack(q, db, cancel));
+  FGQ_ASSIGN_OR_RETURN(Relation res, EvaluateBacktrack(q, db, ctx.cancel()));
   return BigInt::FromUint64(res.NumTuples());
 }
 

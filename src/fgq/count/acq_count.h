@@ -1,20 +1,20 @@
 #ifndef FGQ_COUNT_ACQ_COUNT_H_
 #define FGQ_COUNT_ACQ_COUNT_H_
 
+#include <algorithm>
 #include <functional>
 #include <map>
-#include <set>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "fgq/count/fields.h"
 #include "fgq/count/semiring.h"
 #include "fgq/db/database.h"
+#include "fgq/db/index.h"
 #include "fgq/eval/prepared.h"
 #include "fgq/hypergraph/hypergraph.h"
 #include "fgq/query/cq.h"
-#include "fgq/util/cancel.h"
-#include "fgq/util/hash.h"
+#include "fgq/util/exec_options.h"
 #include "fgq/util/status.h"
 
 /// \file acq_count.h
@@ -25,14 +25,21 @@
 ///   the product-of-weights of all answers, over any commutative semiring
 ///   instance (semiring.h) or coefficient field (fields.h). Each variable
 ///   is "owned" by its highest join-tree node so its weight is multiplied
-///   exactly once; per-child aggregate maps make the pass
-///   O(||phi|| * ||D||) (within the paper's O(||phi|| * ||D||^2) bound).
+///   exactly once. A child hands its parent one aggregate per HashIndex
+///   group, in a flat array; parent rows find theirs through the batched
+///   probe, so the pass is O(||phi|| * ||D||) (within the paper's
+///   O(||phi|| * ||D||^2) bound) and builds no Tuple per row.
 /// * CountAcq — Theorem 4.28: for quantified acyclic queries, each
 ///   S-component is materialized onto its free variables (cost
 ///   ||D||^O(star size)) and the resulting quantifier-free acyclic query
 ///   is counted with the DP. Star size 1 keeps the whole pipeline
 ///   linear; unbounded star size is #W[1]-hard (the lower bound is
 ///   exercised by the perfect-matching reduction in matchings.h).
+///
+/// Counting (CountAcq, CountAnswers, SemiringSumAcq(kCounting)) runs the
+/// DP in overflow-checked uint64_t first; only when a sum or product
+/// overflows does it rerun the same DP exactly with CountingSemiring's
+/// BigInt, over the already-materialized quantifier-free query.
 
 namespace fgq {
 
@@ -48,13 +55,18 @@ std::vector<size_t> SharedColumnOrder(const PreparedAtom& node,
 /// counting, weighted counting over the fields.h carriers, and the
 /// tropical aggregates are all instances. Each variable is owned by its
 /// highest node and weighted exactly once (at its first column there, so
-/// R(x,x) weighs x once), per-child aggregate maps keep the pass
-/// O(||phi|| * ||D||). `trace`, when set, receives the atom scans'
-/// counters.
+/// R(x,x) weighs x once). Every non-root node indexes its rows on the
+/// columns it shares with its parent (SharedColumnOrder) and stores, per
+/// index group, the ⊕ of its live rows' values in a flat array at the
+/// group's CSR offset; the parent resolves each row's group with
+/// HashIndex::ProbeRows and multiplies the aggregate in. The pass is
+/// O(||phi|| * ||D||). `ctx` supplies the trace sink (atom scans'
+/// counters), the pool of the index builds and the cancellation token,
+/// polled every 64K rows (vm::RunCount's stride).
 template <typename S>
-Result<typename S::ValueType> SemiringSumAcq0(const ConjunctiveQuery& q,
-                                              const Database& db, const S& s,
-                                              TraceContext* trace = nullptr) {
+Result<typename S::ValueType> SemiringSumAcq0(
+    const ConjunctiveQuery& q, const Database& db, const S& s,
+    const ExecContext& ctx = ExecContext()) {
   using V = typename S::ValueType;
   FGQ_RETURN_NOT_OK(q.Validate());
   if (q.HasNegation() || !q.comparisons().empty()) {
@@ -71,7 +83,7 @@ Result<typename S::ValueType> SemiringSumAcq0(const ConjunctiveQuery& q,
     return Status::InvalidArgument("query is not acyclic: " + q.ToString());
   }
   FGQ_ASSIGN_OR_RETURN(std::vector<PreparedAtom> atoms,
-                       PrepareAtoms(q, db, ExecContext().WithTrace(trace)));
+                       PrepareAtoms(q, db, ctx));
 
   std::vector<int> order = gyo.tree.TopDownOrder();
   std::vector<size_t> depth(atoms.size(), 0);
@@ -88,102 +100,120 @@ Result<typename S::ValueType> SemiringSumAcq0(const ConjunctiveQuery& q,
     }
   }
 
-  std::vector<std::unordered_map<Tuple, V, VecHash>> child_sums(atoms.size());
+  // What a finished child hands its parent: its rows indexed on the
+  // shared columns, and per group the ⊕ of the group's live row values,
+  // stored at the group's CSR offset (HashIndex::SpanOffset).
+  struct Aggregate {
+    std::unique_ptr<HashIndex> index;
+    std::vector<V> sums;
+  };
+  std::vector<Aggregate> aggs(atoms.size());
+  const CancelToken& cancel = ctx.cancel();
+  // Rows are valued one block at a time, so the per-row state stays
+  // cache-sized whatever the relation size.
+  constexpr size_t kBlock = 4096;
+  constexpr size_t kPollRows = size_t{1} << 16;
+  static_assert(kPollRows % kBlock == 0);
+  std::vector<V> vals;
+  std::vector<uint8_t> live;
   for (int e : gyo.tree.BottomUpOrder()) {
     const PreparedAtom& a = atoms[e];
-    std::vector<size_t> conn_cols;
-    int p = gyo.tree.parent[e];
-    if (p >= 0) conn_cols = SharedColumnOrder(a, atoms[p]);
+    const size_t n = a.rel.NumTuples();
+    const int p = gyo.tree.parent[e];
     // Owned columns: the *first* column of each variable this node owns.
     // (VarIndex returns the first occurrence, so a repeated variable in
     // one atom — R(x,x) — contributes its weight once, as the semantics
     // in semiring.h requires.)
-    std::vector<size_t> owned_cols;
+    std::vector<const Value*> owned;
     for (size_t c = 0; c < a.vars.size(); ++c) {
-      if (owner[a.vars[c]] == static_cast<int>(e) &&
+      if (owner[a.vars[c]] == e &&
           static_cast<size_t>(a.VarIndex(a.vars[c])) == c) {
-        owned_cols.push_back(c);
+        owned.push_back(a.rel.Column(c));
       }
     }
-    struct ChildConn {
-      int child;
-      std::vector<size_t> cols;  // Columns of *this* node.
-    };
-    std::vector<ChildConn> child_conns;
-    for (int c : gyo.tree.children[e]) {
-      ChildConn cc;
-      cc.child = c;
-      std::vector<size_t> child_side = SharedColumnOrder(atoms[c], a);
-      for (size_t j : child_side) {
-        cc.cols.push_back(static_cast<size_t>(a.VarIndex(atoms[c].vars[j])));
+    // Each child's key columns on this node's side, in the child's
+    // SharedColumnOrder.
+    const std::vector<int>& children = gyo.tree.children[e];
+    std::vector<std::vector<size_t>> probe_cols;
+    for (int c : children) {
+      std::vector<size_t> cols;
+      for (size_t j : SharedColumnOrder(atoms[c], a)) {
+        cols.push_back(static_cast<size_t>(a.VarIndex(atoms[c].vars[j])));
       }
-      child_conns.push_back(std::move(cc));
+      probe_cols.push_back(std::move(cols));
     }
-    auto& sums = child_sums[e];
-    Tuple key(conn_cols.size());
-    Tuple ckey;
-    V total_root = s.Zero();
-    std::vector<const Value*> cols(a.rel.arity());
-    for (size_t c = 0; c < a.rel.arity(); ++c) cols[c] = a.rel.Column(c);
-    for (size_t r = 0; r < a.rel.NumTuples(); ++r) {
-      V w = s.One();
-      for (size_t c : owned_cols) w = s.Times(w, s.Weight(cols[c][r]));
-      bool dead = false;
-      for (const ChildConn& cc : child_conns) {
-        ckey.resize(cc.cols.size());
-        for (size_t j = 0; j < cc.cols.size(); ++j) {
-          ckey[j] = cols[cc.cols[j]][r];
+    // A non-root node indexes itself for its parent; group_of[r] is the
+    // CSR offset of row r's group, where its value is summed.
+    Aggregate* agg = p < 0 ? nullptr : &aggs[e];
+    std::vector<uint32_t> group_of;
+    if (agg != nullptr) {
+      agg->index = std::make_unique<HashIndex>(
+          a.rel, SharedColumnOrder(a, atoms[p]), ctx);
+      agg->sums.assign(n, s.Zero());
+      const std::vector<uint32_t>& offsets = agg->index->offsets();
+      const std::vector<uint32_t>& row_ids = agg->index->row_ids();
+      group_of.resize(n);
+      for (size_t g = 0; g + 1 < offsets.size(); ++g) {
+        for (uint32_t i = offsets[g]; i < offsets[g + 1]; ++i) {
+          group_of[row_ids[i]] = offsets[g];
         }
-        auto it = child_sums[cc.child].find(ckey);
-        if (it == child_sums[cc.child].end()) {
-          dead = true;
-          break;
-        }
-        w = s.Times(w, it->second);
-      }
-      if (dead) continue;
-      if (p < 0) {
-        total_root = s.Plus(total_root, w);
-      } else {
-        for (size_t j = 0; j < conn_cols.size(); ++j) {
-          key[j] = cols[conn_cols[j]][r];
-        }
-        auto [it, inserted] = sums.try_emplace(key, w);
-        if (!inserted) it->second = s.Plus(it->second, w);
       }
     }
-    if (p < 0) {
-      return total_root;
+    V total = s.Zero();
+    for (size_t begin = 0; begin < n; begin += kBlock) {
+      if (begin % kPollRows == 0 && cancel.cancelled()) {
+        return cancel.Check("counting DP");
+      }
+      const size_t end = std::min(n, begin + kBlock);
+      // Row value: the owned weights times every child's group aggregate;
+      // a row with no matching group in some child is dead.
+      vals.resize(end - begin);
+      for (size_t r = begin; r < end; ++r) {
+        V w = s.One();
+        for (const Value* col : owned) w = s.Times(w, s.Weight(col[r]));
+        vals[r - begin] = std::move(w);
+      }
+      live.assign(end - begin, 1);
+      for (size_t k = 0; k < children.size(); ++k) {
+        const Aggregate& child = aggs[children[k]];
+        child.index->ProbeRows(
+            a.rel, probe_cols[k], begin, end,
+            [&](size_t r, HashIndex::RowSpan span) {
+              const size_t j = r - begin;
+              if (!live[j]) return;
+              if (span.empty()) {
+                live[j] = 0;
+                return;
+              }
+              vals[j] =
+                  s.Times(vals[j], child.sums[child.index->SpanOffset(span)]);
+            });
+      }
+      for (size_t r = begin; r < end; ++r) {
+        if (!live[r - begin]) continue;
+        if (agg == nullptr) {
+          total = s.Plus(total, vals[r - begin]);
+        } else {
+          const uint32_t g = group_of[r];
+          agg->sums[g] = s.Plus(agg->sums[g], vals[r - begin]);
+        }
+      }
     }
-    for (const ChildConn& cc : child_conns) {
-      child_sums[cc.child] = {};
-    }
+    for (int c : children) aggs[c] = Aggregate{};
+    if (p < 0) return total;
   }
   return Status::Internal("join tree had no root");
 }
 
-/// Rewrites a quantified ACQ into an equivalent quantifier-free ACQ over
-/// its head variables (the S-component materialization of Theorem 4.28).
-/// Fresh component relations are added to `scratch`; evaluate the
-/// returned query against MergeAcqViews(db, *scratch). Shared by the
-/// counting and semiring sum-product pipelines. `trace`, when set,
-/// receives each component's Yannakakis spans.
-Result<ConjunctiveQuery> MaterializeAcqComponents(
-    const ConjunctiveQuery& q, const Database& db, Database* scratch,
-    TraceContext* trace = nullptr);
-
-/// A view containing both the original and the materialized relations.
-Database MergeAcqViews(const Database& db, const Database& scratch);
-
 /// Sum-product for any acyclic conjunctive query under the registered
 /// semiring `id` (quantified queries go through the S-component
-/// pipeline first). kCounting is served by this generic DP too; the
-/// Engine reaches the same DP for it through Count and CountAnswers.
-/// `trace`, when set, receives the `count.s_components` and `count.dp`
-/// spans.
+/// pipeline first). kCounting runs the checked uint64_t DP with the
+/// exact BigInt rerun on overflow, as CountAcq does. `ctx` supplies the
+/// trace sink (the `count.s_components`, `count.dp` and `count.dp_exact`
+/// spans), the pool and the cancellation token.
 Result<SemiringValue> SemiringSumAcq(const ConjunctiveQuery& q,
                                      const Database& db, SemiringId id,
-                                     TraceContext* trace = nullptr);
+                                     const ExecContext& ctx = ExecContext());
 
 /// Folds a materialized answer relation into the semiring aggregate:
 /// ⊕ over rows of (⊗ over first-occurrence head columns of the weight).
@@ -196,6 +226,7 @@ Result<SemiringValue> FoldAnswersSemiring(const ConjunctiveQuery& q,
 
 /// Exact answer counting for any acyclic conjunctive query (Theorem
 /// 4.28): linear for quantifier-star-size 1, ||D||^O(s) in general.
+/// Counts in checked uint64_t, rerunning the DP in BigInt on overflow.
 Result<BigInt> CountAcq(const ConjunctiveQuery& q, const Database& db);
 
 /// Weighted counting for quantified acyclic queries via the S-component
@@ -204,12 +235,11 @@ Result<double> WeightedCountAcq(const ConjunctiveQuery& q, const Database& db,
                                 const std::function<double(Value)>& weight);
 
 /// Counts answers of an arbitrary CQ: DP/star-size pipeline when acyclic,
-/// exponential backtracking fallback otherwise (oracle use only). The
-/// fallback polls `cancel` and fails with its status once it trips;
-/// `trace`, when set, receives the DP's spans as in SemiringSumAcq.
+/// exponential backtracking fallback otherwise (oracle use only). Both
+/// paths poll `ctx.cancel()` and fail with its status once it trips; the
+/// DP reports its spans to `ctx.trace()` as in SemiringSumAcq.
 Result<BigInt> CountAnswers(const ConjunctiveQuery& q, const Database& db,
-                            const CancelToken& cancel = CancelToken(),
-                            TraceContext* trace = nullptr);
+                            const ExecContext& ctx = ExecContext());
 
 }  // namespace fgq
 

@@ -106,10 +106,11 @@ struct BooleanSemiring {
   ValueType Weight(Value) const { return true; }
 };
 
-/// (+, ×) over exact integers: the instance every counting path runs.
+/// (+, ×) over exact integers: the public counting instance.
 /// Engine::SumProduct(kCounting) goes Count -> CountAnswers -> the
-/// join-tree DP with this instance; the serving layer's cached plans run
-/// the VM's count stream (vm::RunCount) instead.
+/// join-tree DP, which counts in overflow-checked uint64_t and reruns
+/// with this instance only on overflow (acq_count.h); the serving
+/// layer's cached plans run the VM's count stream (vm::RunCount) instead.
 struct CountingSemiring {
   using ValueType = BigInt;
   static constexpr SemiringId kId = SemiringId::kCounting;

@@ -214,6 +214,14 @@ class HashIndex {
 
   bool ContainsKey(const Tuple& key) const { return !Lookup(key).empty(); }
 
+  /// CSR offset of a non-empty span this index returned: the position of
+  /// its first row id in row_ids(). Distinct groups have distinct offsets,
+  /// so per-group payloads can live in a flat array indexed by it (the
+  /// counting DP's child aggregates).
+  size_t SpanOffset(const RowSpan& span) const {
+    return static_cast<size_t>(span.data - row_ids_.data());
+  }
+
   /// Number of distinct keys; cached at build time, O(1).
   size_t NumKeys() const { return num_keys_; }
   const std::vector<size_t>& key_cols() const { return key_cols_; }

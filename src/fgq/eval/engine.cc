@@ -179,9 +179,9 @@ Result<BigInt> Engine::Count(const ExecRequest& req) const {
   }
   FGQ_RETURN_NOT_OK(req.query->Validate());
   // CountAnswers already dispatches: counting DP (Theorems 4.21/4.28) for
-  // plain acyclic queries, oracle fallback (polling req.cancel) for
-  // everything else.
-  return CountAnswers(*req.query, *db, req.cancel, req.trace);
+  // plain acyclic queries, oracle fallback for everything else; both
+  // honor req.options, req.cancel and req.trace through the context.
+  return CountAnswers(*req.query, *db, ContextFor(req));
 }
 
 Result<SemiringValue> Engine::SumProduct(const ExecRequest& req) const {
@@ -192,9 +192,10 @@ Result<SemiringValue> Engine::SumProduct(const ExecRequest& req) const {
   const ConjunctiveQuery& q = *req.query;
   FGQ_RETURN_NOT_OK(q.Validate());
   if (req.semiring == SemiringId::kCounting) {
-    // Counting is Count: CountAnswers runs the join-tree DP with the
-    // (+,×) instance (the oracle outside plain ACQ). Only the serving
-    // layer's cached plans run the VM's count stream (vm::RunCount).
+    // Counting is Count: CountAnswers runs the join-tree DP in checked
+    // uint64_t, exact in BigInt on overflow (the oracle outside plain
+    // ACQ). Only the serving layer's cached plans run the VM's count
+    // stream (vm::RunCount).
     FGQ_ASSIGN_OR_RETURN(BigInt c, Count(req));
     return SemiringValue::Counting(std::move(c));
   }
@@ -214,7 +215,7 @@ Result<SemiringValue> Engine::SumProduct(const ExecRequest& req) const {
     }
     case QueryClass::kBooleanAcyclic:
     case QueryClass::kGeneralAcyclic:
-      return SemiringSumAcq(q, *db, req.semiring, ctx.trace());
+      return SemiringSumAcq(q, *db, req.semiring, ctx);
     case QueryClass::kAcyclicDisequalities:
     case QueryClass::kAcyclicOrderComparisons:
     case QueryClass::kNegated:

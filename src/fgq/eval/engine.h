@@ -155,9 +155,9 @@ class Engine {
   Result<ExecResult> Run(const ExecRequest& req) const;
 
   /// Counts |phi(D)| without materializing answers: counting DP for
-  /// acyclic queries (Theorems 4.21/4.28), oracle fallback otherwise.
-  /// (The counting DP is not yet cancellation-aware; req.cancel reaches
-  /// the oracle fallback only.)
+  /// acyclic queries (Theorems 4.21/4.28; checked uint64_t with an exact
+  /// BigInt rerun on overflow), oracle fallback otherwise. Both paths run
+  /// under ContextFor(req): req.options, req.cancel and req.trace apply.
   Result<BigInt> Count(const ExecRequest& req) const;
 
   /// Sum-product aggregation under req.semiring (semiring.h): ⊕ over

@@ -195,6 +195,109 @@ TEST(WeightedCountAcq, QuantifiedWeighted) {
   EXPECT_DOUBLE_EQ(*c, 1.0 + 3.0);  // x = 0 and x = 2.
 }
 
+TEST(CountAcq0, CrossProductAndDeadGroups) {
+  // B shares no variable with R, so its aggregate is one group over every
+  // row; C's rows for y = 9 have no partner in R and must not count.
+  Database db;
+  Relation r("R", 2);
+  r.Add({1, 2});
+  r.Add({1, 3});
+  r.Add({4, 2});
+  db.PutRelation(r);
+  Relation b("B", 1);
+  b.Add({7});
+  b.Add({8});
+  db.PutRelation(b);
+  Relation c("C", 2);
+  c.Add({2, 5});
+  c.Add({2, 6});
+  c.Add({9, 5});
+  db.PutRelation(c);
+  auto n = CountAcq(Q("Q(x, y, u, z) :- R(x, y), B(u), C(y, z)."), db);
+  ASSERT_TRUE(n.ok()) << n.status();
+  EXPECT_EQ(n->ToString(), "8");  // (x,y) in {(1,2),(4,2)}, 2 u, 2 z.
+}
+
+// ---- Overflow: the uint64_t carrier reruns in BigInt -------------------------
+
+/// One centre 0 with 2^16 leaves: a star with `leaves` arms counts
+/// (2^16)^leaves answers, 2^64 at four arms (exactly where an unchecked
+/// uint64_t wraps to 0).
+Database StarOverflowDb() {
+  Relation e("E", 2);
+  for (Value leaf = 1; leaf <= Value{1} << 16; ++leaf) e.Add({0, leaf});
+  Database db;
+  db.PutRelation(std::move(e));
+  return db;
+}
+
+ConjunctiveQuery StarOverflowQuery(size_t leaves) {
+  std::string head = "Q(t";
+  std::string body;
+  for (size_t i = 1; i <= leaves; ++i) {
+    const std::string x = "x" + std::to_string(i);
+    head += ", " + x;
+    body += (i == 1 ? "" : ", ") + std::string("E(t, ") + x + ")";
+  }
+  return Q(head + ") :- " + body + ".");
+}
+
+void ExpectExactCount(const ConjunctiveQuery& q, const Database& db,
+                      const BigInt& want) {
+  auto acq = CountAcq(q, db);
+  ASSERT_TRUE(acq.ok()) << acq.status();
+  EXPECT_EQ(*acq, want) << acq->ToString();
+  auto semiring = SemiringSumAcq(q, db, SemiringId::kCounting);
+  ASSERT_TRUE(semiring.ok()) << semiring.status();
+  EXPECT_EQ(semiring->count, want) << semiring->count.ToString();
+  ExecRequest req(q, db);
+  req.semiring = SemiringId::kCounting;
+  auto engine = Engine().SumProduct(req);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  EXPECT_EQ(engine->count, want) << engine->count.ToString();
+}
+
+TEST(CountOverflow, FourLeafStarCountsTwoToThe64) {
+  ExpectExactCount(StarOverflowQuery(4), StarOverflowDb(), BigInt::Pow2(64));
+}
+
+TEST(CountOverflow, FiveLeafStarCountsTwoToThe80) {
+  ExpectExactCount(StarOverflowQuery(5), StarOverflowDb(), BigInt::Pow2(80));
+}
+
+TEST(CountOverflow, QuantifiedStarStillExceeds64Bits) {
+  // G(x1, z) with z existential: the S-component {G} materializes onto
+  // x1 alone (2^16 rows), and two z per leaf must not double the count.
+  Database db = StarOverflowDb();
+  Relation g("G", 2);
+  for (Value leaf = 1; leaf <= Value{1} << 16; ++leaf) {
+    g.Add({leaf, 0});
+    g.Add({leaf, 1});
+  }
+  db.PutRelation(std::move(g));
+  ConjunctiveQuery q =
+      Q("Q(t, x1, x2, x3, x4) :- E(t, x1), E(t, x2), E(t, x3), E(t, x4), "
+        "G(x1, z).");
+  ExpectExactCount(q, db, BigInt::Pow2(64));
+}
+
+// ---- Cancellation reaches the counting pipeline --------------------------------
+
+TEST(CountCancel, EngineCountReturnsTheCancelStatus) {
+  Rng rng(7);
+  Database db = PathDatabase(2, 200000, 50000, &rng);
+  // The quantified 2-path trips in its S-component materialization, the
+  // full one in the DP itself.
+  for (const ConjunctiveQuery& q : {PathQuery(2), FullPathQuery(2)}) {
+    ExecRequest req(q, db);
+    req.cancel = CancelToken::Cancellable();
+    req.cancel.Cancel();
+    Result<BigInt> c = Engine().Count(req);
+    ASSERT_FALSE(c.ok()) << q.ToString() << " counted " << c->ToString();
+    EXPECT_EQ(c.status().code(), StatusCode::kCancelled) << c.status();
+  }
+}
+
 // ---- Equation (2): perfect matchings (Section 4.4) -----------------------------
 
 TEST(Matchings, RyserOnKnownGraphs) {

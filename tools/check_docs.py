@@ -69,6 +69,8 @@ DELETED_SYMBOLS = [
     "--tier",
     "Database::version",
     "db_version",
+    "MaterializeAcqComponents",
+    "MergeAcqViews",
 ]
 REMOVAL_CONTEXT_RE = re.compile(r"removed|retired|deprecat", re.IGNORECASE)
 
