@@ -277,17 +277,18 @@ void BM_VmCount(benchmark::State& state) {
     state.SkipWithError(f.status().ToString().c_str());
     return;
   }
-  uint64_t count = 0;
+  BigInt count;
   for (auto _ : state) {
-    Result<uint64_t> n = vm::RunCount(*f->program, CancelToken());
+    Result<SemiringValue> n =
+        vm::RunSemiring(*f->program, SemiringId::kCounting, CancelToken());
     if (!n.ok()) {
       state.SkipWithError(n.status().ToString().c_str());
       break;
     }
-    count = *n;
+    count = std::move(n->count);
     benchmark::DoNotOptimize(count);
   }
-  state.counters["answers"] = static_cast<double>(count);
+  state.counters["answers"] = count.ToDouble();
 }
 BENCHMARK(BM_VmCount)
     ->Arg(1 << 12)->Arg(1 << 14)->Arg(1 << 16)

@@ -62,7 +62,7 @@ std::vector<size_t> SharedColumnOrder(const PreparedAtom& node,
 /// HashIndex::ProbeRows and multiplies the aggregate in. The pass is
 /// O(||phi|| * ||D||). `ctx` supplies the trace sink (atom scans'
 /// counters), the pool of the index builds and the cancellation token,
-/// polled every 64K rows (vm::RunCount's stride).
+/// polled every 64K rows (the VM count stream's instruction stride).
 template <typename S>
 Result<typename S::ValueType> SemiringSumAcq0(
     const ConjunctiveQuery& q, const Database& db, const S& s,
@@ -219,7 +219,8 @@ Result<SemiringValue> SemiringSumAcq(const ConjunctiveQuery& q,
 /// ⊕ over rows of (⊗ over first-occurrence head columns of the weight).
 /// This is the reference semantics the DP must agree with — the fuzz
 /// differ folds the brute-force evaluator's answers through this exact
-/// function. `answers` columns must be in q.head() order.
+/// function. `answers` columns must be in q.head() order. Under kCounting
+/// every row weighs 1, so the fold is answers.NumTuples(), in O(1).
 Result<SemiringValue> FoldAnswersSemiring(const ConjunctiveQuery& q,
                                           const Relation& answers,
                                           SemiringId id);

@@ -110,7 +110,8 @@ struct BooleanSemiring {
 /// Engine::SumProduct(kCounting) goes Count -> CountAnswers -> the
 /// join-tree DP, which counts in overflow-checked uint64_t and reruns
 /// with this instance only on overflow (acq_count.h); the serving
-/// layer's cached plans run the VM's count stream (vm::RunCount) instead.
+/// layer's cached plans run the VM's count stream (vm::RunSemiring)
+/// instead, whose counting instance adds in a machine word.
 struct CountingSemiring {
   using ValueType = BigInt;
   static constexpr SemiringId kId = SemiringId::kCounting;

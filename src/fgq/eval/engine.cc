@@ -195,7 +195,7 @@ Result<SemiringValue> Engine::SumProduct(const ExecRequest& req) const {
     // Counting is Count: CountAnswers runs the join-tree DP in checked
     // uint64_t, exact in BigInt on overflow (the oracle outside plain
     // ACQ). Only the serving layer's cached plans run the VM's count
-    // stream (vm::RunCount).
+    // stream (vm::RunSemiring).
     FGQ_ASSIGN_OR_RETURN(BigInt c, Count(req));
     return SemiringValue::Counting(std::move(c));
   }

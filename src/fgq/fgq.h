@@ -11,7 +11,7 @@
 ///   engine    Engine::Run(ExecRequest) -> ExecResult, plus the
 ///             Count/Enumerate/Decide verb entry points (fgq/eval/)
 ///   compiled  fgq::vm bytecode programs: CompileFreeConnex /
-///             MakeProgramCursor / RunCount            (fgq/vm/)
+///             MakeProgramCursor / RunSemiring         (fgq/vm/)
 ///   serving   QueryService::Submit(ServiceRequest, SubmitPolicy)
 ///             with plan caching + admission control   (fgq/serve/)
 ///   network   NetServer / Client / wire protocol      (fgq/net/)

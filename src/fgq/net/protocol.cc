@@ -80,24 +80,6 @@ bool VerbIsValid(uint8_t v) {
   return v <= static_cast<uint8_t>(Verb::kMutate);
 }
 
-const char* VerbName(Verb v) {
-  switch (v) {
-    case Verb::kRows:
-      return "rows";
-    case Verb::kCount:
-      return "count";
-    case Verb::kEnumerateLimit:
-      return "enumerate-limit";
-    case Verb::kExplain:
-      return "explain";
-    case Verb::kPing:
-      return "ping";
-    case Verb::kMutate:
-      return "mutate";
-  }
-  return "unknown";
-}
-
 void EncodeRequest(const Request& req, std::string* out) {
   std::string payload;
   PutU64(&payload, req.id);

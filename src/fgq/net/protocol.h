@@ -102,7 +102,6 @@ enum class Verb : uint8_t {
 
 /// True for the verb values the protocol defines (decode rejects others).
 bool VerbIsValid(uint8_t v);
-const char* VerbName(Verb v);
 
 /// One relation insert/delete in a kMutate request. `values` holds
 /// nrows * arity i64s row-major; a delete removes every row equal to one

@@ -576,11 +576,8 @@ struct NetServer::Impl {
           break;
         }
         case Verb::kCount:
-          // The counting semiring keeps the legacy decimal body; other
-          // semirings ship their SemiringValue encoding in the same slot.
-          r.count = resp.semiring_value.id == SemiringId::kCounting
-                        ? resp.count.ToString()
-                        : resp.semiring_value.Encode();
+          // The counting encoding is the legacy decimal body.
+          r.count = resp.semiring_value.Encode();
           break;
         case Verb::kExplain:
         case Verb::kPing:

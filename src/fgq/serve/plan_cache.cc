@@ -65,11 +65,9 @@ std::string CanonicalQueryText(const ConjunctiveQuery& q) {
   return out;
 }
 
-PlanKey MakePlanKey(const ConjunctiveQuery& q, const Snapshot& snap,
-                    uint8_t semiring) {
+PlanKey MakePlanKey(const ConjunctiveQuery& q, const Snapshot& snap) {
   PlanKey key;
   key.canonical = CanonicalQueryText(q);
-  key.semiring = semiring;
   // Distinct relations in first-mention order. Queries are small (a
   // handful of atoms), so a linear scan beats a set.
   std::vector<const std::string*> seen;

@@ -5,11 +5,13 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "fgq/db/relation.h"
+#include "fgq/count/semiring.h"
 #include "fgq/db/snapshot.h"
 #include "fgq/eval/engine.h"
 #include "fgq/query/cq.h"
@@ -31,6 +33,11 @@
 /// the pinned snapshot, so a repeated query (even alpha-renamed) skips
 /// straight to the enumeration phase, and a mutation of relation R
 /// invalidates the programs built over R simply by changing their key.
+///
+/// One entry is one preparation of (query, data state): the rows verb and
+/// the count verb under every semiring read the same entry. A count-verb
+/// aggregate is a pure value of the entry and the semiring, so the entry
+/// memoizes it in one slot per SemiringId.
 
 namespace fgq {
 
@@ -42,8 +49,7 @@ namespace fgq {
 /// than a cache miss.
 std::string CanonicalQueryText(const ConjunctiveQuery& q);
 
-/// Cache key: canonical query text + the data state it was built against
-/// + the semiring of a count-verb request.
+/// Cache key: canonical query text + the data state it was built against.
 ///
 /// The data state is `rel_epochs`: the pinned snapshot's per-relation
 /// epoch for each distinct relation the query mentions (first-occurrence
@@ -56,15 +62,9 @@ struct PlanKey {
   /// Absent relations record epoch 0, so creating one later invalidates
   /// too.
   std::vector<uint64_t> rel_epochs;
-  /// static_cast<uint8_t>(SemiringId) of the preparing request (0 =
-  /// counting — rows-verb and counting count requests). A cached entry
-  /// may memoize the count-verb aggregate, which is semiring-specific, so
-  /// aggregates under different semirings must never alias one entry.
-  uint8_t semiring = 0;
 
   bool operator==(const PlanKey& o) const {
-    return semiring == o.semiring && rel_epochs == o.rel_epochs &&
-           canonical == o.canonical;
+    return rel_epochs == o.rel_epochs && canonical == o.canonical;
   }
 };
 
@@ -75,8 +75,7 @@ struct PlanKey {
 /// mix (see tests/serve_test.cc PlanKeyHashSwappedFields).
 struct PlanKeyHash {
   size_t operator()(const PlanKey& k) const {
-    uint64_t h = HashCombine(0x51ed270bu, k.semiring);
-    h = HashCombine(h, k.rel_epochs.size());
+    uint64_t h = HashCombine(0x51ed270bu, k.rel_epochs.size());
     for (uint64_t e : k.rel_epochs) h = HashCombine(h, e);
     h = HashCombine(h, std::hash<std::string>()(k.canonical));
     return static_cast<size_t>(h);
@@ -87,24 +86,24 @@ struct PlanKeyHash {
 /// epoch of each distinct relation the query mentions, in first-mention
 /// order (atoms, which the canonical text preserves, then negated atoms
 /// share the same list).
-PlanKey MakePlanKey(const ConjunctiveQuery& q, const Snapshot& snap,
-                    uint8_t semiring = 0);
+PlanKey MakePlanKey(const ConjunctiveQuery& q, const Snapshot& snap);
 
 /// One cached preparation. Exactly one of `program` / `answers` is set:
 /// free-connex and Boolean queries cache the fgq::vm program lowered from
 /// their indexed plan (which it pins alive; VM cursors and count streams
 /// run per request), everything else caches the materialized answers.
-/// All members are immutable shared state — safe to hand to any number of
-/// concurrent requests.
+/// The plan members are immutable shared state and the memo is guarded
+/// by its mutex — safe to hand to any number of concurrent requests.
 struct CachedPlan {
   QueryClass classification = QueryClass::kCyclic;
   std::string algorithm;
   std::shared_ptr<const vm::Program> program;
   std::shared_ptr<const Relation> answers;
-  /// Memoized count-verb aggregate for the key's (non-counting) semiring
-  /// — keys carry the semiring id, so one entry never serves two
-  /// semirings.
-  std::shared_ptr<const SemiringValue> semiring_value;
+  /// Count-verb aggregates, one slot per SemiringId, indexed by its
+  /// value. A slot holds only a successfully computed aggregate; a
+  /// cancelled or failed computation leaves it empty.
+  mutable std::mutex memo_mu;
+  mutable std::optional<SemiringValue> memo[kNumSemirings];
 };
 
 /// A bounded LRU over CachedPlan entries. All operations take the cache

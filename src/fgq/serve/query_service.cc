@@ -15,6 +15,34 @@ double ToMicros(std::chrono::nanoseconds d) {
   return static_cast<double>(d.count()) / 1000.0;
 }
 
+/// The count verb on a cached entry, for both plan shapes: the entry's
+/// memo for `id`, or the aggregate computed once — the VM count stream
+/// over a program, a fold of materialized answers — and memoized. A
+/// cancelled or failed computation stores nothing, so the next request
+/// on the entry computes it again. Two requests that miss the memo at
+/// once both compute; the aggregate is the same value either way.
+Result<SemiringValue> CountOnEntry(const CachedPlan& plan,
+                                   const ConjunctiveQuery& q, SemiringId id,
+                                   const CancelToken& cancel,
+                                   TraceContext* trace) {
+  if (!IsValidSemiringId(static_cast<uint8_t>(id))) {
+    return Status::InvalidArgument("unknown semiring id");
+  }
+  std::optional<SemiringValue>& slot = plan.memo[static_cast<size_t>(id)];
+  {
+    std::lock_guard<std::mutex> lock(plan.memo_mu);
+    if (slot) return *slot;
+  }
+  Result<SemiringValue> v =
+      plan.program ? vm::RunSemiring(*plan.program, id, cancel, trace)
+                   : FoldAnswersSemiring(q, *plan.answers, id);
+  if (v.ok()) {
+    std::lock_guard<std::mutex> lock(plan.memo_mu);
+    if (!slot) slot = v.value();
+  }
+  return v;
+}
+
 }  // namespace
 
 bool QueryService::IsHeavy(QueryClass c) {
@@ -249,19 +277,14 @@ ServiceResponse QueryService::Process(Pending& p) {
     request_span.Arg("epoch", std::to_string(snap->epoch()));
   }
 
-  // The key carries per-relation epochs — selective invalidation. The
-  // count verb's semiring is part of the key: an entry may memoize its
-  // aggregate, and a min-plus aggregate must never answer a boolean
-  // request. Rows requests always key semiring 0 (counting), so they
-  // keep sharing plans with counting requests.
-  const SemiringId semiring = p.req.verb == ServeVerb::kCount
-                                  ? p.req.semiring
-                                  : SemiringId::kCounting;
-  if (p.req.trace != nullptr && semiring != SemiringId::kCounting) {
-    request_span.Arg("semiring", SemiringName(semiring));
+  // The key carries per-relation epochs — selective invalidation. It
+  // carries no verb or semiring: every request for the query at this
+  // data state shares one entry.
+  if (p.req.trace != nullptr && p.req.verb == ServeVerb::kCount &&
+      p.req.semiring != SemiringId::kCounting) {
+    request_span.Arg("semiring", SemiringName(p.req.semiring));
   }
-  const PlanKey key =
-      MakePlanKey(p.req.query, *snap, static_cast<uint8_t>(semiring));
+  const PlanKey key = MakePlanKey(p.req.query, *snap);
   std::shared_ptr<const CachedPlan> cached;
   // A request whose deadline expired while queued fails fast.
   Status admitted = p.cancel.Check("queue wait");
@@ -282,97 +305,65 @@ ServiceResponse QueryService::Process(Pending& p) {
 
   if (resp.status.ok() && cached) {
     resp.algorithm = cached->algorithm;
-    if (cached->program) {
-      TraceSpan enumerate_span(p.req.trace, "enumerate", "serve");
-      if (p.req.verb == ServeVerb::kRows) {
-        // Serve from the shared preparation: a fresh VM cursor per
-        // request.
-        std::unique_ptr<AnswerEnumerator> cursor =
-            vm::MakeProgramCursor(cached->program, p.req.trace);
-        auto out = std::make_shared<Relation>(p.req.query.name(),
-                                              p.req.query.arity());
-        Tuple t;
-        while ((p.req.limit == 0 || out->NumTuples() < p.req.limit) &&
-               cursor->Next(&t)) {
-          if (p.req.query.arity() == 0) {
-            out->AddNullary();
-          } else {
-            out->Add(t);
-          }
-          if (p.cancel.cancelled()) break;
-        }
-        if (p.cancel.cancelled()) {
-          Status base = p.cancel.Check("answer enumeration");
-          resp.status = Status(
-              base.code(), base.message() + " (" +
-                               std::to_string(out->NumTuples()) +
-                               " answers enumerated)");
-        } else {
-          TraceCounter(p.req.trace, "tuples_emitted", out->NumTuples());
-          resp.answers = std::move(out);
-        }
-      } else if (semiring == SemiringId::kCounting) {
-        // Fused counting stream: no cursor, no per-answer work where the
-        // compiler collapsed the innermost loop (kCountSpan). Non-counting
-        // semirings take the same stream through their RunSumProduct
-        // instantiation — one dispatch per span either way.
-        Result<uint64_t> n =
-            vm::RunCount(*cached->program, p.cancel, p.req.trace);
-        if (!n.ok()) {
-          resp.status = n.status();
-        } else {
-          TraceCounter(p.req.trace, "tuples_emitted", *n);
-          resp.count = BigInt::FromUint64(*n);
-        }
-      } else if (cached->semiring_value) {
-        // Memoized at Prepare time: the aggregate is a pure value of the
-        // (query, snapshot, semiring) key, so a hit skips the stream.
-        resp.semiring_value = *cached->semiring_value;
-      } else {
-        Result<SemiringValue> v =
-            vm::RunSemiring(*cached->program, semiring, p.cancel, p.req.trace);
-        if (!v.ok()) {
-          resp.status = v.status();
-        } else {
-          resp.semiring_value = std::move(v).value();
-        }
-      }
-    } else if (cached->answers) {
+    if (cached->answers && resp.cache_hit) {
       // Materialized answers still count as emitted to *this* request, so
       // a traced cache hit reads the same as a traced miss (whose emits
       // were already counted by the engine inside Prepare).
-      if (resp.cache_hit) {
-        TraceCounter(p.req.trace, "tuples_emitted",
-                     cached->answers->NumTuples());
-      }
-      if (p.req.verb == ServeVerb::kRows) {
-        if (p.req.limit != 0 &&
-            p.req.limit < cached->answers->NumTuples()) {
-          // Truncated view of the shared materialized answers.
-          auto prefix = std::make_shared<Relation>(cached->answers->name(),
-                                                   cached->answers->arity());
-          if (cached->answers->arity() == 0) {
-            for (uint64_t i = 0; i < p.req.limit; ++i) prefix->AddNullary();
-          } else {
-            prefix->AppendPrefixFrom(*cached->answers, p.req.limit);
-          }
-          resp.answers = std::move(prefix);
-        } else {
-          resp.answers = cached->answers;
-        }
-      } else if (semiring == SemiringId::kCounting) {
-        resp.count = BigInt::FromUint64(cached->answers->NumTuples());
-      } else if (cached->semiring_value) {
-        resp.semiring_value = *cached->semiring_value;
+      TraceCounter(p.req.trace, "tuples_emitted",
+                   cached->answers->NumTuples());
+    }
+    if (p.req.verb == ServeVerb::kCount) {
+      Result<SemiringValue> v = CountOnEntry(*cached, p.req.query,
+                                             p.req.semiring, p.cancel,
+                                             p.req.trace);
+      if (!v.ok()) {
+        resp.status = v.status();
       } else {
-        Result<SemiringValue> v =
-            FoldAnswersSemiring(p.req.query, *cached->answers, semiring);
-        if (!v.ok()) {
-          resp.status = v.status();
-        } else {
-          resp.semiring_value = std::move(v).value();
+        resp.semiring_value = std::move(v).value();
+        if (p.req.semiring == SemiringId::kCounting) {
+          resp.count = resp.semiring_value.count;
         }
       }
+    } else if (cached->program) {
+      // Serve from the shared preparation: a fresh VM cursor per request.
+      TraceSpan enumerate_span(p.req.trace, "enumerate", "serve");
+      std::unique_ptr<AnswerEnumerator> cursor =
+          vm::MakeProgramCursor(cached->program, p.req.trace);
+      auto out = std::make_shared<Relation>(p.req.query.name(),
+                                            p.req.query.arity());
+      Tuple t;
+      while ((p.req.limit == 0 || out->NumTuples() < p.req.limit) &&
+             cursor->Next(&t)) {
+        if (p.req.query.arity() == 0) {
+          out->AddNullary();
+        } else {
+          out->Add(t);
+        }
+        if (p.cancel.cancelled()) break;
+      }
+      if (p.cancel.cancelled()) {
+        Status base = p.cancel.Check("answer enumeration");
+        resp.status = Status(
+            base.code(), base.message() + " (" +
+                             std::to_string(out->NumTuples()) +
+                             " answers enumerated)");
+      } else {
+        TraceCounter(p.req.trace, "tuples_emitted", out->NumTuples());
+        resp.answers = std::move(out);
+      }
+    } else if (p.req.limit != 0 &&
+               p.req.limit < cached->answers->NumTuples()) {
+      // Truncated view of the shared materialized answers.
+      auto prefix = std::make_shared<Relation>(cached->answers->name(),
+                                               cached->answers->arity());
+      if (cached->answers->arity() == 0) {
+        for (uint64_t i = 0; i < p.req.limit; ++i) prefix->AddNullary();
+      } else {
+        prefix->AppendPrefixFrom(*cached->answers, p.req.limit);
+      }
+      resp.answers = std::move(prefix);
+    } else {
+      resp.answers = cached->answers;
     }
   }
 
@@ -419,19 +410,6 @@ std::shared_ptr<const CachedPlan> QueryService::Prepare(Pending& p,
     plan->program = std::move(program).value();
     plan->algorithm = plan->program->algorithm;
     compiled_.Increment();
-    if (p.req.verb == ServeVerb::kCount &&
-        p.req.semiring != SemiringId::kCounting) {
-      // Memoize the aggregate on this (semiring-keyed, epoch-keyed)
-      // entry: it is a pure value of the snapshot, so cache hits return
-      // it without touching the weight fold again. The counting verb
-      // stays un-memoized — its fused stream is the latency baseline.
-      Result<SemiringValue> v = vm::RunSemiring(
-          *plan->program, p.req.semiring, p.cancel, p.req.trace);
-      if (v.ok()) {
-        plan->semiring_value =
-            std::make_shared<const SemiringValue>(std::move(v).value());
-      }
-    }
     return plan;
   }
   // Every other class: evaluate once, cache the materialized answers (they
@@ -446,17 +424,6 @@ std::shared_ptr<const CachedPlan> QueryService::Prepare(Pending& p,
   }
   plan->algorithm = res->algorithm;
   plan->answers = std::make_shared<const Relation>(std::move(res->answers));
-  if (p.req.verb == ServeVerb::kCount &&
-      p.req.semiring != SemiringId::kCounting) {
-    // Memoize the aggregate on this (semiring-keyed) entry so cache hits
-    // skip the fold entirely.
-    Result<SemiringValue> v =
-        FoldAnswersSemiring(p.req.query, *plan->answers, p.req.semiring);
-    if (v.ok()) {
-      plan->semiring_value =
-          std::make_shared<const SemiringValue>(std::move(v).value());
-    }
-  }
   return plan;
 }
 

@@ -34,6 +34,8 @@
 ///   keyed by canonical query text + per-relation epochs, so repeated
 ///   queries skip the O(||D||) preparation and a mutation of relation R
 ///   invalidates the plans over R by construction (see plan_cache.h).
+///   One entry serves both verbs: the count verb's aggregate under each
+///   semiring is computed once per entry and memoized on it.
 /// * **Deadlines and cancellation.** Every request carries a CancelToken
 ///   that the evaluation loops poll; an expired deadline surfaces as
 ///   Status::DeadlineExceeded with partial-work accounting instead of a
@@ -58,8 +60,8 @@
 /// in its response — mutations applied concurrently via
 /// SnapshotStore::Apply are safe under live traffic, and every answer is
 /// exactly the pre- or post-mutation state, never a torn mix. Plans are
-/// cached per (canonical query, per-relation epochs, semiring), so a
-/// mutation invalidates only the plans whose atoms it touched. A plain
+/// cached per (canonical query, per-relation epochs), so a mutation
+/// invalidates only the plans whose atoms it touched. A plain
 /// Database is served by wrapping it in a one-epoch store.
 
 namespace fgq {
@@ -111,10 +113,9 @@ struct ServiceRequest {
   /// requests identically: verb + timeout + lane all live here.
   LaneHint lane = LaneHint::kAuto;
   /// kCount only: the commutative semiring the count verb aggregates
-  /// under (semiring.h). kCounting (the default) is the classic |phi(D)|
-  /// and fills ServiceResponse::count; every other id fills
-  /// ServiceResponse::semiring_value. Part of the plan-cache key, so
-  /// aggregates under different semirings never alias one entry.
+  /// under (semiring.h). kCounting (the default) is the classic |phi(D)|.
+  /// Not part of the plan-cache key: the entry memoizes one aggregate
+  /// per semiring.
   SemiringId semiring = SemiringId::kCounting;
   /// Optional trace sink for this request (not owned; must outlive the
   /// response future). The worker opens a `serve.request` span, plumbs
@@ -158,11 +159,11 @@ struct ServiceResponse {
   std::string algorithm;
   /// Set for kRows on success (shared immutable — may alias the cache).
   std::shared_ptr<const Relation> answers;
-  /// Set for kCount on success under the counting semiring (the default).
+  /// Set for kCount on success under the counting semiring (the default):
+  /// semiring_value.count again.
   BigInt count;
-  /// Set for kCount on success under a non-counting semiring: the
-  /// ⊕-aggregate, tagged with its id. `count` stays zero then; the wire
-  /// layer serializes semiring_value.Encode() as the count body.
+  /// Set for kCount on success: the ⊕-aggregate, tagged with its id. The
+  /// wire layer serializes semiring_value.Encode() as the count body.
   SemiringValue semiring_value;
   bool cache_hit = false;
   /// Epoch of the snapshot the request executed against (0 for a request

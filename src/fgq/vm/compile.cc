@@ -228,8 +228,8 @@ Result<std::shared_ptr<const Program>> CompilePlan(
                                   static_cast<uint32_t>(slot.second)});
     }
     // First occurrence of each distinct head variable: the slots whose
-    // element weights a semiring answer multiplies (RunSumProduct reads
-    // these; the plain count/emit streams ignore them).
+    // element weights a semiring answer multiplies (the weighted count
+    // stream reads these; counting and the emit stream ignore them).
     for (size_t i = 0; i < q.head().size() && i < prog->out.size(); ++i) {
       bool seen = false;
       for (size_t j = 0; j < i; ++j) {

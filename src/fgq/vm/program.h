@@ -129,8 +129,8 @@ struct Program {
   std::vector<OutSlot> out;
   /// `out` restricted to the first occurrence of each distinct head
   /// variable: the slots whose element weights a semiring answer
-  /// multiplies (semiring.h semantics). RunSumProduct reads these;
-  /// RunCount and the cursor ignore them.
+  /// multiplies (semiring.h semantics). The weighted instances of the
+  /// count stream read these; counting and the cursor ignore them.
   std::vector<OutSlot> weighted_out;
   uint32_t arity = 0;
   bool empty = false;

@@ -1,5 +1,7 @@
 #include "fgq/vm/vm.h"
 
+#include <algorithm>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -169,111 +171,33 @@ class ProgramCursor final : public AnswerEnumerator {
   uint64_t probes_ = 0;
 };
 
-}  // namespace
-
-std::unique_ptr<AnswerEnumerator> MakeProgramCursor(
-    std::shared_ptr<const Program> program, TraceContext* trace) {
-  return std::make_unique<ProgramCursor>(std::move(program), trace);
-}
-
-Result<uint64_t> RunCount(const Program& program, const CancelToken& cancel,
-                          TraceContext* trace) {
-  std::vector<Frame> frame_store(program.nodes.size());
-  const Insn* const code = program.count_code.data();
-  const ProgramNode* const nodes = program.nodes.data();
-  Frame* const frames = frame_store.data();
-  uint64_t count = 0;
-  uint64_t ops = 0;
-  uint64_t probes = 0;
-  int32_t pc = 0;
-  for (;;) {
-    const Insn& in = code[pc];
-    if (((++ops) & 0xffff) == 0 && cancel.cancelled()) {
-      return cancel.Check("vm count");
-    }
-    switch (in.op) {
-      case Op::kInitRoot: {
-        const ProgramNode& n = nodes[in.arg];
-        Frame& f = frames[in.arg];
-        f.span = HashIndex::RowSpan{n.root_data, n.root_count};
-        f.pos = 0;
-        if (n.root_count != 0) {
-          SetRow(n, f);
-          ++pc;
-        } else {
-          pc = in.jump;
-        }
-        break;
-      }
-      case Op::kProbe1:
-        ++probes;
-        pc = Probe<1>(nodes, frames, in.arg) ? pc + 1 : in.jump;
-        break;
-      case Op::kProbe2:
-        ++probes;
-        pc = Probe<2>(nodes, frames, in.arg) ? pc + 1 : in.jump;
-        break;
-      case Op::kProbeN:
-        ++probes;
-        pc = Probe<0>(nodes, frames, in.arg) ? pc + 1 : in.jump;
-        break;
-      case Op::kCount:
-        // Not fused like kEmit: this tail also serves the node-less
-        // Boolean count program, where there is no frame to step.
-        ++count;
-        pc = in.jump;
-        break;
-      case Op::kCountSpan:
-        count += frames[in.arg].span.count;
-        pc = in.jump;
-        break;
-      case Op::kCountProbeAll: {
-        // Consume the parent's remaining candidates in one batched sweep:
-        // hash 8 probe keys ahead, prefetch their tag groups, then sum
-        // the match span sizes. Leaves the parent exhausted so its
-        // kAdvance falls through to the next-shallower node.
-        const ProgramNode& n = nodes[in.arg];
-        Frame& pf = frames[n.parent];
-        const uint32_t* rows = pf.span.data + pf.pos;
-        const size_t m = pf.span.count - pf.pos;
-        if (n.npcols == 1) {
-          count += n.index->CountProbeGather<1>(n.pcol_ptrs, rows, m);
-        } else if (n.npcols == 2) {
-          count += n.index->CountProbeGather<2>(n.pcol_ptrs, rows, m);
-        } else {
-          count += n.index->CountProbeGather<0>(n.pcol_ptrs, rows, m);
-        }
-        probes += m;
-        pf.pos = static_cast<uint32_t>(pf.span.count - 1);
-        pc = in.jump;
-        break;
-      }
-      case Op::kAdvance: {
-        Frame& f = frames[in.arg];
-        if (f.pos + 1 < f.span.count) {
-          ++f.pos;
-          SetRow(nodes[in.arg], f);
-          pc = in.jump;
-        } else {
-          ++pc;
-        }
-        break;
-      }
-      case Op::kEmit:
-      case Op::kEmitNullary:
-      case Op::kHalt:
-        TraceCounter(trace, "vm.ops", ops);
-        TraceCounter(trace, "vm.probes", probes);
-        return count;
-    }
-  }
-}
-
+/// The count stream's accumulator: counting adds in a machine word (the
+/// one-add-per-span arithmetic), every other instance in its ValueType.
 template <typename S>
-Result<typename S::ValueType> RunSumProduct(const Program& program, const S& s,
-                                            const CancelToken& cancel,
-                                            TraceContext* trace) {
-  using V = typename S::ValueType;
+using StreamValue = std::conditional_t<std::is_same_v<S, CountingSemiring>,
+                                       uint64_t, typename S::ValueType>;
+
+/// Executes the count stream (`Program::count_code`) to completion under
+/// semiring instance `s`, ⊕-accumulating the ⊗ of Program::weighted_out
+/// element weights per answer. The counting instance keeps the fused
+/// shape: kCountSpan is one add per span and kCountProbeAll one batched
+/// CountProbeGather sweep. The weighted instances hoist every factor that
+/// does not move with the innermost cursor out of a tight span loop, and
+/// kCountProbeAll degrades to a per-parent-row probe sweep (the batched
+/// tag-gather kernel only counts). Polls `cancel` once per kPollWork
+/// units of work: one per instruction, plus one per row that a
+/// span-fused opcode probes or folds, since one such instruction can
+/// sweep a whole relation.
+template <typename S>
+Result<StreamValue<S>> RunCountStream(const Program& program, const S& s,
+                                      const CancelToken& cancel,
+                                      TraceContext* trace) {
+  constexpr bool kCounting = std::is_same_v<S, CountingSemiring>;
+  constexpr const char* kWhat = kCounting ? "vm count" : "vm sum-product";
+  constexpr uint64_t kPollWork = 1 << 16;
+  // Rows per batched probe sweep, so a long sweep meets the poll too.
+  constexpr size_t kGatherRows = 4096;
+  using W = typename S::ValueType;
   std::vector<Frame> frame_store(program.nodes.size());
   const Insn* const code = program.count_code.data();
   const ProgramNode* const nodes = program.nodes.data();
@@ -282,10 +206,15 @@ Result<typename S::ValueType> RunSumProduct(const Program& program, const S& s,
   // opcodes can hoist every factor that does not move with the innermost
   // cursor out of the tight loop — the semiring analogue of the
   // one-add-per-span shape.
-  std::vector<std::vector<uint32_t>> wcols(program.nodes.size());
-  for (const OutSlot& o : program.weighted_out) wcols[o.node].push_back(o.col);
+  std::vector<std::vector<uint32_t>> wcols;
+  if constexpr (!kCounting) {
+    wcols.resize(program.nodes.size());
+    for (const OutSlot& o : program.weighted_out) {
+      wcols[o.node].push_back(o.col);
+    }
+  }
   // w ⊗ (⊗ of `node`'s weighted slots at row `rid`).
-  auto node_factor = [&](uint32_t node, uint32_t rid, V w) {
+  auto node_factor = [&](uint32_t node, uint32_t rid, W w) {
     for (uint32_t c : wcols[node]) {
       w = s.Times(w, s.Weight(nodes[node].cols[c][rid]));
     }
@@ -295,21 +224,34 @@ Result<typename S::ValueType> RunSumProduct(const Program& program, const S& s,
   // ⊗ of every node's weighted slots at the current frame rows, skipping
   // up to two nodes whose factors the caller supplies itself.
   auto current_factor = [&](uint32_t skip_a, uint32_t skip_b) {
-    V w = s.One();
+    W w = s.One();
     for (uint32_t n = 0; n < wcols.size(); ++n) {
       if (n == skip_a || n == skip_b || wcols[n].empty()) continue;
       w = node_factor(n, frames[n].rid, std::move(w));
     }
     return w;
   };
-  V acc = s.Zero();
   uint64_t ops = 0;
+  // The next poll is due when `ops` reaches `poll_at`; the rows a
+  // span-fused opcode sweeps bring it closer.
+  uint64_t poll_at = kPollWork;
+  // Charges `rows` units of work; true when that made the poll due and
+  // the token has tripped.
+  auto tripped = [&](uint64_t rows) {
+    poll_at -= std::min(poll_at, rows);
+    if (ops < poll_at) return false;
+    poll_at = ops + kPollWork;
+    return cancel.cancelled();
+  };
+  StreamValue<S> acc{};
+  if constexpr (!kCounting) acc = s.Zero();
   uint64_t probes = 0;
   int32_t pc = 0;
   for (;;) {
     const Insn& in = code[pc];
-    if (((++ops) & 0xffff) == 0 && cancel.cancelled()) {
-      return cancel.Check("vm sum-product");
+    if (++ops >= poll_at) {
+      poll_at = ops + kPollWork;
+      if (cancel.cancelled()) return cancel.Check(kWhat);
     }
     switch (in.op) {
       case Op::kInitRoot: {
@@ -338,55 +280,87 @@ Result<typename S::ValueType> RunSumProduct(const Program& program, const S& s,
         pc = Probe<0>(nodes, frames, in.arg) ? pc + 1 : in.jump;
         break;
       case Op::kCount:
-        // One answer at the current frame rows (also the node-less
-        // Boolean program, where the product is empty and acc ⊕= 1).
-        acc = s.Plus(acc, current_factor(kNoSkip, kNoSkip));
+        // One answer at the current frame rows. Not fused like kEmit:
+        // this tail also serves the node-less Boolean count program,
+        // where there is no frame to step and the product is empty.
+        if constexpr (kCounting) {
+          ++acc;
+        } else {
+          acc = s.Plus(acc, current_factor(kNoSkip, kNoSkip));
+        }
         pc = in.jump;
         break;
       case Op::kCountSpan: {
         // The innermost node contributes span.count answers that differ
         // only in its own rows: hoist everything else into `prefix`.
         const Frame& f = frames[in.arg];
-        const V prefix = current_factor(in.arg, kNoSkip);
-        if (wcols[in.arg].empty()) {
-          for (uint32_t i = 0; i < f.span.count; ++i) {
-            acc = s.Plus(acc, prefix);
-          }
+        if constexpr (kCounting) {
+          acc += f.span.count;
         } else {
-          for (uint32_t i = 0; i < f.span.count; ++i) {
-            acc = s.Plus(acc, node_factor(in.arg, f.span.data[i], prefix));
+          const W prefix = current_factor(in.arg, kNoSkip);
+          if (wcols[in.arg].empty()) {
+            for (uint32_t i = 0; i < f.span.count; ++i) {
+              acc = s.Plus(acc, prefix);
+            }
+          } else {
+            for (uint32_t i = 0; i < f.span.count; ++i) {
+              acc = s.Plus(acc, node_factor(in.arg, f.span.data[i], prefix));
+            }
           }
+          if (tripped(f.span.count)) return cancel.Check(kWhat);
         }
         pc = in.jump;
         break;
       }
       case Op::kCountProbeAll: {
-        // The batched tag-gather kernel only counts; the semiring form
-        // consumes the parent's remaining span with one probe per parent
-        // candidate, re-deriving the parent factor per row. Factors of
-        // nodes shallower than the parent are loop-invariant.
+        // Consume the parent's remaining candidates and leave the parent
+        // exhausted, so its kAdvance falls through to the next-shallower
+        // node.
         const ProgramNode& n = nodes[in.arg];
         Frame& pf = frames[n.parent];
-        const V base = current_factor(in.arg, n.parent);
-        for (uint32_t p = pf.pos; p < pf.span.count; ++p) {
-          pf.pos = p;
-          SetRow(nodes[n.parent], pf);
-          ++probes;
-          HashIndex::RowSpan span;
-          if (n.npcols == 1) {
-            span = n.index->LookupColsFixed<1>(n.pcol_ptrs, pf.rid);
-          } else if (n.npcols == 2) {
-            span = n.index->LookupColsFixed<2>(n.pcol_ptrs, pf.rid);
-          } else {
-            span = n.index->LookupColsFixed<0>(n.pcol_ptrs, pf.rid);
+        if constexpr (kCounting) {
+          // Batched: hash 8 probe keys ahead, prefetch their tag groups,
+          // then sum the match span sizes.
+          for (size_t begin = pf.pos; begin < pf.span.count;
+               begin += kGatherRows) {
+            const uint32_t* rows = pf.span.data + begin;
+            const size_t m = std::min(pf.span.count - begin, kGatherRows);
+            if (n.npcols == 1) {
+              acc += n.index->CountProbeGather<1>(n.pcol_ptrs, rows, m);
+            } else if (n.npcols == 2) {
+              acc += n.index->CountProbeGather<2>(n.pcol_ptrs, rows, m);
+            } else {
+              acc += n.index->CountProbeGather<0>(n.pcol_ptrs, rows, m);
+            }
+            probes += m;
+            if (tripped(m)) return cancel.Check(kWhat);
           }
-          if (span.count == 0) continue;
-          const V w = node_factor(n.parent, pf.rid, base);
-          if (wcols[in.arg].empty()) {
-            for (uint32_t i = 0; i < span.count; ++i) acc = s.Plus(acc, w);
-          } else {
-            for (uint32_t i = 0; i < span.count; ++i) {
-              acc = s.Plus(acc, node_factor(in.arg, span.data[i], w));
+        } else {
+          // One probe per parent candidate, re-deriving the parent factor
+          // per row. Factors of nodes shallower than the parent are
+          // loop-invariant.
+          const W base = current_factor(in.arg, n.parent);
+          for (uint32_t p = pf.pos; p < pf.span.count; ++p) {
+            pf.pos = p;
+            SetRow(nodes[n.parent], pf);
+            ++probes;
+            HashIndex::RowSpan span;
+            if (n.npcols == 1) {
+              span = n.index->LookupColsFixed<1>(n.pcol_ptrs, pf.rid);
+            } else if (n.npcols == 2) {
+              span = n.index->LookupColsFixed<2>(n.pcol_ptrs, pf.rid);
+            } else {
+              span = n.index->LookupColsFixed<0>(n.pcol_ptrs, pf.rid);
+            }
+            if (tripped(1 + span.count)) return cancel.Check(kWhat);
+            if (span.count == 0) continue;
+            const W w = node_factor(n.parent, pf.rid, base);
+            if (wcols[in.arg].empty()) {
+              for (uint32_t i = 0; i < span.count; ++i) acc = s.Plus(acc, w);
+            } else {
+              for (uint32_t i = 0; i < span.count; ++i) {
+                acc = s.Plus(acc, node_factor(in.arg, span.data[i], w));
+              }
             }
           }
         }
@@ -415,55 +389,42 @@ Result<typename S::ValueType> RunSumProduct(const Program& program, const S& s,
   }
 }
 
-// One instantiation per registered semiring: the dispatch below is the
-// only caller, so the per-semiring loops are sealed here.
-template Result<bool> RunSumProduct<BooleanSemiring>(const Program&,
-                                                     const BooleanSemiring&,
-                                                     const CancelToken&,
-                                                     TraceContext*);
-template Result<BigInt> RunSumProduct<CountingSemiring>(const Program&,
-                                                        const CountingSemiring&,
-                                                        const CancelToken&,
-                                                        TraceContext*);
-template Result<int64_t> RunSumProduct<MinPlusSemiring>(const Program&,
-                                                        const MinPlusSemiring&,
-                                                        const CancelToken&,
-                                                        TraceContext*);
-template Result<int64_t> RunSumProduct<MaxMinSemiring>(const Program&,
-                                                       const MaxMinSemiring&,
-                                                       const CancelToken&,
-                                                       TraceContext*);
-template Result<std::vector<int64_t>> RunSumProduct<TopKSemiring>(
-    const Program&, const TopKSemiring&, const CancelToken&, TraceContext*);
+}  // namespace
+
+std::unique_ptr<AnswerEnumerator> MakeProgramCursor(
+    std::shared_ptr<const Program> program, TraceContext* trace) {
+  return std::make_unique<ProgramCursor>(std::move(program), trace);
+}
 
 Result<SemiringValue> RunSemiring(const Program& program, SemiringId id,
                                   const CancelToken& cancel,
                                   TraceContext* trace) {
   switch (id) {
     case SemiringId::kCounting: {
-      // (+,×) keeps the fused machine-word path.
-      FGQ_ASSIGN_OR_RETURN(uint64_t c, RunCount(program, cancel, trace));
+      FGQ_ASSIGN_OR_RETURN(
+          uint64_t c,
+          RunCountStream(program, CountingSemiring{}, cancel, trace));
       return SemiringValue::Counting(BigInt::FromUint64(c));
     }
     case SemiringId::kBoolean: {
       FGQ_ASSIGN_OR_RETURN(
-          bool b, RunSumProduct(program, BooleanSemiring{}, cancel, trace));
+          bool b, RunCountStream(program, BooleanSemiring{}, cancel, trace));
       return SemiringValue::Boolean(b);
     }
     case SemiringId::kMinPlus: {
       FGQ_ASSIGN_OR_RETURN(
-          int64_t v, RunSumProduct(program, MinPlusSemiring{}, cancel, trace));
+          int64_t v, RunCountStream(program, MinPlusSemiring{}, cancel, trace));
       return SemiringValue::MinPlus(v);
     }
     case SemiringId::kMaxMin: {
       FGQ_ASSIGN_OR_RETURN(
-          int64_t v, RunSumProduct(program, MaxMinSemiring{}, cancel, trace));
+          int64_t v, RunCountStream(program, MaxMinSemiring{}, cancel, trace));
       return SemiringValue::MaxMin(v);
     }
     case SemiringId::kTopK: {
       FGQ_ASSIGN_OR_RETURN(std::vector<int64_t> v,
-                           RunSumProduct(program, TopKSemiring(kTopKWireK),
-                                         cancel, trace));
+                           RunCountStream(program, TopKSemiring(kTopKWireK),
+                                          cancel, trace));
       return SemiringValue::TopK(std::move(v));
     }
   }

@@ -1,7 +1,6 @@
 #ifndef FGQ_VM_VM_H_
 #define FGQ_VM_VM_H_
 
-#include <cstdint>
 #include <memory>
 
 #include "fgq/count/semiring.h"
@@ -23,10 +22,13 @@
 ///   number of cursors share one cached Program. This is the
 ///   constant-delay enumerator of Theorem 4.6
 ///   (MakeConstantDelayEnumerator returns one).
-/// * RunCount — executes the fused counting stream (`Program::count_code`)
-///   to completion: no materialization, no yields, the innermost loop
-///   collapsed to one span-sized add where the compiler proved it legal.
-///   Polls `cancel` every ~64k instructions.
+/// * RunSemiring — executes the count stream (`Program::count_code`) to
+///   completion under one SemiringId: no materialization, no yields. One
+///   dispatch loop serves every semiring; its counting instance adds in a
+///   machine word, with the innermost loop collapsed to one span-sized add
+///   where the compiler proved it legal. Polls `cancel` every ~64k
+///   units of work: instructions, plus the rows a span-fused opcode
+///   probes or folds.
 ///
 /// The dispatch loop is a plain switch over Op — no virtual calls, no
 /// per-operator allocation; the probe opcodes call the key-arity-
@@ -45,27 +47,9 @@ namespace vm {
 std::unique_ptr<AnswerEnumerator> MakeProgramCursor(
     std::shared_ptr<const Program> program, TraceContext* trace = nullptr);
 
-/// Runs the counting stream to completion and returns |phi(D)|.
+/// Runs the count stream under semiring `id` and returns the
+/// ⊕-aggregate, tagged with `id`; kCounting returns |phi(D)|.
 /// Cancellation surfaces as the token's DeadlineExceeded/Cancelled.
-Result<uint64_t> RunCount(const Program& program, const CancelToken& cancel,
-                          TraceContext* trace = nullptr);
-
-/// Runs the counting stream under semiring instance `s`, ⊕-accumulating
-/// the ⊗ of Program::weighted_out element weights per answer. The loop
-/// mirrors RunCount instruction for instruction — kCountSpan keeps the
-/// one-dispatch-per-span shape by hoisting the non-innermost factor out
-/// of a tight span loop, and kCountProbeAll degrades to a per-parent-row
-/// probe sweep (the batched tag-gather kernel only counts). Explicitly
-/// instantiated in vm.cc for every registered semiring.
-template <typename S>
-Result<typename S::ValueType> RunSumProduct(const Program& program, const S& s,
-                                            const CancelToken& cancel,
-                                            TraceContext* trace = nullptr);
-
-/// Id-dispatched wrapper over RunSumProduct: picks the instantiation for
-/// `id` and wraps the carrier in a SemiringValue. kCounting routes to
-/// the fused RunCount. This is what the serving layer calls for
-/// count-verb requests that carry a semiring byte.
 Result<SemiringValue> RunSemiring(const Program& program, SemiringId id,
                                   const CancelToken& cancel,
                                   TraceContext* trace = nullptr);

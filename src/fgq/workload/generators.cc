@@ -21,17 +21,6 @@ Relation RandomRelation(const std::string& name, size_t arity, size_t tuples,
   return rel;
 }
 
-Database RandomBinaryDatabase(size_t num_relations, size_t tuples,
-                              Value domain, Rng* rng) {
-  Database db;
-  for (size_t i = 0; i < num_relations; ++i) {
-    db.PutRelation(
-        RandomRelation("R" + std::to_string(i + 1), 2, tuples, domain, rng));
-  }
-  db.DeclareDomainSize(domain);
-  return db;
-}
-
 ConjunctiveQuery PathQuery(size_t k) {
   ConjunctiveQuery q("Path" + std::to_string(k),
                      {"x1", "x" + std::to_string(k + 1)}, {});

@@ -27,11 +27,6 @@ namespace fgq {
 Relation RandomRelation(const std::string& name, size_t arity, size_t tuples,
                         Value domain, Rng* rng);
 
-/// A database with binary relations R1..Rm, each with `tuples` random
-/// tuples over [0, domain).
-Database RandomBinaryDatabase(size_t num_relations, size_t tuples,
-                              Value domain, Rng* rng);
-
 /// The path query P_k(x1, x_{k+1}) :- E1(x1,x2), ..., Ek(xk, x_{k+1}),
 /// with all intermediate variables existential. Acyclic; free-connex
 /// for k = 1 and NOT free-connex for k >= 2.

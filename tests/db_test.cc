@@ -12,7 +12,6 @@
 #include "fgq/db/probe_kernels.h"
 #include "fgq/db/relation.h"
 #include "fgq/db/tag_key_set.h"
-#include "fgq/db/trie.h"
 #include "fgq/db/value.h"
 #include "fgq/eval/prepared.h"
 #include "fgq/trace/trace.h"
@@ -472,42 +471,6 @@ TEST(HashIndex, ParallelBuildBitIdenticalLayout) {
     EXPECT_EQ(par.row_ids(), serial.row_ids()) << threads << " threads";
     EXPECT_EQ(par.slots(), serial.slots()) << threads << " threads";
   }
-}
-
-TEST(Trie, LevelsAndLookup) {
-  Relation r("R", 2);
-  r.Add({1, 10});
-  r.Add({1, 11});
-  r.Add({2, 10});
-  Trie trie(r, {0, 1});
-  EXPECT_EQ(trie.depth(), 2u);
-  EXPECT_EQ(trie.Roots().size(), 2u);
-  const Trie::Node* one = trie.FindRoot(1);
-  ASSERT_NE(one, nullptr);
-  EXPECT_EQ(trie.ChildEnd(0, *one) - trie.ChildBegin(0, *one), 2);
-  EXPECT_NE(trie.FindChild(0, *one, 11), nullptr);
-  EXPECT_EQ(trie.FindChild(0, *one, 12), nullptr);
-  EXPECT_EQ(trie.FindRoot(5), nullptr);
-  EXPECT_EQ(trie.NumLeaves(), 3u);
-}
-
-TEST(Trie, ReorderedColumnOrder) {
-  Relation r("R", 2);
-  r.Add({1, 10});
-  r.Add({2, 10});
-  r.Add({2, 11});
-  Trie trie(r, {1, 0});  // Keyed by second column first.
-  const Trie::Node* ten = trie.FindRoot(10);
-  ASSERT_NE(ten, nullptr);
-  EXPECT_EQ(trie.ChildEnd(0, *ten) - trie.ChildBegin(0, *ten), 2);
-}
-
-TEST(Trie, DedupsTuples) {
-  Relation r("R", 1);
-  r.Add({5});
-  r.Add({5});
-  Trie trie(r, {0});
-  EXPECT_EQ(trie.Roots().size(), 1u);
 }
 
 TEST(Dictionary, InternAndLookup) {

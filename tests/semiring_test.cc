@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fgq/count/acq_count.h"
@@ -11,6 +13,7 @@
 #include "fgq/query/parser.h"
 #include "fgq/serve/plan_cache.h"
 #include "fgq/serve/query_service.h"
+#include "fgq/trace/trace.h"
 #include "fgq/util/random.h"
 #include "fgq/workload/generators.h"
 
@@ -351,15 +354,31 @@ TEST(EngineSumProduct, CrossSemiringConsistency) {
   EXPECT_EQ(*mp, SemiringValue::MinPlus(0));  // Satisfiable <=> cost 0.
 }
 
-// ---- Plan cache: semiring keying ----------------------------------------
+// ---- Serving: one plan-cache entry, every semiring memoized on it -------
 
-TEST(PlanKeySemiring, DistinctSemiringsNeverAlias) {
-  PlanKey a, b;
-  a.canonical = b.canonical = "(v0),E(v0,v1)";
-  a.semiring = 0;
-  b.semiring = 2;
-  EXPECT_FALSE(a == b);
-  EXPECT_NE(PlanKeyHash{}(a), PlanKeyHash{}(b));
+/// Every SemiringId aggregate of `q` over `db`, via Engine::SumProduct.
+std::vector<SemiringValue> EngineAggregates(const ConjunctiveQuery& q,
+                                            const Database& db) {
+  Engine engine{ExecOptions::Serial()};
+  std::vector<SemiringValue> out;
+  for (uint8_t i = 0; i < kNumSemirings; ++i) {
+    ExecRequest req(q, db);
+    req.semiring = static_cast<SemiringId>(i);
+    Result<SemiringValue> v = engine.SumProduct(req);
+    EXPECT_TRUE(v.ok()) << v.status();
+    out.push_back(v.ok() ? *v : SemiringValue());
+  }
+  return out;
+}
+
+ServiceResponse CountUnder(QueryService& service, const ConjunctiveQuery& q,
+                           SemiringId id, TraceContext* trace = nullptr) {
+  ServiceRequest req;
+  req.query = q;
+  req.verb = ServeVerb::kCount;
+  req.semiring = id;
+  req.trace = trace;
+  return service.Submit(std::move(req)).get();
 }
 
 TEST(ServeSemiring, CachedAggregatesPerSemiring) {
@@ -373,28 +392,148 @@ TEST(ServeSemiring, CachedAggregatesPerSemiring) {
   ServiceOptions sopts;
   sopts.num_workers = 1;
   QueryService service(&store, sopts);
-  auto count_under = [&](SemiringId id) {
+  // Interleave semirings twice: every request after the first hits the
+  // one entry, and each semiring reads back its own aggregate.
+  for (int round = 0; round < 2; ++round) {
+    ServiceResponse c = CountUnder(service, q, SemiringId::kCounting);
+    ASSERT_TRUE(c.status.ok()) << c.status;
+    EXPECT_EQ(c.count.ToString(), "2");
+    EXPECT_EQ(c.semiring_value, SemiringValue::Counting(BigInt(2)));
+    ServiceResponse b = CountUnder(service, q, SemiringId::kBoolean);
+    ASSERT_TRUE(b.status.ok()) << b.status;
+    EXPECT_EQ(b.semiring_value, SemiringValue::Boolean(true));
+    ServiceResponse m = CountUnder(service, q, SemiringId::kMinPlus);
+    ASSERT_TRUE(m.status.ok()) << m.status;
+    EXPECT_EQ(m.semiring_value, SemiringValue::MinPlus(3));  // 1 + 2.
+    EXPECT_EQ(c.cache_hit, round == 1);
+    EXPECT_TRUE(b.cache_hit);
+    EXPECT_TRUE(m.cache_hit);
+  }
+  EXPECT_EQ(service.cache().size(), 1u);
+  service.Stop();
+}
+
+TEST(ServeSemiring, OnePreparationServesRowsAndEverySemiring) {
+  // Figure 1's free-connex query caches a VM program; the 2-path is not
+  // free-connex and caches its materialized answers. Either way a rows
+  // request prepares the one entry, and the count verb under every
+  // semiring reads it.
+  Rng rng(5);
+  const ConjunctiveQuery queries[] = {Figure1Query(), PathQuery(2)};
+  const Database dbs[] = {Figure1Database(400, 60, &rng),
+                          PathDatabase(2, 400, 60, &rng)};
+  for (size_t c = 0; c < 2; ++c) {
+    const ConjunctiveQuery& q = queries[c];
+    const std::vector<SemiringValue> want = EngineAggregates(q, dbs[c]);
+    SnapshotStore store(dbs[c]);
+    ServiceOptions sopts;
+    sopts.num_workers = 1;
+    QueryService service(&store, sopts);
+    ServiceRequest rows;
+    rows.query = q;
+    ServiceResponse r = service.Submit(std::move(rows)).get();
+    ASSERT_TRUE(r.status.ok()) << r.status;
+    EXPECT_FALSE(r.cache_hit);
+    for (int round = 0; round < 2; ++round) {
+      for (uint8_t i = 0; i < kNumSemirings; ++i) {
+        const SemiringId id = static_cast<SemiringId>(i);
+        TraceContext trace;
+        ServiceResponse resp = CountUnder(service, q, id, &trace);
+        ASSERT_TRUE(resp.status.ok()) << SemiringName(id) << ": "
+                                      << resp.status;
+        EXPECT_TRUE(resp.cache_hit) << SemiringName(id);
+        // The first count under a semiring runs the stream (a program
+        // entry's VM reports its ops); the second reads the memo.
+        if (c == 0) {
+          EXPECT_EQ(trace.counter("vm.ops") > 0, round == 0)
+              << SemiringName(id);
+        }
+        EXPECT_EQ(resp.semiring_value, want[i])
+            << q.ToString() << " " << SemiringName(id);
+        if (id == SemiringId::kCounting) {
+          EXPECT_EQ(resp.count, want[i].count);
+        }
+      }
+    }
+    MetricsRegistry& m = service.metrics();
+    EXPECT_EQ(m.GetCounter("serve.cache.misses").Value(), 1u) << q.ToString();
+    EXPECT_LE(m.GetCounter("serve.vm.compiled").Value(), 1u) << q.ToString();
+    EXPECT_EQ(service.cache().size(), 1u);
+    service.Stop();
+  }
+}
+
+TEST(ServeSemiring, CancelledAggregateIsNotMemoized) {
+  Rng rng(7);
+  const Database db = Figure1Database(50000, 12500, &rng);
+  const ConjunctiveQuery q = Figure1Query();
+  SnapshotStore store(db);
+  ServiceOptions sopts;
+  sopts.num_workers = 1;
+  QueryService service(&store, sopts);
+  // Prepare the entry; the rows verb leaves every memo slot empty.
+  ServiceRequest warm;
+  warm.query = q;
+  warm.limit = 1;
+  ASSERT_TRUE(service.Submit(std::move(warm)).get().status.ok());
+  // Top-k folds every answer's weights, so its stream runs long enough
+  // for the cancel to land inside it: the request's cache lookup is
+  // counted just before the aggregate starts.
+  ServiceRequest req;
+  req.query = q;
+  req.verb = ServeVerb::kCount;
+  req.semiring = SemiringId::kTopK;
+  std::future<ServiceResponse> fut = service.Submit(std::move(req));
+  while (service.cache().hits() + service.cache().misses() < 2) {
+    std::this_thread::yield();
+  }
+  service.CancelAll();
+  ServiceResponse cancelled = fut.get();
+  EXPECT_EQ(cancelled.status.code(), StatusCode::kCancelled)
+      << cancelled.status;
+  EXPECT_TRUE(cancelled.cache_hit);
+
+  ExecRequest ereq(q, db);
+  ereq.semiring = SemiringId::kTopK;
+  Result<SemiringValue> want = Engine(ExecOptions::Serial()).SumProduct(ereq);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ServiceResponse again = CountUnder(service, q, SemiringId::kTopK);
+  ASSERT_TRUE(again.status.ok()) << again.status;
+  EXPECT_TRUE(again.cache_hit);
+  EXPECT_EQ(again.semiring_value, *want);
+  service.Stop();
+}
+
+TEST(ServeSemiring, ConcurrentSemiringsShareOneEntry) {
+  // Four workers fill and read the memo slots of one entry at once (the
+  // TSan build checks the memo mutex).
+  Rng rng(9);
+  const Database db = Figure1Database(2000, 300, &rng);
+  const ConjunctiveQuery q = Figure1Query();
+  const std::vector<SemiringValue> want = EngineAggregates(q, db);
+  SnapshotStore store(db);
+  ServiceOptions sopts;
+  sopts.num_workers = 4;
+  QueryService service(&store, sopts);
+  ServiceRequest warm;
+  warm.query = q;
+  ASSERT_TRUE(service.Submit(std::move(warm)).get().status.ok());
+  constexpr size_t kRequests = 40;
+  std::vector<std::future<ServiceResponse>> futs;
+  for (size_t r = 0; r < kRequests; ++r) {
     ServiceRequest req;
     req.query = q;
     req.verb = ServeVerb::kCount;
-    req.semiring = id;
-    return service.Submit(std::move(req)).get();
-  };
-  // Interleave semirings twice: the second pass must hit its own entry
-  // and still return the right aggregate (no cross-semiring aliasing).
-  for (int round = 0; round < 2; ++round) {
-    ServiceResponse c = count_under(SemiringId::kCounting);
-    ASSERT_TRUE(c.status.ok()) << c.status;
-    EXPECT_EQ(c.count.ToString(), "2");
-    ServiceResponse b = count_under(SemiringId::kBoolean);
-    ASSERT_TRUE(b.status.ok()) << b.status;
-    EXPECT_EQ(b.semiring_value, SemiringValue::Boolean(true));
-    ServiceResponse m = count_under(SemiringId::kMinPlus);
-    ASSERT_TRUE(m.status.ok()) << m.status;
-    EXPECT_EQ(m.semiring_value, SemiringValue::MinPlus(3));  // 1 + 2.
-    EXPECT_EQ(b.cache_hit, round == 1);
-    EXPECT_EQ(m.cache_hit, round == 1);
+    req.semiring = static_cast<SemiringId>(r % kNumSemirings);
+    futs.push_back(service.Submit(std::move(req)));
   }
+  for (size_t r = 0; r < kRequests; ++r) {
+    ServiceResponse resp = futs[r].get();
+    ASSERT_TRUE(resp.status.ok()) << resp.status;
+    EXPECT_TRUE(resp.cache_hit);
+    EXPECT_EQ(resp.semiring_value, want[r % kNumSemirings]) << r;
+  }
+  EXPECT_EQ(service.metrics().GetCounter("serve.cache.misses").Value(), 1u);
   service.Stop();
 }
 

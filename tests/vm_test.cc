@@ -147,9 +147,10 @@ TEST(VmCount, MatchesEnumerationAndFusesTheInnermostLoop) {
   const ConjunctiveQuery q = Q("Q(x, y) :- E(x, y), B(y).");
   vm::Compilation comp = Compile(q, db);
   ASSERT_TRUE(comp.ok());
-  Result<uint64_t> n = vm::RunCount(*comp.program, CancelToken());
+  Result<SemiringValue> n =
+      vm::RunSemiring(*comp.program, SemiringId::kCounting, CancelToken());
   ASSERT_TRUE(n.ok()) << n.status();
-  EXPECT_EQ(*n, 2u);
+  EXPECT_EQ(n->count, BigInt::FromUint64(2));
   // The counting stream must use the span-fused opcode rather than
   // per-answer kCount.
   bool fused = false;
@@ -167,9 +168,33 @@ TEST(VmCount, CancellationSurfaces) {
   cancel.Cancel();
   // The poll period is ~64k ops; a tiny program may finish first. Either
   // outcome is allowed, but a non-OK status must be the token's.
-  Result<uint64_t> n = vm::RunCount(*comp.program, cancel);
+  Result<SemiringValue> n =
+      vm::RunSemiring(*comp.program, SemiringId::kCounting, cancel);
   if (!n.ok()) {
     EXPECT_EQ(n.status().code(), StatusCode::kCancelled) << n.status();
+  }
+}
+
+TEST(VmCount, CancellationReachesSpanFusedSweeps) {
+  // A cross product compiles to a handful of instructions, one of which
+  // folds all 3000 x 3000 answers: the poll must count the rows it
+  // sweeps, not the instructions it dispatches.
+  Database db;
+  Relation a("A", 1), b("B", 1);
+  for (Value v = 0; v < 3000; ++v) {
+    a.Add({v});
+    b.Add({v});
+  }
+  db.PutRelation(a);
+  db.PutRelation(b);
+  vm::Compilation comp = Compile(Q("Q(x, y) :- A(x), B(y)."), db);
+  ASSERT_TRUE(comp.ok()) << comp.fallback_reason;
+  CancelToken cancel = CancelToken::Cancellable();
+  cancel.Cancel();
+  for (SemiringId id : {SemiringId::kMinPlus, SemiringId::kTopK}) {
+    Result<SemiringValue> v = vm::RunSemiring(*comp.program, id, cancel);
+    ASSERT_FALSE(v.ok()) << SemiringName(id);
+    EXPECT_EQ(v.status().code(), StatusCode::kCancelled) << v.status();
   }
 }
 

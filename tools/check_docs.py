@@ -71,6 +71,9 @@ DELETED_SYMBOLS = [
     "db_version",
     "MaterializeAcqComponents",
     "MergeAcqViews",
+    "vm::RunCount",
+    "PlanKey::semiring",
+    "RandomBinaryDatabase",
 ]
 REMOVAL_CONTEXT_RE = re.compile(r"removed|retired|deprecat", re.IGNORECASE)
 
