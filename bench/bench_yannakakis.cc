@@ -157,6 +157,41 @@ BENCHMARK(BM_SortDedupWide)
     ->ArgsProduct({{2, 3}, {1 << 12, 1 << 16, 1 << 20}})
     ->Unit(benchmark::kMicrosecond);
 
+// ---- Join assembly (JoinProject) --------------------------------------------
+//
+// The one materializing join of the 2-path Q(x1, x3) :- E1(x1, x2),
+// E2(x2, x3) — Theorem 4.2's last step, and the S-component its count
+// materializes — on the fully reduced 2e5-row E1/E2 of
+// ServeWorkloadDatabase (fgq-bench's analytic database). Arg 0 passes the
+// atoms in join-tree order (root first, as Yannakakis does); arg 1 swaps
+// them. The output is the same set either way.
+
+void BM_JoinProject(benchmark::State& state) {
+  const bool tree_order = state.range(0) == 0;
+  const Database db = ServeWorkloadDatabase(200000, 1);
+  auto rq = FullReduce(PathQuery(2), db);
+  if (!rq.ok()) {
+    state.SkipWithError(rq.status().ToString().c_str());
+    return;
+  }
+  const PreparedAtom& root = rq->atoms[static_cast<size_t>(rq->tree.root)];
+  const PreparedAtom& child = rq->atoms[rq->tree.root == 0 ? 1 : 0];
+  const PreparedAtom& left = tree_order ? root : child;
+  const PreparedAtom& right = tree_order ? child : root;
+  const std::vector<std::string> keep = {"x1", "x3"};
+  size_t rows = 0;
+  for (auto _ : state) {
+    PreparedAtom out = JoinProject(left, right, keep);
+    rows = out.rel.NumTuples();
+    benchmark::DoNotOptimize(rows);
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+  TraceContext trace;
+  JoinProject(left, right, keep, ExecContext().WithTrace(&trace));
+  benchjson::AddTraceCounters(state, trace);
+}
+BENCHMARK(BM_JoinProject)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 // ---- Data-plane kernel microbenchmarks (EXPERIMENTS.md E25) ----------------
 //
 // The two kernels every algorithm class bottoms out in: the O(N) hash-index

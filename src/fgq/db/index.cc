@@ -720,8 +720,7 @@ void HashIndex::BuildDenseCount() {
   if (live == 0) return;
   const uint64_t range =
       static_cast<uint64_t>(mx) - static_cast<uint64_t>(mn) + 1;
-  if (range == 0 || range > kDenseMaxRange) return;  // range == 0: wrapped.
-  if (range > kDenseSmallRange && range > live * kDenseSparsity) return;
+  if (!DenseKeyRange(range, live)) return;  // range == 0: wrapped.
   dense_min_ = mn;
   dense_cnt_.assign(range, 0);
   for (const GroupMeta& gm : group_meta_) {

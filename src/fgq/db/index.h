@@ -214,6 +214,19 @@ class HashIndex {
 
   bool ContainsKey(const Tuple& key) const { return !Lookup(key).empty(); }
 
+  /// True when `live` distinct single-column keys spanning `range` values
+  /// fill it densely enough for a flat per-value table (dense_cnt_, and
+  /// JoinProject's run-offset table): always up to 64K values; beyond
+  /// that, only when at least 1-in-16 of the range is occupied, capped at
+  /// 1M entries (4 MiB of uint32_t).
+  static bool DenseKeyRange(uint64_t range, uint64_t live) {
+    constexpr uint64_t kDenseSmallRange = uint64_t{1} << 16;
+    constexpr uint64_t kDenseMaxRange = uint64_t{1} << 20;
+    constexpr uint64_t kDenseSparsity = 16;
+    if (range == 0 || range > kDenseMaxRange) return false;
+    return range <= kDenseSmallRange || range <= live * kDenseSparsity;
+  }
+
   /// CSR offset of a non-empty span this index returned: the position of
   /// its first row id in row_ids(). Distinct groups have distinct offsets,
   /// so per-group payloads can live in a flat array indexed by it (the
@@ -469,12 +482,6 @@ class HashIndex {
   /// bit-identity across tiers is untouched.
   std::vector<uint32_t, PoolAllocator<uint32_t>> dense_cnt_;
   Value dense_min_ = 0;
-  /// Dense table thresholds: always dense up to 64K values; beyond that,
-  /// only when at least 1-in-16 of the range is occupied, capped at 1M
-  /// entries (4 MiB).
-  static constexpr uint64_t kDenseSmallRange = uint64_t{1} << 16;
-  static constexpr uint64_t kDenseMaxRange = uint64_t{1} << 20;
-  static constexpr uint64_t kDenseSparsity = 16;
   std::vector<uint32_t> offsets_;     // num groups + 1 entries.
   std::vector<uint32_t> row_ids_;     // One entry per indexed row.
   std::vector<ShardMeta> shards_;

@@ -23,6 +23,11 @@ constexpr size_t kParallelRowCutoff = size_t{1} << 13;
 /// sort pays a fixed cost per pass to clear and prefix-sum its histogram.
 constexpr size_t kRadixMinRows = 512;
 
+/// Key count up to which the packed kernel insertion-sorts its keys: the
+/// run-local sort of a grouped relation hands it many runs this short,
+/// where std::sort's introsort setup costs more than the sort itself.
+constexpr size_t kInsertionMaxRows = 32;
+
 /// Widest LSD radix digit: 2^11 counters keep a pass's histogram in L1.
 constexpr unsigned kMaxDigitBits = 11;
 
@@ -102,10 +107,19 @@ void UnpackKeys(const uint64_t* keys, size_t n, const KeyLayout& k,
 }
 
 /// Sorts `n` keys whose differing bits all lie below bit `bits`. Small
-/// inputs std::sort in place; larger ones take an LSD radix sort that
-/// ping-pongs with `tmp` (n entries). Returns the buffer holding the
-/// sorted keys.
+/// inputs insertion-sort or std::sort in place; larger ones take an LSD
+/// radix sort that ping-pongs with `tmp` (n entries). Returns the buffer
+/// holding the sorted keys.
 uint64_t* SortKeys(uint64_t* keys, uint64_t* tmp, size_t n, unsigned bits) {
+  if (n <= kInsertionMaxRows) {
+    for (size_t i = 1; i < n; ++i) {
+      const uint64_t key = keys[i];
+      size_t j = i;
+      for (; j > 0 && keys[j - 1] > key; --j) keys[j] = keys[j - 1];
+      keys[j] = key;
+    }
+    return keys;
+  }
   if (n < kRadixMinRows) {
     std::sort(keys, keys + n);
     return keys;
@@ -260,7 +274,7 @@ void Relation::SortDedup(const ExecContext& ctx) {
   if (sorted_) return;
   if (arity_ > 0 && num_tuples_ > 0) {
     TraceCounter(ctx.trace(), "sort_dedup_rows", num_tuples_);
-    if (!SortDedupPacked()) {
+    if (!SortDedupPacked(ctx)) {
       TraceCounter(ctx.trace(), "sort_dedup_fallback_rows", num_tuples_);
       SortDedupByComparator(ctx);
     }
@@ -268,13 +282,36 @@ void Relation::SortDedup(const ExecContext& ctx) {
   sorted_ = true;
 }
 
-bool Relation::SortDedupPacked() {
+bool Relation::SortDedupPacked(const ExecContext& ctx) {
   const size_t n = num_tuples_;
   const std::optional<KeyLayout> layout = PlanKeys(cols_);
   if (!layout.has_value()) return false;
   KeyVec keys(n), tmp(n);
   PackKeys(cols_, *layout, keys.data());
-  uint64_t* sorted = SortKeys(keys.data(), tmp.data(), n, layout->bits);
+  uint64_t* sorted = keys.data();
+  const Value* c0 = cols_[0].data();
+  if (std::is_sorted(c0, c0 + n)) {
+    // Column 0 is already grouped (a join probed in its output order):
+    // the keys are in order across its runs, so sort each run alone, on
+    // the bits below column 0's field. Nothing to sort when those bits
+    // are all constant.
+    TraceCounter(ctx.trace(), "sort_dedup_run_local_rows", n);
+    const unsigned low_bits = layout->shift[0];
+    for (size_t b = 0; b < n && low_bits > 0;) {
+      size_t e = b + 1;
+      while (e < n && c0[e] == c0[b]) ++e;
+      if (e - b > 1) {
+        const uint64_t* run =
+            SortKeys(keys.data() + b, tmp.data() + b, e - b, low_bits);
+        if (run != keys.data() + b) {
+          std::copy(run, run + (e - b), keys.data() + b);
+        }
+      }
+      b = e;
+    }
+  } else {
+    sorted = SortKeys(keys.data(), tmp.data(), n, layout->bits);
+  }
   const size_t w = static_cast<size_t>(std::unique(sorted, sorted + n) - sorted);
   for (ColumnVec& col : cols_) col.resize(w);
   num_tuples_ = w;
@@ -388,16 +425,39 @@ Relation Relation::Project(const std::vector<size_t>& cols,
     if (n > 0) out.AddNullary();
     return out;
   }
-  // Column-wise the projection itself is free: each output column is a
-  // straight copy of a source column. All the work is the trailing dedup,
-  // and the identity projection of a canonical set needs none.
-  bool identity = cols.size() == arity_;
-  for (size_t j = 0; j < cols.size(); ++j) {
-    out.cols_[j] = cols_[cols[j]];
-    identity = identity && cols[j] == j;
+  bool prefix = true;
+  for (size_t j = 0; j < cols.size(); ++j) prefix = prefix && cols[j] == j;
+  out.sorted_ = true;
+  if (prefix && sorted_ && cols.size() < arity_) {
+    // A prefix of a canonical set is already in order, so its duplicates
+    // are adjacent: one pass marks the first row of each, and each output
+    // column is a filtered gather of its source column.
+    TraceCounter(ctx.trace(), "project_prefix_dedup_rows", n);
+    std::vector<uint8_t> keep(n, 0);
+    if (n > 0) keep[0] = 1;
+    for (size_t j = 0; j < cols.size(); ++j) {
+      const Value* src = cols_[j].data();
+      for (size_t i = 1; i < n; ++i) keep[i] |= src[i] != src[i - 1];
+    }
+    size_t kept = 0;
+    for (size_t i = 0; i < n; ++i) kept += keep[i];
+    for (size_t j = 0; j < cols.size(); ++j) {
+      const Value* src = cols_[j].data();
+      ColumnVec& dst = out.cols_[j];
+      dst.reserve(kept);
+      for (size_t i = 0; i < n; ++i) {
+        if (keep[i]) dst.push_back(src[i]);
+      }
+    }
+    out.num_tuples_ = kept;
+    return out;
   }
+  // Otherwise each output column is a straight copy of a source column,
+  // and all the work is the trailing dedup, which the identity projection
+  // of a canonical set does not need.
+  for (size_t j = 0; j < cols.size(); ++j) out.cols_[j] = cols_[cols[j]];
   out.num_tuples_ = n;
-  out.sorted_ = identity && sorted_;
+  out.sorted_ = prefix && sorted_;
   if (!out.sorted_) {
     TraceSpan span(ctx.trace(), "sort_dedup");
     out.SortDedup(ctx);

@@ -23,12 +23,12 @@
 /// the paper's RAM model: when the min-subtracted column bit widths sum
 /// to at most 64, every row packs into one uint64_t key (column 0 most
 /// significant), the keys are LSD-radix-sorted (std::sort below a small
-/// fixed row count), and the deduplicated keys decode straight back into
-/// the columns. Only rows that do not pack take the O(N log N)
-/// comparator index sort. The mutators that dominate hot loops
-/// (SortDedup, Filter, Project) have morsel-parallel variants taking an
-/// ExecContext; with a serial context they are bit-for-bit identical to
-/// the plain overloads.
+/// fixed row count; only within runs when column 0 is already grouped),
+/// and the deduplicated keys decode straight back into the columns. Only
+/// rows that do not pack take the O(N log N) comparator index sort. The
+/// mutators that dominate hot loops (SortDedup, Filter, Project) have
+/// morsel-parallel variants taking an ExecContext; with a serial context
+/// they are bit-for-bit identical to the plain overloads.
 ///
 /// Why SoA: the data-plane hot loops — key hashing for index builds and
 /// probes, semijoin alive-bitmap marking, survivor compaction — each read
@@ -144,7 +144,9 @@ class Relation {
   void SortBy(const std::vector<size_t>& cols);
 
   /// Returns the projection of this relation onto `cols` (with dedup).
-  /// The identity column list on a sorted relation is a plain copy.
+  /// The identity column list on a sorted relation is a plain copy, and a
+  /// column prefix {0..k-1} of a sorted relation drops its (adjacent)
+  /// duplicates in one pass without sorting; both results stay sorted.
   Relation Project(const std::vector<size_t>& cols,
                    const std::string& name) const;
   /// Parallel variant (same result for any thread count); the dedup runs
@@ -180,8 +182,9 @@ class Relation {
 
  private:
   /// The packed-key kernel: false (rows untouched) when the rows do not
-  /// pack into 64 bits.
-  bool SortDedupPacked();
+  /// pack into 64 bits. When column 0 is already nondecreasing it sorts
+  /// only within column 0's runs (`sort_dedup_run_local_rows`).
+  bool SortDedupPacked(const ExecContext& ctx);
   /// The index-sort fallback for rows that do not pack.
   void SortDedupByComparator(const ExecContext& ctx);
   void ApplyOrder(const std::vector<uint32_t>& order, size_t keep_n);

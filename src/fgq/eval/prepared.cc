@@ -319,75 +319,159 @@ void SemijoinReduce(PreparedAtom* target, const PreparedAtom& source,
   if (count != nt) target->rel.CompactRows(alive.data());
 }
 
+namespace {
+
+using OffsetVec = std::vector<uint32_t, PoolAllocator<uint32_t>>;
+
+/// Run-offset table of a canonical relation keyed on its leading column:
+/// each key's rows are one contiguous run, so the rows with key v are
+/// [off[v - *lo], off[v - *lo + 1]). One pass over the key column, in
+/// place of a hash index. Declines (false) an empty column or a key range
+/// too sparse or wide for a flat table (HashIndex::DenseKeyRange).
+bool BuildRunOffsets(const Value* key, size_t n, OffsetVec* off, Value* lo) {
+  if (n == 0) return false;
+  const uint64_t range =
+      static_cast<uint64_t>(key[n - 1]) - static_cast<uint64_t>(key[0]) + 1;
+  uint64_t distinct = 1;
+  for (size_t i = 1; i < n; ++i) distinct += key[i] != key[i - 1] ? 1 : 0;
+  if (!HashIndex::DenseKeyRange(range, distinct)) return false;
+  *lo = key[0];
+  off->resize(range + 1);
+  uint64_t next = 0;  // First table slot not yet written.
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0 && key[i] == key[i - 1]) continue;
+    const uint64_t d =
+        static_cast<uint64_t>(key[i]) - static_cast<uint64_t>(*lo);
+    for (; next <= d; ++next) (*off)[next] = static_cast<uint32_t>(i);
+  }
+  for (; next <= range; ++next) (*off)[next] = static_cast<uint32_t>(n);
+  return true;
+}
+
+}  // namespace
+
 PreparedAtom JoinProject(const PreparedAtom& left, const PreparedAtom& right,
                          const std::vector<std::string>& keep_vars,
                          const ExecContext& ctx) {
-  PreparedAtom out;
-  out.vars = keep_vars;
-  out.rel = Relation("join", keep_vars.size());
+  // Probe from the side whose canonical order leads with the first kept
+  // variable: output rows then come out grouped by their column 0, and
+  // the closing SortDedup only sorts within those runs.
+  auto leads_output = [&](const PreparedAtom& a) {
+    return !keep_vars.empty() && a.rel.sorted() && !a.vars.empty() &&
+           a.vars[0] == keep_vars[0];
+  };
+  const bool swap = leads_output(right) && !leads_output(left);
+  const PreparedAtom& probe = swap ? right : left;
+  const PreparedAtom& build = swap ? left : right;
 
-  std::vector<size_t> left_cols = left.SharedColumns(right);
-  std::vector<size_t> right_cols;
-  for (size_t c : left_cols) {
-    right_cols.push_back(static_cast<size_t>(right.VarIndex(left.vars[c])));
+  const std::vector<size_t> probe_cols = probe.SharedColumns(build);
+  std::vector<size_t> build_cols;
+  for (size_t c : probe_cols) {
+    build_cols.push_back(static_cast<size_t>(build.VarIndex(probe.vars[c])));
   }
-  HashIndex right_index(right.rel, right_cols, ctx);
-  TraceCounter(ctx.trace(), "index_bytes", right_index.MemoryBytes());
-  TraceCounter(ctx.trace(), "tuples_probed", left.rel.NumTuples());
-  TraceProbePath(ctx, left.rel.NumTuples());
+  const size_t np = probe.rel.NumTuples();
+  TraceCounter(ctx.trace(), "tuples_probed", np);
+
+  // Two tiers, as in SemijoinMark: a canonical build side keyed on its
+  // leading column over a dense range is its own index (one run per key);
+  // every other shape builds a HashIndex.
+  OffsetVec run_off;
+  Value run_lo = 0;
+  const bool by_runs =
+      build_cols.size() == 1 && build_cols[0] == 0 && build.rel.sorted() &&
+      BuildRunOffsets(build.rel.Column(0), build.rel.NumTuples(), &run_off,
+                      &run_lo);
+  std::optional<HashIndex> index;
+  if (by_runs) {
+    TraceCounter(ctx.trace(), "join_run_table_probes", np);
+  } else {
+    index.emplace(build.rel, build_cols, ctx);
+    TraceCounter(ctx.trace(), "index_bytes", index->MemoryBytes());
+    TraceProbePath(ctx, np);
+  }
+
+  // Calls emit(i, len, build_row) for every probe row i in [begin, end):
+  // its `len` matching build rows are build_row(0..len).
+  auto for_each_match = [&](size_t begin, size_t end, auto&& emit) {
+    if (by_runs) {
+      const Value* key = probe.rel.Column(probe_cols[0]);
+      const uint64_t range = run_off.size() - 1;
+      for (size_t i = begin; i < end; ++i) {
+        const uint64_t d =
+            static_cast<uint64_t>(key[i]) - static_cast<uint64_t>(run_lo);
+        const uint32_t b = d < range ? run_off[d] : 0;
+        const uint32_t e = d < range ? run_off[d + 1] : 0;
+        emit(i, e - b, [b](size_t k) { return b + k; });
+      }
+    } else {
+      // Batched probe: hashes ahead out of the probe key columns and
+      // prefetches tag groups (see HashIndex::ProbeRows).
+      index->ProbeRows(probe.rel, probe_cols, begin, end,
+                       [&](size_t i, HashIndex::RowSpan span) {
+                         emit(i, span.size(),
+                              [&span](size_t k) { return span[k]; });
+                       });
+    }
+  };
 
   // Where does each kept variable come from? Resolved straight to a
-  // column base pointer; `from_left` picks whether the probe row or the
-  // matched row indexes it.
+  // column base pointer; `from_probe` picks whether the probe row or the
+  // matched build row indexes it.
   struct Source {
-    bool from_left;
+    bool from_probe;
     const Value* col;
   };
   std::vector<Source> sources;
   sources.reserve(keep_vars.size());
   for (const std::string& v : keep_vars) {
-    int lc = left.VarIndex(v);
-    if (lc >= 0) {
-      sources.push_back({true, left.rel.Column(static_cast<size_t>(lc))});
-    } else {
-      sources.push_back(
-          {false,
-           right.rel.Column(static_cast<size_t>(right.VarIndex(v)))});
-    }
+    const int pc = probe.VarIndex(v);
+    sources.push_back(
+        pc >= 0 ? Source{true, probe.rel.Column(static_cast<size_t>(pc))}
+                : Source{false, build.rel.Column(
+                                    static_cast<size_t>(build.VarIndex(v)))});
   }
 
-  const size_t nl = left.rel.NumTuples();
-  auto probe_range = [&](size_t begin, size_t end, Relation* sink) {
-    std::vector<Value> t(keep_vars.size());
-    // Batched probe: hashes ahead out of the left key columns and
-    // prefetches tag groups (see HashIndex::ProbeRows).
-    right_index.ProbeRows(
-        left.rel, left_cols, begin, end,
-        [&](size_t i, HashIndex::RowSpan span) {
-          for (uint32_t ri : span) {
-            for (size_t j = 0; j < sources.size(); ++j) {
-              t[j] = sources[j].from_left ? sources[j].col[i]
-                                          : sources[j].col[ri];
-            }
-            sink->AddRow(t.data());
+  // Count first, then write every output row straight into pre-sized
+  // columns: each morsel of probe rows owns the output slice that starts
+  // at its prefix-summed count, so the result is the same concatenation
+  // for any thread count. Small inputs are one morsel of every row, as is
+  // a serial run whatever the grain (ParallelFor then calls body(0, np)).
+  const size_t grain = np < kParallelRowCutoff ? std::max<size_t>(np, 1)
+                                               : ctx.morsel_size();
+  std::vector<size_t> start((np + grain - 1) / grain + 1, 0);
+  ParallelFor(ctx.pool(), np, grain, [&](size_t begin, size_t end) {
+    size_t count = 0;
+    for_each_match(begin, end,
+                   [&](size_t, size_t len, auto&&) { count += len; });
+    start[begin / grain + 1] = count;
+  });
+  for (size_t m = 1; m < start.size(); ++m) start[m] += start[m - 1];
+  const size_t total = start.back();
+
+  std::vector<Relation::ColumnVec> cols(sources.size(),
+                                        Relation::ColumnVec(total));
+  if (!sources.empty()) {
+    ParallelFor(ctx.pool(), np, grain, [&](size_t begin, size_t end) {
+      size_t w = start[begin / grain];
+      for_each_match(begin, end, [&](size_t i, size_t len, auto&& build_row) {
+        for (size_t j = 0; j < sources.size(); ++j) {
+          Value* dst = cols[j].data() + w;
+          const Value* src = sources[j].col;
+          if (sources[j].from_probe) {
+            std::fill_n(dst, len, src[i]);
+          } else {
+            for (size_t k = 0; k < len; ++k) dst[k] = src[build_row(k)];
           }
-        });
-  };
-
-  ThreadPool* pool = ctx.pool();
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      nl < kParallelRowCutoff) {
-    probe_range(0, nl, &out.rel);
-  } else {
-    const size_t grain = ctx.morsel_size();
-    const size_t num_chunks = (nl + grain - 1) / grain;
-    std::vector<Relation> parts(num_chunks,
-                                Relation("join", keep_vars.size()));
-    pool->ParallelFor(nl, grain, [&](size_t begin, size_t end) {
-      probe_range(begin, end, &parts[begin / grain]);
+        }
+        w += len;
+      });
     });
-    for (const Relation& part : parts) out.rel.AppendFrom(part);
   }
+
+  PreparedAtom out;
+  out.vars = keep_vars;
+  out.rel = Relation::FromColumns("join", std::move(cols));
+  if (keep_vars.empty() && total > 0) out.rel.AddNullary();
   {
     TraceSpan span(ctx.trace(), "sort_dedup");
     out.rel.SortDedup(ctx);
@@ -477,73 +561,97 @@ void SemijoinSweepTopDown(std::vector<PreparedAtom>* atoms,
   }
 }
 
-void FullReduceSweeps(std::vector<PreparedAtom>* atoms, const JoinTree& tree,
-                      const ExecContext& ctx) {
-  const size_t m = atoms->size();
-  std::vector<ByteVec> alive(m);
-  std::vector<size_t> count(m);
-  for (size_t i = 0; i < m; ++i) {
-    alive[i] = AllAlive((*atoms)[i]);
-    count[i] = alive[i].size();
+namespace {
+
+/// Per-atom alive bitmaps and live counts of the bitmap sweeps: each
+/// semijoin of a sweep flips alive bytes only, and no relation is touched.
+struct SweepMarks {
+  std::vector<ByteVec> alive;
+  std::vector<size_t> count;
+
+  explicit SweepMarks(const std::vector<PreparedAtom>& atoms)
+      : alive(atoms.size()), count(atoms.size()) {
+    for (size_t i = 0; i < atoms.size(); ++i) {
+      alive[i] = AllAlive(atoms[i]);
+      count[i] = alive[i].size();
+    }
   }
 
-  // Each semijoin of either sweep is a bitmap update; no relation is
-  // touched until the single compaction at the end.
-  auto reduce = [&](int t, int s) {
-    count[t] = SemijoinMark((*atoms)[t], &alive[t], count[t], (*atoms)[s],
+  /// Atom `t` keeps the rows that agree with some alive row of atom `s`.
+  void Reduce(const std::vector<PreparedAtom>& atoms, int t, int s,
+              const ExecContext& ctx) {
+    count[t] = SemijoinMark(atoms[t], &alive[t], count[t], atoms[s],
                             &alive[s], count[s], ctx);
-  };
+  }
 
-  bool tripped = false;
+  bool AnyEmpty() const {
+    return std::find(count.begin(), count.end(), 0) != count.end();
+  }
+};
+
+/// One sweep of the bitmap reduction: bottom-up (every node reduces its
+/// parent, leaves first) or top-down (every node reduces its children,
+/// root first). With a pool it runs level-synchronously, mirroring the
+/// materializing sweeps: parents of one tree depth run concurrently
+/// (they update disjoint bitmaps). Between nodes (levels in parallel
+/// mode) it polls ctx.cancel() and, with `stop_on_empty`, whether an
+/// alive count reached 0; returns false when either ended it early.
+bool MarkSweep(const std::vector<PreparedAtom>& atoms, const JoinTree& tree,
+               bool bottom_up, bool stop_on_empty, SweepMarks* marks,
+               const ExecContext& ctx) {
+  auto stop = [&] {
+    return ctx.cancel().cancelled() || (stop_on_empty && marks->AnyEmpty());
+  };
   if (ctx.pool() == nullptr) {
-    for (int e : tree.BottomUpOrder()) {
-      if ((tripped = ctx.cancel().cancelled())) break;
-      const int p = tree.parent[e];
-      if (p >= 0) reduce(p, e);
-    }
-    if (!tripped) {
-      for (int e : tree.TopDownOrder()) {
-        if ((tripped = ctx.cancel().cancelled())) break;
-        for (int c : tree.children[e]) reduce(c, e);
+    for (int e : bottom_up ? tree.BottomUpOrder() : tree.TopDownOrder()) {
+      if (stop()) return false;
+      if (!bottom_up) {
+        for (int c : tree.children[e]) marks->Reduce(atoms, c, e, ctx);
+      } else if (tree.parent[e] >= 0) {
+        marks->Reduce(atoms, tree.parent[e], e, ctx);
       }
     }
-  } else {
-    // Level-synchronous, mirroring the materializing sweeps: parents of
-    // one tree depth run concurrently (they update disjoint bitmaps).
-    const std::vector<std::vector<int>> levels = NodesByDepth(tree);
-    auto run_level = [&](const std::vector<int>& level, bool bottom_up) {
-      std::vector<int> parents;
-      for (int e : level) {
-        if (!tree.children[e].empty()) parents.push_back(e);
-      }
-      if (parents.empty()) return;
-      ctx.pool()->ParallelFor(parents.size(), 1, [&](size_t b, size_t e_) {
-        for (size_t i = b; i < e_; ++i) {
-          const int p = parents[i];
-          for (int c : tree.children[p]) {
-            bottom_up ? reduce(p, c) : reduce(c, p);
-          }
+    return true;
+  }
+  const std::vector<std::vector<int>> levels = NodesByDepth(tree);
+  for (size_t i = 0; i < levels.size(); ++i) {
+    if (stop()) return false;
+    std::vector<int> parents;
+    for (int e : levels[bottom_up ? levels.size() - 1 - i : i]) {
+      if (!tree.children[e].empty()) parents.push_back(e);
+    }
+    if (parents.empty()) continue;
+    ctx.pool()->ParallelFor(parents.size(), 1, [&](size_t b, size_t e_) {
+      for (size_t j = b; j < e_; ++j) {
+        const int p = parents[j];
+        for (int c : tree.children[p]) {
+          bottom_up ? marks->Reduce(atoms, p, c, ctx)
+                    : marks->Reduce(atoms, c, p, ctx);
         }
-      });
-    };
-    for (size_t d = levels.size(); d-- > 0;) {
-      if ((tripped = ctx.cancel().cancelled())) break;
-      run_level(levels[d], /*bottom_up=*/true);
-    }
-    if (!tripped) {
-      for (const std::vector<int>& level : levels) {
-        if ((tripped = ctx.cancel().cancelled())) break;
-        run_level(level, /*bottom_up=*/false);
       }
-    }
+    });
+  }
+  return true;
+}
+
+}  // namespace
+
+void FullReduceSweeps(std::vector<PreparedAtom>* atoms, const JoinTree& tree,
+                      const ExecContext& ctx) {
+  SweepMarks marks(*atoms);
+  if (MarkSweep(*atoms, tree, /*bottom_up=*/true, /*stop_on_empty=*/false,
+                &marks, ctx)) {
+    MarkSweep(*atoms, tree, /*bottom_up=*/false, /*stop_on_empty=*/false,
+              &marks, ctx);
   }
 
   // One compaction per atom (skipped when nothing died). On a cancel trip
   // this materializes the partial reduction, matching the materializing
   // sweeps' leave-partially-reduced contract.
+  const size_t m = atoms->size();
   auto compact = [&](size_t i) {
-    if (count[i] != alive[i].size()) {
-      (*atoms)[i].rel.CompactRows(alive[i].data());
+    if (marks.count[i] != marks.alive[i].size()) {
+      (*atoms)[i].rel.CompactRows(marks.alive[i].data());
     }
   };
   if (ctx.pool() != nullptr && m > 1) {
@@ -553,6 +661,14 @@ void FullReduceSweeps(std::vector<PreparedAtom>* atoms, const JoinTree& tree,
   } else {
     for (size_t i = 0; i < m; ++i) compact(i);
   }
+}
+
+bool BottomUpSweepNonempty(const std::vector<PreparedAtom>& atoms,
+                           const JoinTree& tree, const ExecContext& ctx) {
+  SweepMarks marks(atoms);
+  MarkSweep(atoms, tree, /*bottom_up=*/true, /*stop_on_empty=*/true, &marks,
+            ctx);
+  return !marks.AnyEmpty();
 }
 
 }  // namespace fgq

@@ -96,6 +96,17 @@ void SemijoinSweepTopDown(std::vector<PreparedAtom>* atoms,
 void FullReduceSweeps(std::vector<PreparedAtom>* atoms, const JoinTree& tree,
                       const ExecContext& ctx = ExecContext());
 
+/// The bottom-up half of FullReduceSweeps alone, over bitmaps and with no
+/// compaction: decides whether the join of `atoms` along `tree` is
+/// nonempty (Theorem 4.2's decision procedure — the root keeps a row
+/// exactly when some full join row extends it). Returns false as soon as
+/// any alive count reaches 0. Polls ctx.cancel() like FullReduceSweeps;
+/// after a trip the result is meaningless and the caller reports the
+/// token's status.
+bool BottomUpSweepNonempty(const std::vector<PreparedAtom>& atoms,
+                           const JoinTree& tree,
+                           const ExecContext& ctx = ExecContext());
+
 }  // namespace fgq
 
 #endif  // FGQ_EVAL_PREPARED_H_

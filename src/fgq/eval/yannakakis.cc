@@ -12,25 +12,37 @@ Result<ReducedQuery> FullReduce(const ConjunctiveQuery& q, const Database& db,
   return FullReduce(q, db, ExecContext(opts));
 }
 
-Result<ReducedQuery> FullReduce(const ConjunctiveQuery& q, const Database& db,
-                                const ExecContext& ctx) {
+namespace {
+
+/// What full reduction and the Boolean decision share: rejects negated
+/// and cyclic queries, and fills `out`'s hypergraph, GYO join tree and
+/// prepared (unreduced) atoms.
+Status PrepareReduction(const ConjunctiveQuery& q, const Database& db,
+                        const ExecContext& ctx, ReducedQuery* out) {
   if (q.HasNegation()) {
     return Status::Unsupported(
         "Yannakakis handles positive queries; see ncq.h for NCQ");
   }
-  ReducedQuery out;
-  out.hg = Hypergraph::FromQuery(q);
-  GyoResult gyo = GyoReduce(out.hg);
+  out->hg = Hypergraph::FromQuery(q);
+  GyoResult gyo = GyoReduce(out->hg);
   if (!gyo.acyclic) {
     return Status::InvalidArgument("query is not alpha-acyclic: " +
                                    q.ToString());
   }
-  out.tree = std::move(gyo.tree);
+  out->tree = std::move(gyo.tree);
   {
     TraceSpan span(ctx.trace(), "prepare_atoms");
-    FGQ_ASSIGN_OR_RETURN(out.atoms, PrepareAtoms(q, db, ctx));
+    FGQ_ASSIGN_OR_RETURN(out->atoms, PrepareAtoms(q, db, ctx));
   }
-  FGQ_RETURN_NOT_OK(ctx.cancel().Check("atom preparation"));
+  return ctx.cancel().Check("atom preparation");
+}
+
+}  // namespace
+
+Result<ReducedQuery> FullReduce(const ConjunctiveQuery& q, const Database& db,
+                                const ExecContext& ctx) {
+  ReducedQuery out;
+  FGQ_RETURN_NOT_OK(PrepareReduction(q, db, ctx, &out));
 
   // Both sweeps (bottom-up then top-down, level-parallel with a pool) as
   // bitmap updates over the prepared atoms, compacted once at the end.
@@ -177,9 +189,17 @@ Result<bool> EvaluateBooleanAcq(const ConjunctiveQuery& q, const Database& db,
   if (!q.IsBoolean()) {
     return Status::InvalidArgument("query is not Boolean: " + q.ToString());
   }
-  // Only the bottom-up sweep is needed for satisfiability.
-  FGQ_ASSIGN_OR_RETURN(ReducedQuery rq, FullReduce(q, db, ctx));
-  return !rq.empty;
+  ReducedQuery rq;
+  FGQ_RETURN_NOT_OK(PrepareReduction(q, db, ctx, &rq));
+  // Only the bottom-up sweep is needed for satisfiability, and no atom is
+  // compacted: the answer is whether the root keeps a row.
+  bool nonempty;
+  {
+    TraceSpan span(ctx.trace(), "semijoin_sweeps");
+    nonempty = BottomUpSweepNonempty(rq.atoms, rq.tree, ctx);
+  }
+  FGQ_RETURN_NOT_OK(ctx.cancel().Check("semijoin sweeps"));
+  return nonempty;
 }
 
 }  // namespace fgq

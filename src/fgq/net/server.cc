@@ -646,7 +646,7 @@ struct NetServer::Impl {
       CloseConn(s, c->id);
       return;
     }
-    uint32_t want = c->unsent() > 0 ? EPOLLOUT : 0;
+    uint32_t want = c->unsent() > 0 ? uint32_t{EPOLLOUT} : uint32_t{0};
     if (!c->close_after_flush && !c->peer_closed) want |= EPOLLIN;
     if (want != c->armed) {
       epoll_event ev{};

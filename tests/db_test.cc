@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <random>
 #include <set>
 
@@ -200,6 +201,120 @@ TEST(SortDedupKernel, IdentityProjectionOfASortedSetKeepsTheBit) {
   for (size_t i = 1; i < swapped.NumTuples(); ++i) {
     EXPECT_LT(swapped.Row(i - 1).ToTuple(), swapped.Row(i).ToTuple());
   }
+}
+
+/// A relation whose column 0 is nondecreasing (runs of random length up to
+/// `max_run` rows; one run of all `n` when `max_run >= n`) and whose other
+/// columns are random
+/// within each run, with repeats: the shape of a join probed in its
+/// output order. `wide` spreads column 1 over all of int64, so rows no
+/// longer pack into 64 bits.
+Relation GroupedRelation(size_t arity, size_t n, size_t max_run, bool wide,
+                         uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  Relation r("G", arity);
+  Tuple t(arity);
+  Value lead = -5;
+  size_t left_in_run = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (left_in_run == 0) {
+      lead += 1 + static_cast<Value>(rng() % 3);
+      left_in_run = max_run >= n ? n : 1 + rng() % max_run;
+    }
+    --left_in_run;
+    t[0] = lead;
+    for (size_t c = 1; c < arity; ++c) {
+      t[c] = wide && c == 1 ? static_cast<Value>(rng())
+                            : static_cast<Value>(rng() % 20);
+    }
+    r.Add(t);
+  }
+  return r;
+}
+
+std::set<Tuple> RowSet(const Relation& r) {
+  std::set<Tuple> s;
+  for (size_t i = 0; i < r.NumTuples(); ++i) s.insert(r.Row(i).ToTuple());
+  return s;
+}
+
+void ExpectCanonicalSet(const Relation& r, const std::set<Tuple>& ref) {
+  EXPECT_TRUE(r.sorted());
+  ASSERT_EQ(r.NumTuples(), ref.size());
+  size_t i = 0;
+  for (const Tuple& t : ref) {
+    ASSERT_EQ(r.Row(i).ToTuple(), t) << "row " << i;
+    ++i;
+  }
+}
+
+TEST(SortDedupKernel, GroupedColumnZeroSortsWithinRuns) {
+  // Short runs (insertion-sorted), runs past the radix cutoff (512), one
+  // run holding every row (a constant column 0), and rows too wide to
+  // pack, which keep the comparator path.
+  struct Case {
+    size_t arity, n, max_run;
+    bool wide;
+  };
+  const Case cases[] = {{2, 5000, 40, false},  {3, 5000, 40, false},
+                        {2, 20000, 3000, false}, {1, 3000, 50, false},
+                        {2, 4000, 4000, false},  {2, 3000, 30, true}};
+  uint64_t seed = 3;
+  for (const Case& c : cases) {
+    for (const ExecContext& base :
+         {ExecContext(), ExecContext(ExecOptions::Parallel(4))}) {
+      SCOPED_TRACE(testing::Message() << "arity " << c.arity << " rows " << c.n
+                                      << " max run " << c.max_run << " wide "
+                                      << c.wide);
+      Relation r = GroupedRelation(c.arity, c.n, c.max_run, c.wide, seed++);
+      const std::set<Tuple> ref = RowSet(r);
+      TraceContext trace;
+      r.SortDedup(base.WithTrace(&trace));
+      ExpectCanonicalSet(r, ref);
+      EXPECT_EQ(trace.counter("sort_dedup_run_local_rows"), c.wide ? 0 : c.n);
+      EXPECT_EQ(trace.counter("sort_dedup_fallback_rows"), c.wide ? c.n : 0);
+    }
+  }
+  // A column 0 out of order anywhere takes the full sort.
+  Relation r = GroupedRelation(2, 5000, 40, false, 77);
+  r.Add({-100, 0});
+  const std::set<Tuple> ref = RowSet(r);
+  TraceContext trace;
+  r.SortDedup(ExecContext().WithTrace(&trace));
+  ExpectCanonicalSet(r, ref);
+  EXPECT_EQ(trace.counter("sort_dedup_run_local_rows"), 0u);
+}
+
+TEST(SortDedupKernel, PrefixProjectionOfASortedSetDedupsWithoutSorting) {
+  for (size_t arity = 2; arity <= 4; ++arity) {
+    Relation unsorted = ShapedRelation(Shape::kSmall, arity, 3000, arity);
+    Relation canonical = unsorted;
+    canonical.SortDedup();
+    for (size_t k = 1; k < arity; ++k) {
+      SCOPED_TRACE(testing::Message() << "arity " << arity << " prefix " << k);
+      std::vector<size_t> prefix(k);
+      std::iota(prefix.begin(), prefix.end(), size_t{0});
+      TraceContext trace;
+      const ExecContext ctx = ExecContext().WithTrace(&trace);
+      const Relation fast = canonical.Project(prefix, "P", ctx);
+      EXPECT_EQ(trace.counter("sort_dedup_rows"), 0u);
+      EXPECT_EQ(trace.counter("project_prefix_dedup_rows"),
+                canonical.NumTuples());
+      // The unsorted source pays the sort, and both give the same set.
+      const Relation slow = unsorted.Project(prefix, "P", ctx);
+      EXPECT_EQ(trace.counter("sort_dedup_rows"), unsorted.NumTuples());
+      EXPECT_EQ(trace.counter("project_prefix_dedup_rows"),
+                canonical.NumTuples());
+      ExpectCanonicalSet(fast, RowSet(slow));
+      EXPECT_EQ(fast.ToRowMajor(), slow.ToRowMajor());
+    }
+  }
+  // An empty canonical relation projects to an empty canonical one.
+  Relation empty("E", 2);
+  empty.SortDedup();
+  const Relation p = empty.Project({0}, "P");
+  EXPECT_TRUE(p.sorted());
+  EXPECT_EQ(p.NumTuples(), 0u);
 }
 
 /// Prepares `atom` against `db` traced; returns the rows and how many

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 
@@ -9,6 +11,7 @@
 #include "fgq/eval/yannakakis.h"
 #include "fgq/hypergraph/hypergraph.h"
 #include "fgq/query/parser.h"
+#include "fgq/trace/trace.h"
 #include "fgq/workload/generators.h"
 
 namespace fgq {
@@ -88,6 +91,165 @@ TEST(JoinProject, KeepsRequestedColumnsOnly) {
   PreparedAtom out = JoinProject(left, right, {"x", "z"});
   EXPECT_EQ(out.vars, (std::vector<std::string>{"x", "z"}));
   EXPECT_EQ(out.rel.NumTuples(), 4u);
+}
+
+/// A prepared atom over `vars` with `n` random rows: each value is drawn
+/// from [0, domain) and multiplied by `stride` (a stride above 16 spreads
+/// the keys too thinly for JoinProject's run table). Canonical when
+/// `sorted`, in generation order (duplicates kept) otherwise.
+PreparedAtom RandomAtom(std::vector<std::string> vars, size_t n, Value domain,
+                        Value stride, bool sorted, Rng* rng) {
+  PreparedAtom a;
+  a.rel = Relation("A", vars.size());
+  a.vars = std::move(vars);
+  Tuple t(a.vars.size());
+  for (size_t i = 0; i < n; ++i) {
+    for (Value& v : t) v = static_cast<Value>(rng->Below(domain)) * stride;
+    a.rel.Add(t);
+  }
+  if (sorted) a.rel.SortDedup();
+  return a;
+}
+
+/// The join of `l` and `r` projected onto `keep`, by a multimap on the
+/// shared variables: the set every JoinProject result must equal.
+std::set<Tuple> BruteForceJoin(const PreparedAtom& l, const PreparedAtom& r,
+                               const std::vector<std::string>& keep) {
+  const std::vector<size_t> lc = l.SharedColumns(r);
+  std::multimap<Tuple, size_t> by_key;
+  for (size_t j = 0; j < r.rel.NumTuples(); ++j) {
+    Tuple key;
+    for (size_t c : lc) {
+      key.push_back(r.rel.At(j, static_cast<size_t>(r.VarIndex(l.vars[c]))));
+    }
+    by_key.emplace(key, j);
+  }
+  std::set<Tuple> out;
+  for (size_t i = 0; i < l.rel.NumTuples(); ++i) {
+    Tuple key;
+    for (size_t c : lc) key.push_back(l.rel.At(i, c));
+    auto [b, e] = by_key.equal_range(key);
+    for (auto it = b; it != e; ++it) {
+      Tuple t;
+      for (const std::string& v : keep) {
+        const int li = l.VarIndex(v);
+        t.push_back(li >= 0 ? l.rel.At(i, static_cast<size_t>(li))
+                            : r.rel.At(it->second,
+                                       static_cast<size_t>(r.VarIndex(v))));
+      }
+      out.insert(t);
+    }
+  }
+  return out;
+}
+
+/// Runs JoinProject(l, r, keep) serially and on `pooled`'s threads; both
+/// results must be the same canonical relation and equal the brute-force
+/// set. Returns the serial run's run-table probe and index-byte counters
+/// (which tier ran).
+std::pair<uint64_t, uint64_t> ExpectJoinMatches(
+    const PreparedAtom& l, const PreparedAtom& r,
+    const std::vector<std::string>& keep, const ExecContext& pooled_ctx) {
+  const std::set<Tuple> ref = BruteForceJoin(l, r, keep);
+  TraceContext trace;
+  const PreparedAtom serial =
+      JoinProject(l, r, keep, ExecContext().WithTrace(&trace));
+  const PreparedAtom pooled = JoinProject(l, r, keep, pooled_ctx);
+  EXPECT_EQ(serial.vars, keep);
+  EXPECT_TRUE(serial.rel.sorted());
+  EXPECT_EQ(serial.rel.arity(), keep.size());
+  if (keep.empty()) {
+    // Nullary output: present exactly when some pair joins.
+    EXPECT_EQ(serial.rel.NumTuples(), ref.empty() ? 0u : 1u);
+  } else {
+    EXPECT_EQ(serial.rel.NumTuples(), ref.size());
+    size_t i = 0;
+    for (const Tuple& t : ref) {
+      if (i >= serial.rel.NumTuples()) break;
+      EXPECT_EQ(serial.rel.Row(i).ToTuple(), t) << "row " << i;
+      ++i;
+    }
+  }
+  EXPECT_EQ(pooled.rel.NumTuples(), serial.rel.NumTuples());
+  EXPECT_EQ(pooled.rel.ToRowMajor(), serial.rel.ToRowMajor());
+  EXPECT_TRUE(pooled.rel.sorted());
+  return {trace.counter("join_run_table_probes"),
+          trace.counter("index_bytes")};
+}
+
+TEST(JoinProject, MatchesBruteForceOnEveryShape) {
+  struct Shape {
+    std::vector<std::string> left, right;
+  };
+  const Shape shapes[] = {
+      {{"x", "y"}, {"y", "z"}},            // Key leads the right side only.
+      {{"y", "x"}, {"y", "z"}},            // Key leads both sides.
+      {{"x", "y"}, {"z", "y"}},            // Key leads neither side.
+      {{"x", "y", "z"}, {"y", "z", "w"}},  // Two-column key.
+      {{"x"}, {"z"}},                      // No shared variable.
+  };
+  const std::vector<std::vector<std::string>> keeps = {
+      {"x", "z"}, {"z", "x"}, {"x"}, {"z"}, {"y"}, {}, {"x", "y", "z"}};
+  const ExecContext pooled(ExecOptions::Parallel(4));
+  uint64_t run_table_joins = 0, hash_joins = 0;
+  uint64_t seed = 1;
+  for (const Shape& shape : shapes) {
+    for (const bool sorted : {true, false}) {
+      // Dense small keys (many duplicates after projection), sparse keys
+      // (the HashIndex tier), and a side empty.
+      for (const int kind : {0, 1, 2}) {
+        Rng rng(seed++);
+        const size_t n = shape.left.size() == 1 ? 40 : 300;
+        const Value domain = kind == 1 ? 200 : 12;
+        const Value stride = kind == 1 ? 1000003 : 1;
+        const PreparedAtom l =
+            RandomAtom(shape.left, n, domain, stride, sorted, &rng);
+        const PreparedAtom r = RandomAtom(shape.right, kind == 2 ? 0 : n,
+                                          domain, stride, sorted, &rng);
+        for (std::vector<std::string> keep : keeps) {
+          keep.erase(std::remove_if(keep.begin(), keep.end(),
+                                    [&](const std::string& v) {
+                                      return l.VarIndex(v) < 0 &&
+                                             r.VarIndex(v) < 0;
+                                    }),
+                     keep.end());
+          for (const bool flip : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << shape.left.size() << "x" << shape.right.size()
+                         << " sorted " << sorted << " kind " << kind
+                         << " keep " << keep.size() << " flip " << flip);
+            const auto [runs, index] =
+                flip ? ExpectJoinMatches(r, l, keep, pooled)
+                     : ExpectJoinMatches(l, r, keep, pooled);
+            run_table_joins += runs > 0 ? 1 : 0;
+            hash_joins += index > 0 ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  // Both tiers ran.
+  EXPECT_GT(run_table_joins, 0u);
+  EXPECT_GT(hash_joins, 0u);
+}
+
+TEST(JoinProject, ParallelBranchWritesTheSameColumns) {
+  // Above the parallel row cutoff (8192 probe rows), on both tiers.
+  const ExecContext pooled(ExecOptions::Parallel(4));
+  for (const Value stride : {Value{1}, Value{1000003}}) {
+    Rng rng(static_cast<uint64_t>(stride));
+    const PreparedAtom l =
+        RandomAtom({"x", "y"}, 20000, 5000, stride, true, &rng);
+    const PreparedAtom r =
+        RandomAtom({"y", "z"}, 20000, 5000, stride, true, &rng);
+    for (const bool flip : {false, true}) {
+      const auto [runs, index] =
+          flip ? ExpectJoinMatches(r, l, {"x", "z"}, pooled)
+               : ExpectJoinMatches(l, r, {"x", "z"}, pooled);
+      EXPECT_EQ(runs > 0, stride == 1);
+      EXPECT_EQ(index > 0, stride != 1);
+    }
+  }
 }
 
 // ---- FreeConnexPlan ----------------------------------------------------------

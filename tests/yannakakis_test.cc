@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <string>
 #include <tuple>
 
@@ -78,6 +80,78 @@ TEST(Yannakakis, BooleanQueryTrueAndFalse) {
   auto fr = EvaluateBooleanAcq(Q("Q() :- E(x, y), F(y, z)."), db);
   ASSERT_TRUE(fr.ok());
   EXPECT_FALSE(*fr);
+}
+
+/// Random Boolean acyclic queries — paths, stars, a cross product, a
+/// constant, a nullary atom — over small random data, some of it empty:
+/// the bottom-up decision sweep must agree with the backtracking oracle
+/// on every thread count.
+TEST(Yannakakis, BooleanDecisionMatchesOracle) {
+  const std::vector<std::string> queries = {
+      "Q() :- E1(x1, x2).",
+      "Q() :- E1(x1, x2), E2(x2, x3).",
+      "Q() :- E1(x1, x2), E2(x2, x3), E3(x3, x4), E4(x4, x5).",
+      "Q() :- E1(t, x1), E2(t, x2), E3(t, x3).",
+      "Q() :- E1(x, y), E2(z, w).",
+      "Q() :- E1(x, 2), E2(x, y), E3(y, y).",
+      "Q() :- E1(1, 2), E2(x, y).",
+      "Q() :- E1(x1, x2), E2(x2, x3, x4), E3(x1, x5), E4(x3, x4).",
+  };
+  const ExecContext pooled(ExecOptions::Parallel(4));
+  Rng rng(41);
+  size_t trues = 0, falses = 0;
+  for (const std::string& text : queries) {
+    const ConjunctiveQuery q = Q(text);
+    for (int trial = 0; trial < 12; ++trial) {
+      Database db;
+      for (const Atom& a : q.atoms()) {
+        // Sparse enough that some instances are unsatisfiable; trial 0
+        // leaves the first relation empty.
+        const size_t n =
+            trial == 0 && a.relation == "E1" ? 0 : 4 + rng.Below(8);
+        db.PutRelation(RandomRelation(a.relation, a.arity(), n, 6, &rng));
+      }
+      db.DeclareDomainSize(6);
+      SCOPED_TRACE(text + " trial " + std::to_string(trial));
+      auto oracle = EvaluateBacktrack(q, db);
+      ASSERT_TRUE(oracle.ok()) << oracle.status();
+      const bool want = oracle->NumTuples() > 0;
+      (want ? trues : falses) += 1;
+      for (const ExecContext& ctx : {ExecContext(), pooled}) {
+        auto got = EvaluateBooleanAcq(q, db, ctx);
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_EQ(*got, want);
+        // The full reduction decides the same way.
+        auto rq = FullReduce(q, db, ctx);
+        ASSERT_TRUE(rq.ok()) << rq.status();
+        EXPECT_EQ(!rq->empty, want);
+      }
+    }
+  }
+  EXPECT_GT(trues, 10u);
+  EXPECT_GT(falses, 10u);
+}
+
+TEST(Yannakakis, BooleanDecisionHonoursCancellation) {
+  Rng rng(43);
+  Database db = PathDatabase(3, 200, 40, &rng);
+  const ConjunctiveQuery q("B", {}, PathQuery(3).atoms());
+  CancelToken token = CancelToken::Cancellable();
+  token.Cancel();
+  for (const ExecContext& base :
+       {ExecContext(), ExecContext(ExecOptions::Parallel(4))}) {
+    auto r = EvaluateBooleanAcq(q, db, base.WithCancel(token));
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kCancelled) << r.status();
+    // Uncancelled, the same call decides, under the same span names.
+    TraceContext live;
+    auto ok = EvaluateBooleanAcq(q, db, base.WithTrace(&live));
+    ASSERT_TRUE(ok.ok()) << ok.status();
+    std::set<std::string> spans;
+    for (const TraceContext::Event& ev : live.events()) spans.insert(ev.name);
+    EXPECT_TRUE(spans.count("prepare_atoms"));
+    EXPECT_TRUE(spans.count("semijoin_sweeps"));
+  }
 }
 
 TEST(Yannakakis, ConstantsFilterRows) {
@@ -260,6 +334,40 @@ TEST(Yannakakis, TwoPathPaysOneSortDedup) {
   }
   EXPECT_EQ(sorts, 1) << trace.RenderText();
   EXPECT_EQ(trace.counter("sort_dedup_fallback_rows"), 0u);
+}
+
+/// The 2-path's join probes from E1, whose order leads the output, and
+/// builds E2's run table: the result comes out grouped by x1, so its one
+/// SortDedup sorts only within runs. Serial and 4-thread results match.
+TEST(Yannakakis, TwoPathProbesInOutputOrder) {
+  Rng rng(22);
+  Database db;
+  db.PutRelation(RandomRelation("E1", 2, 12000, 3000, &rng));
+  db.PutRelation(RandomRelation("E2", 2, 12000, 3000, &rng));
+  ConjunctiveQuery q = Q("Q(x, z) :- E1(x, y), E2(y, z).");
+  TraceContext trace;
+  auto serial = EvaluateYannakakis(q, db, ExecContext().WithTrace(&trace));
+  auto pooled = EvaluateYannakakis(q, db, ExecOptions::Parallel(4));
+  ASSERT_TRUE(serial.ok()) << serial.status();
+  ASSERT_TRUE(pooled.ok()) << pooled.status();
+  // The answer set by brute force: E2 grouped by y, each E1 row extended.
+  const Relation& e1 = *db.Find("E1").value();
+  const Relation& e2 = *db.Find("E2").value();
+  std::multimap<Value, Value> z_of;
+  for (size_t i = 0; i < e2.NumTuples(); ++i) {
+    z_of.emplace(e2.At(i, 0), e2.At(i, 1));
+  }
+  Relation slow("Q", 2);
+  for (size_t i = 0; i < e1.NumTuples(); ++i) {
+    auto [b, e] = z_of.equal_range(e1.At(i, 1));
+    for (auto it = b; it != e; ++it) slow.Add({e1.At(i, 0), it->second});
+  }
+  ExpectCanonical(*serial);
+  ExpectSameAnswers(*serial, slow);
+  EXPECT_EQ(pooled->ToRowMajor(), serial->ToRowMajor());
+  EXPECT_GT(trace.counter("join_run_table_probes"), 0u);
+  EXPECT_EQ(trace.counter("index_bytes"), 0u);
+  EXPECT_GT(trace.counter("sort_dedup_run_local_rows"), 0u);
 }
 
 /// Full reduction leaves only tuples that participate in some answer
