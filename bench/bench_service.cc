@@ -48,7 +48,8 @@ BENCHMARK(BM_ServeCold)->Arg(1000)->Arg(10000)->Arg(100000);
 
 // A cached hit: the plan cache hands back the fgq::vm program and the
 // request runs its cursor (rows) or its fused count stream (count).
-void ServeCached(benchmark::State& state, ServeVerb verb) {
+// `limit` caps the rows verb (0 = every answer).
+void ServeCached(benchmark::State& state, ServeVerb verb, uint64_t limit = 0) {
   const size_t tuples = static_cast<size_t>(state.range(0));
   Rng rng(7);
   SnapshotStore store(
@@ -67,6 +68,7 @@ void ServeCached(benchmark::State& state, ServeVerb verb) {
     ServiceRequest req;
     req.query = q;
     req.verb = verb;
+    req.limit = limit;
     ServiceResponse resp = service.Submit(std::move(req)).get();
     if (!resp.status.ok()) state.SkipWithError(resp.status.ToString().c_str());
     if (verb == ServeVerb::kCount) {
@@ -85,6 +87,13 @@ void BM_ServeCached(benchmark::State& state) {
   ServeCached(state, ServeVerb::kRows);
 }
 BENCHMARK(BM_ServeCached)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// The wire mix's rows request (fgq-bench reads 32 rows): a bounded hit,
+// answered on the submitting thread with no queue or worker handoff.
+void BM_ServeCachedLimit(benchmark::State& state) {
+  ServeCached(state, ServeVerb::kRows, 32);
+}
+BENCHMARK(BM_ServeCachedLimit)->Arg(1000)->Arg(10000)->Arg(100000);
 
 // The count verb on a cached entry is a memoized hit like every other
 // semiring: the warm-up runs the count stream once, later requests read

@@ -2,7 +2,8 @@
 //
 // Where query_shell runs each query inline, fgq_serve pushes every request
 // through the full serving stack: classification, admission control, plan
-// caching, deadlines, and metrics. Repeating a query hits the plan cache;
+// caching, deadlines, and metrics. Repeating a query hits the plan cache
+// (a bounded hit, such as a memoized count, is answered without queueing);
 // `\stats` shows the counters; `deadline` makes hopeless cyclic queries
 // fail fast instead of hanging the session.
 //

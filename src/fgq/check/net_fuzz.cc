@@ -11,9 +11,13 @@ namespace check {
 namespace {
 
 using net::FrameReader;
+using net::MutationOp;
 using net::Request;
 using net::Response;
 using net::Verb;
+
+/// Every verb the protocol defines, kMutate included.
+constexpr uint64_t kNumVerbs = static_cast<uint64_t>(Verb::kMutate) + 1;
 
 std::string RandomText(Rng* rng, size_t max_len) {
   const size_t len = rng->Below(max_len + 1);
@@ -25,13 +29,46 @@ std::string RandomText(Rng* rng, size_t max_len) {
   return s;
 }
 
-Request RandomRequest(Rng* rng, const FrameFuzzOptions& opt) {
+/// A random kMutate section: inserts and deletes, 0-ary ops included.
+/// With `hostile`, the last op claims more rows than the payload carries
+/// (a 0-ary op: more than the one row it may have), which every decode
+/// must reject.
+std::vector<MutationOp> RandomMutations(Rng* rng, const FrameFuzzOptions& opt,
+                                        bool hostile) {
+  std::vector<MutationOp> ops(rng->Below(4) + (hostile ? 1 : 0));
+  for (MutationOp& op : ops) {
+    op.is_delete = rng->Chance(0.5);
+    op.relation = RandomText(rng, 8);
+    op.arity = static_cast<uint32_t>(rng->Below(4));
+    if (op.arity == 0) {
+      op.nrows = rng->Below(2);
+      continue;
+    }
+    op.nrows = rng->Below(opt.max_values / op.arity + 1);
+    for (size_t i = 0; i < op.nrows * op.arity; ++i) {
+      op.values.push_back(static_cast<Value>(rng->Next()));
+    }
+  }
+  if (hostile) ops.back().nrows += 2 + rng->Below(1u << 20);
+  return ops;
+}
+
+/// `*hostile` is set when the request carries a mutation section that
+/// must not decode.
+Request RandomRequest(Rng* rng, const FrameFuzzOptions& opt, bool* hostile) {
   Request req;
   req.id = rng->Next();
-  req.verb = static_cast<Verb>(rng->Below(5));
+  req.verb = static_cast<Verb>(rng->Below(kNumVerbs));
   req.limit = static_cast<uint32_t>(rng->Next());
   req.deadline_ms = static_cast<uint32_t>(rng->Below(10'000));
   req.query = RandomText(rng, opt.max_query_len);
+  *hostile = false;
+  if (req.verb == Verb::kCount) {
+    req.semiring = static_cast<SemiringId>(rng->Below(kNumSemirings));
+  } else if (req.verb == Verb::kMutate) {
+    *hostile = rng->Chance(0.2);
+    req.mutations = RandomMutations(rng, opt, *hostile);
+  }
   return req;
 }
 
@@ -65,15 +102,24 @@ Response RandomResponse(Rng* rng, Verb verb, const FrameFuzzOptions& opt) {
         resp.explain = RandomText(rng, 64);
         break;
       case Verb::kPing:
+      case Verb::kMutate:
         break;
     }
   }
   return resp;
 }
 
+bool SameMutation(const MutationOp& a, const MutationOp& b) {
+  return a.is_delete == b.is_delete && a.relation == b.relation &&
+         a.arity == b.arity && a.nrows == b.nrows && a.values == b.values;
+}
+
 bool SameRequest(const Request& a, const Request& b) {
   return a.id == b.id && a.verb == b.verb && a.limit == b.limit &&
-         a.deadline_ms == b.deadline_ms && a.query == b.query;
+         a.deadline_ms == b.deadline_ms && a.query == b.query &&
+         a.semiring == b.semiring &&
+         std::equal(a.mutations.begin(), a.mutations.end(),
+                    b.mutations.begin(), b.mutations.end(), SameMutation);
 }
 
 bool SameResponse(const Response& a, const Response& b) {
@@ -154,13 +200,14 @@ FrameFuzzReport RunFrameFuzz(const FrameFuzzOptions& opt) {
   Rng rng(opt.seed);
   for (size_t iter = 0; iter < opt.iterations; ++iter) {
     ++report.iterations;
-    const Verb verb = static_cast<Verb>(rng.Below(5));
+    const Verb verb = static_cast<Verb>(rng.Below(kNumVerbs));
     const bool as_request = rng.Chance(0.5);
     Request req;
     Response resp;
+    bool hostile = false;
     std::string stream;
     if (as_request) {
-      req = RandomRequest(&rng, opt);
+      req = RandomRequest(&rng, opt, &hostile);
       EncodeRequest(req, &stream);
     } else {
       resp = RandomResponse(&rng, verb, opt);
@@ -239,6 +286,16 @@ FrameFuzzReport RunFrameFuzz(const FrameFuzzOptions& opt) {
       if (as_request) {
         Request back;
         const Status st = DecodeRequest(payload.data(), payload.size(), &back);
+        if (hostile) {
+          // Intact framing around a mutation section that overruns its
+          // payload: the decoder must refuse it, not read past the end.
+          if (st.ok()) {
+            report.failures.push_back(
+                "hostile mutation section decoded (iteration " +
+                std::to_string(iter) + ")");
+          }
+          continue;
+        }
         if (!st.ok() || !SameRequest(req, back)) {
           report.failures.push_back("request round-trip mismatch (iteration " +
                                     std::to_string(iter) + ")");

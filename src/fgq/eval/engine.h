@@ -116,6 +116,10 @@ struct ExecRequest {
   /// Pins `snap` for the call (and for any returned enumerator).
   ExecRequest(const ConjunctiveQuery& q, std::shared_ptr<const Snapshot> snap)
       : query(&q), snapshot(std::move(snap)) {}
+  /// The request keeps a pointer to its query, so a temporary query would
+  /// dangle as soon as the full expression ends: name the query instead.
+  ExecRequest(ConjunctiveQuery&&, const Database&) = delete;
+  ExecRequest(ConjunctiveQuery&&, std::shared_ptr<const Snapshot>) = delete;
 
   /// The database this request reads: `db` when set, else the snapshot's.
   const Database* EffectiveDb() const;

@@ -151,6 +151,9 @@ struct NetServer::Impl {
     Counter* flushes = nullptr;
     Counter* flushed_frames = nullptr;
     std::thread thread;
+    /// Set by the loop itself before it serves anything, so every request
+    /// hook (which runs after its Submit) sees it.
+    std::thread::id loop_thread;
 
     /// Cross-thread mailbox: fds handed over by the router shard and ids
     /// of connections whose response futures became ready. Drained by
@@ -200,6 +203,7 @@ struct NetServer::Impl {
   // ----- Shard event loop --------------------------------------------
 
   void ShardLoop(Shard* s) {
+    s->loop_thread = std::this_thread::get_id();
     std::vector<epoll_event> evs(64);
     for (;;) {
       const bool draining = stopping.load(std::memory_order_acquire);
@@ -495,10 +499,14 @@ struct NetServer::Impl {
     // The wake-up path: the worker resolves the future, then this hook
     // nudges the shard's eventfd; the event loop polls the (now ready)
     // future from DrainWake. Ids, not pointers: the connection may be
-    // gone by the time the hook runs.
+    // gone by the time the hook runs. A bounded cache hit (or a
+    // rejection) resolves inside Submit on this very thread, and
+    // HandleReadable drains and flushes after the frame batch, so the
+    // hook has nothing to signal there.
     Shard* shard = s;
     const uint64_t conn_id = c->id;
     sreq.on_done = [shard, conn_id](const ServiceResponse&) {
+      if (std::this_thread::get_id() == shard->loop_thread) return;
       {
         std::lock_guard<std::mutex> g(shard->mu);
         shard->done.push_back(conn_id);

@@ -37,9 +37,11 @@
 /// * **Pipelining.** Clients may send many requests without waiting.
 ///   Frames are decoded as bytes arrive; each request is submitted to the
 ///   shard's QueryService with SubmitPolicy::Reject() (an event loop
-///   never blocks) and its on_done hook wakes the shard's eventfd when
-///   the response future is ready. Responses are written strictly in
-///   request order per connection.
+///   never blocks). A bounded plan-cache hit is answered inside Submit on
+///   the shard thread and encoded with the frame batch; a queued request's
+///   on_done hook wakes the shard's eventfd when its response future is
+///   ready. Responses are written strictly in request order per
+///   connection.
 /// * **Protocol hygiene.** Framing violations (bad magic, oversized
 ///   length, malformed payload) get one error response and a close —
 ///   the stream cannot be trusted past them. Application errors (query

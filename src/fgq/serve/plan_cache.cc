@@ -6,26 +6,34 @@ namespace fgq {
 
 namespace {
 
-/// Appends the canonical spelling of `t` (renamed variable or literal
-/// constant), assigning the next positional name on first sight.
-void AppendTerm(const Term& t,
-                std::unordered_map<std::string, std::string>* names,
+/// Appends the positional name of variable `var` ("v0", "v1", ... in
+/// first-sight order), assigning the next one on first sight. `names`
+/// points into the query being rendered. Queries have a handful of
+/// variables, so a linear scan beats hashing them.
+void AppendVar(const std::string& var, std::vector<const std::string*>* names,
+               std::string* out) {
+  size_t i = 0;
+  while (i < names->size() && *(*names)[i] != var) ++i;
+  if (i == names->size()) names->push_back(&var);
+  out->push_back('v');
+  out->append(std::to_string(i));
+}
+
+/// Appends the canonical spelling of `t`: its renamed variable or its
+/// literal constant.
+void AppendTerm(const Term& t, std::vector<const std::string*>* names,
                 std::string* out) {
-  if (!t.is_var()) {
+  if (t.is_var()) {
+    AppendVar(t.var, names, out);
+  } else {
     out->append(std::to_string(t.constant));
-    return;
   }
-  auto it = names->find(t.var);
-  if (it == names->end()) {
-    it = names->emplace(t.var, "v" + std::to_string(names->size())).first;
-  }
-  out->append(it->second);
 }
 
 }  // namespace
 
 std::string CanonicalQueryText(const ConjunctiveQuery& q) {
-  std::unordered_map<std::string, std::string> names;
+  std::vector<const std::string*> names;
   std::string out;
   out.reserve(q.SizeWeight() * 4);
   // The head first: head order defines the output columns, so it also
@@ -33,7 +41,7 @@ std::string CanonicalQueryText(const ConjunctiveQuery& q) {
   out.push_back('(');
   for (size_t i = 0; i < q.head().size(); ++i) {
     if (i > 0) out.push_back(',');
-    AppendTerm(Term::Var(q.head()[i]), &names, &out);
+    AppendVar(q.head()[i], &names, &out);
   }
   out.push_back(')');
   for (const Atom& a : q.atoms()) {
@@ -48,7 +56,7 @@ std::string CanonicalQueryText(const ConjunctiveQuery& q) {
   }
   for (const Comparison& c : q.comparisons()) {
     out.push_back(';');
-    AppendTerm(Term::Var(c.lhs), &names, &out);
+    AppendVar(c.lhs, &names, &out);
     switch (c.op) {
       case Comparison::Op::kLess:
         out.push_back('<');
@@ -60,7 +68,7 @@ std::string CanonicalQueryText(const ConjunctiveQuery& q) {
         out.append("!=");
         break;
     }
-    AppendTerm(Term::Var(c.rhs), &names, &out);
+    AppendVar(c.rhs, &names, &out);
   }
   return out;
 }
@@ -99,6 +107,21 @@ std::shared_ptr<const CachedPlan> PlanCache::Get(const PlanKey& key) {
   ++hits_;
   lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->plan;
+}
+
+std::shared_ptr<const CachedPlan> PlanCache::Peek(const PlanKey& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = map_.find(key);
+  return it == map_.end() ? nullptr : it->second->plan;
+}
+
+bool PlanCache::Touch(const PlanKey& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = map_.find(key);
+  if (it == map_.end()) return false;
+  ++hits_;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  return true;
 }
 
 void PlanCache::Put(const PlanKey& key, std::shared_ptr<const CachedPlan> plan) {

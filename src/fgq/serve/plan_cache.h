@@ -118,6 +118,15 @@ class PlanCache {
   /// nullptr on miss.
   std::shared_ptr<const CachedPlan> Get(const PlanKey& key);
 
+  /// Returns the entry for `key`, or nullptr, counting nothing and
+  /// leaving the LRU order alone: a look before deciding who answers.
+  std::shared_ptr<const CachedPlan> Peek(const PlanKey& key) const;
+
+  /// Counts a hit on `key` and marks it most-recently-used, as Get does,
+  /// when it is resident; otherwise counts nothing and returns false. So
+  /// Peek then Touch is one counted lookup, or none.
+  bool Touch(const PlanKey& key);
+
   /// Inserts (or replaces) the entry for `key`, evicting the least
   /// recently used entry when over capacity.
   void Put(const PlanKey& key, std::shared_ptr<const CachedPlan> plan);
@@ -127,7 +136,7 @@ class PlanCache {
 
   size_t size() const;
   size_t capacity() const { return capacity_; }
-  /// Lifetime hit/miss tallies (Get calls).
+  /// Lifetime hit/miss tallies (Get and Touch calls).
   uint64_t hits() const;
   uint64_t misses() const;
 

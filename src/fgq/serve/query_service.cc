@@ -43,6 +43,37 @@ Result<SemiringValue> CountOnEntry(const CachedPlan& plan,
   return v;
 }
 
+/// True when answering `req` from `plan` is bounded work (see
+/// query_service.h); such a hit is answered on the submitting thread.
+bool IsBoundedHit(const CachedPlan& plan, const ServiceRequest& req) {
+  if (req.verb == ServeVerb::kCount) {
+    // O(1) once the semiring's aggregate is memoized; computing it runs
+    // a whole count stream, which is a worker's job.
+    if (!IsValidSemiringId(static_cast<uint8_t>(req.semiring))) return false;
+    std::lock_guard<std::mutex> lock(plan.memo_mu);
+    return plan.memo[static_cast<size_t>(req.semiring)].has_value();
+  }
+  // Materialized answers: the shared relation, or a prefix of `limit` rows.
+  if (!plan.program) return true;
+  // A cursor at constant delay: one answer at most for a Boolean query,
+  // `limit` answers otherwise.
+  return req.query.arity() == 0 ||
+         (req.limit > 0 && req.limit <= kInlineRowLimit);
+}
+
+/// The `serve.request` span's args; a no-op on an untraced request.
+void AnnotateRequestSpan(TraceSpan* span, const ServiceRequest& req,
+                         const ServiceResponse& resp) {
+  if (req.trace == nullptr) return;
+  span->Arg("class", QueryClassName(resp.classification));
+  span->Arg("verb", req.verb == ServeVerb::kRows ? "rows" : "count");
+  span->Arg("epoch", std::to_string(resp.epoch));
+  if (req.verb == ServeVerb::kCount && req.semiring != SemiringId::kCounting) {
+    span->Arg("semiring", SemiringName(req.semiring));
+  }
+  if (resp.cache_hit) span->Arg("cache", "hit");
+}
+
 }  // namespace
 
 bool QueryService::IsHeavy(QueryClass c) {
@@ -50,18 +81,6 @@ bool QueryService::IsHeavy(QueryClass c) {
   // light lane keeps the O(||D||)-preprocessing classes flowing past them.
   return c == QueryClass::kCyclic || c == QueryClass::kNegated ||
          c == QueryClass::kAcyclicOrderComparisons;
-}
-
-bool QueryService::TakesHeavyLane(const Pending& p) {
-  switch (p.req.lane) {
-    case LaneHint::kLight:
-      return false;
-    case LaneHint::kHeavy:
-      return true;
-    case LaneHint::kAuto:
-      break;
-  }
-  return IsHeavy(p.classification);
 }
 
 void QueryService::Resolve(Pending& p, ServiceResponse resp) {
@@ -86,6 +105,7 @@ QueryService::QueryService(SnapshotStore* store, ServiceOptions opts)
       rejected_(metrics_.GetCounter("serve.rejected")),
       pins_(metrics_.GetCounter("serve.snapshot.pins")),
       hits_(metrics_.GetCounter("serve.cache.hits")),
+      inline_hits_(metrics_.GetCounter("serve.inline_hits")),
       misses_(metrics_.GetCounter("serve.cache.misses")),
       compiled_(metrics_.GetCounter("serve.vm.compiled")),
       deadline_exceeded_(metrics_.GetCounter("serve.deadline_exceeded")),
@@ -117,12 +137,12 @@ QueryService::~QueryService() { Stop(); }
 std::future<ServiceResponse> QueryService::Submit(ServiceRequest req,
                                                   SubmitPolicy policy) {
   auto p = std::make_unique<Pending>();
-  p->classification = Engine::Classify(req.query);
   p->cancel = req.timeout.count() > 0 ? CancelToken::WithTimeout(req.timeout)
                                       : CancelToken::Cancellable();
   p->enqueued = std::chrono::steady_clock::now();
   p->req = std::move(req);
   std::future<ServiceResponse> fut = p->promise.get_future();
+  if (TryAnswerInline(*p)) return fut;
 
   Status reject;
   {
@@ -147,7 +167,7 @@ std::future<ServiceResponse> QueryService::Submit(ServiceRequest req,
       p->seq = next_seq_++;
       requests_.Increment();
       requests_by_class_[static_cast<size_t>(p->classification)]->Increment();
-      (TakesHeavyLane(*p) ? heavy_ : light_).push_back(std::move(p));
+      (IsHeavy(p->classification) ? heavy_ : light_).push_back(std::move(p));
       work_cv_.notify_one();
       return fut;
     }
@@ -158,6 +178,38 @@ std::future<ServiceResponse> QueryService::Submit(ServiceRequest req,
   resp.classification = p->classification;
   Resolve(*p, std::move(resp));
   return fut;
+}
+
+bool QueryService::TryAnswerInline(Pending& p) {
+  const auto started = std::chrono::steady_clock::now();
+  const std::shared_ptr<const Snapshot> snap = store_->Current();
+  const PlanKey key = MakePlanKey(p.req.query, *snap);
+  const std::shared_ptr<const CachedPlan> plan = cache_.Peek(key);
+  p.classification =
+      plan ? plan->classification : Engine::Classify(p.req.query);
+  // The queued path reports a stopped service and an expired deadline;
+  // Touch fails only if the entry left the cache since the Peek.
+  if (plan == nullptr || !IsBoundedHit(*plan, p.req) ||
+      stopping_.load(std::memory_order_acquire) || p.cancel.cancelled() ||
+      !cache_.Touch(key)) {
+    return false;
+  }
+  requests_.Increment();
+  requests_by_class_[static_cast<size_t>(p.classification)]->Increment();
+  pins_.Increment();
+  hits_.Increment();
+  inline_hits_.Increment();
+  ServiceResponse resp;
+  resp.classification = p.classification;
+  resp.epoch = snap->epoch();
+  resp.cache_hit = true;
+  {
+    TraceSpan request_span(p.req.trace, "serve.request", "serve");
+    AnnotateRequestSpan(&request_span, p.req, resp);
+    AnswerFromEntry(p, plan.get(), started, &resp);
+  }
+  Resolve(p, std::move(resp));
+  return true;
 }
 
 void QueryService::CancelAll() {
@@ -257,11 +309,6 @@ ServiceResponse QueryService::Process(Pending& p) {
   queue_wait_us_.Observe(ToMicros(resp.queue_wait));
 
   TraceSpan request_span(p.req.trace, "serve.request", "serve");
-  if (p.req.trace != nullptr) {
-    request_span.Arg("class", QueryClassName(p.classification));
-    request_span.Arg("verb", p.req.verb == ServeVerb::kRows ? "rows" : "count");
-  }
-
   // Pin the current epoch once, up front. Everything the request does —
   // cache keying, preparation, cursor enumeration — reads this one
   // immutable view, so a mutation applied mid-request can never produce
@@ -273,17 +320,10 @@ ServiceResponse QueryService::Process(Pending& p) {
   }
   resp.epoch = snap->epoch();
   pins_.Increment();
-  if (p.req.trace != nullptr) {
-    request_span.Arg("epoch", std::to_string(snap->epoch()));
-  }
 
   // The key carries per-relation epochs — selective invalidation. It
   // carries no verb or semiring: every request for the query at this
   // data state shares one entry.
-  if (p.req.trace != nullptr && p.req.verb == ServeVerb::kCount &&
-      p.req.semiring != SemiringId::kCounting) {
-    request_span.Arg("semiring", SemiringName(p.req.semiring));
-  }
   const PlanKey key = MakePlanKey(p.req.query, *snap);
   std::shared_ptr<const CachedPlan> cached;
   // A request whose deadline expired while queued fails fast.
@@ -295,14 +335,21 @@ ServiceResponse QueryService::Process(Pending& p) {
     if (cached) {
       hits_.Increment();
       resp.cache_hit = true;
-      request_span.Arg("cache", "hit");
     } else {
       misses_.Increment();
       cached = Prepare(p, snap->db(), &resp);
       if (cached && resp.status.ok()) cache_.Put(key, cached);
     }
   }
+  AnnotateRequestSpan(&request_span, p.req, resp);
+  AnswerFromEntry(p, cached.get(), started, &resp);
+  return resp;
+}
 
+void QueryService::AnswerFromEntry(
+    Pending& p, const CachedPlan* cached,
+    std::chrono::steady_clock::time_point started, ServiceResponse* response) {
+  ServiceResponse& resp = *response;
   if (resp.status.ok() && cached) {
     resp.algorithm = cached->algorithm;
     if (cached->answers && resp.cache_hit) {
@@ -387,7 +434,6 @@ ServiceResponse QueryService::Process(Pending& p) {
           .Observe(static_cast<double>(ev.DurationNs()) / 1000.0);
     }
   }
-  return resp;
 }
 
 std::shared_ptr<const CachedPlan> QueryService::Prepare(Pending& p,

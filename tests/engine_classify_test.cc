@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "fgq/eval/engine.h"
@@ -14,6 +15,15 @@ ConjunctiveQuery Q(const std::string& text) {
   EXPECT_TRUE(q.ok()) << q.status();
   return *q;
 }
+
+// ExecRequest keeps a pointer to its query, so a temporary query must not
+// bind to it.
+static_assert(!std::is_constructible_v<ExecRequest, ConjunctiveQuery&&,
+                                       const Database&>);
+static_assert(!std::is_constructible_v<ExecRequest, ConjunctiveQuery&&,
+                                       std::shared_ptr<const Snapshot>>);
+static_assert(std::is_constructible_v<ExecRequest, const ConjunctiveQuery&,
+                                      const Database&>);
 
 struct GoldenCase {
   const char* text;

@@ -19,18 +19,6 @@ ConjunctiveQuery Q(const std::string& text) {
   return *r;
 }
 
-std::string Key(Relation r) {
-  r.SortDedup();
-  std::string s = std::to_string(r.NumTuples()) + ":";
-  for (size_t i = 0; i < r.NumTuples(); ++i) {
-    for (size_t j = 0; j < r.arity(); ++j) {
-      s += std::to_string(r.Row(i)[j]) + ",";
-    }
-    s += ";";
-  }
-  return s;
-}
-
 /// Checks the enumerator produces exactly the oracle's answers, with no
 /// repetitions.
 void ExpectEnumeratesExactly(AnswerEnumerator* e, const ConjunctiveQuery& q,

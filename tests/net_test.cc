@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <poll.h>
+
 #include <algorithm>
 #include <memory>
 #include <set>
@@ -194,6 +196,62 @@ TEST(NetTest, CacheHitFlagSetOnRepeat) {
   ASSERT_TRUE(warm->ok()) << warm->text;
   EXPECT_TRUE(warm->cache_hit());
   EXPECT_EQ(WireRows(*cold), WireRows(*warm));
+}
+
+// A connection pipelining [miss, hit, hit] gets its replies in request
+// order, the hits (answered inline on the shard thread) waiting behind the
+// miss; meanwhile another connection's hits come back while the miss still
+// holds the shard's only worker.
+TEST(NetTest, BoundedHitsAnswerWhileAMissRuns) {
+  Rng rng(3);
+  Database db = PathDatabase(3, 1000, 500, &rng);
+  const Database tiny = TinyGraph();
+  ASSERT_TRUE(db.AddRelation(*tiny.Find("E").value()).ok());
+  SnapshotStore store(std::move(db));
+  NetServerOptions opts;
+  opts.num_shards = 1;
+  opts.service.num_workers = 1;
+  START_OR_SKIP(server, &store, opts);
+  std::unique_ptr<Client> a = Connect(*server);
+  std::unique_ptr<Client> b = Connect(*server);
+  const std::string hit = "Q(x, y) :- E(x, y).";
+  Result<Response> warm = b->Call(Make(1, Verb::kEnumerateLimit, hit, 2));
+  ASSERT_TRUE(warm.ok() && warm->ok());
+  EXPECT_FALSE(warm->cache_hit());
+
+  // A cyclic miss: the backtracking oracle keeps the worker busy.
+  const std::string slow = "T(x, y, z) :- E1(x, y), E2(y, z), E3(z, x).";
+  ASSERT_TRUE(a->Send(Make(10, Verb::kRows, slow)).ok());
+  ASSERT_TRUE(a->Send(Make(11, Verb::kEnumerateLimit, hit, 2)).ok());
+  ASSERT_TRUE(a->Send(Make(12, Verb::kEnumerateLimit, hit, 3)).ok());
+  while (server->stats().requests < 4) std::this_thread::yield();
+
+  for (uint64_t id = 2; id < 6; ++id) {
+    Result<Response> r = b->Call(Make(id, Verb::kEnumerateLimit, hit, 1));
+    ASSERT_TRUE(r.ok()) << r.status();
+    ASSERT_TRUE(r->ok()) << r->text;
+    EXPECT_TRUE(r->cache_hit());
+    EXPECT_EQ(r->num_rows(), 1u);
+  }
+  pollfd pfd{a->fd(), POLLIN, 0};
+  EXPECT_EQ(::poll(&pfd, 1, 0), 0)
+      << "the pipelined hits overtook the miss ahead of them";
+
+  Result<Response> miss = a->Receive(Verb::kRows);
+  ASSERT_TRUE(miss.ok()) << miss.status();
+  EXPECT_EQ(miss->id, 10u);
+  ASSERT_TRUE(miss->ok()) << miss->text;
+  EXPECT_FALSE(miss->cache_hit());
+  for (uint64_t id : {11u, 12u}) {
+    Result<Response> r = a->Receive(Verb::kEnumerateLimit);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->id, id);
+    ASSERT_TRUE(r->ok()) << r->text;
+    EXPECT_TRUE(r->cache_hit());
+    EXPECT_EQ(r->num_rows(), id == 11u ? 2u : 3u);
+  }
+  server->Stop();
+  EXPECT_EQ(server->stats().responses, server->stats().requests);
 }
 
 // ---- Error handling ---------------------------------------------------------
@@ -435,6 +493,42 @@ TEST(NetTest, FrameFuzzSmoke) {
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GT(report.roundtrips, 0u);
   EXPECT_GT(report.clean_errors, 0u);
+}
+
+// The kMutate section decoder parses outside input; the frame fuzzer
+// draws it too. Pinned here: a valid section round-trips, and row counts
+// the payload cannot hold are refused before anything is allocated.
+TEST(NetTest, MutationSectionDecodeRefusesOverruns) {
+  auto decode = [](const Request& req, Request* back) {
+    std::string frame;
+    net::EncodeRequest(req, &frame);
+    return net::DecodeRequest(
+        reinterpret_cast<const uint8_t*>(frame.data()) + net::kFrameHeaderBytes,
+        frame.size() - net::kFrameHeaderBytes, back);
+  };
+  Request req = Make(9, Verb::kMutate, "");
+  req.mutations = {{false, "E", 2, 2, {1, 2, 3, 4}},
+                   {true, "B", 1, 1, {7}},
+                   {false, "T", 0, 1, {}},
+                   {true, "T", 0, 0, {}}};
+  Request back;
+  ASSERT_TRUE(decode(req, &back).ok());
+  ASSERT_EQ(back.mutations.size(), req.mutations.size());
+  for (size_t i = 0; i < req.mutations.size(); ++i) {
+    EXPECT_EQ(back.mutations[i].is_delete, req.mutations[i].is_delete);
+    EXPECT_EQ(back.mutations[i].relation, req.mutations[i].relation);
+    EXPECT_EQ(back.mutations[i].arity, req.mutations[i].arity);
+    EXPECT_EQ(back.mutations[i].nrows, req.mutations[i].nrows);
+    EXPECT_EQ(back.mutations[i].values, req.mutations[i].values);
+  }
+  for (uint64_t nrows : {3ull, 1ull << 40, ~0ull}) {
+    Request bad = req;
+    bad.mutations.back() = {false, "E", 2, nrows, {1, 2, 3, 4}};
+    EXPECT_FALSE(decode(bad, &back).ok()) << nrows;
+  }
+  Request nullary = req;
+  nullary.mutations.back() = {true, "T", 0, 2, {}};
+  EXPECT_FALSE(decode(nullary, &back).ok());
 }
 
 // ---- Differential equivalence on the committed corpus -----------------------

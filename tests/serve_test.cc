@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <set>
@@ -712,6 +713,251 @@ TEST(SnapshotService, NoStalePlanWindowUnderConcurrentMutation) {
     EXPECT_EQ(Rows(*resp.answers), want) << "epoch " << resp.epoch;
   }
   writer.join();
+}
+
+// ---- QueryService: bounded hits answer on the submitting thread -----------
+
+/// Submits `req` and reports how it was answered: `inline_answer` when the
+/// future was ready as Submit returned and the on_done hook ran on this
+/// thread; false when the hook ran on a worker.
+struct Submitted {
+  ServiceResponse resp;
+  bool ready_on_return = false;
+  bool hook_on_caller = false;
+  bool inline_answer() const { return ready_on_return && hook_on_caller; }
+};
+
+Submitted SubmitAndWatch(QueryService& service, ServiceRequest req,
+                         SubmitPolicy policy = SubmitPolicy()) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> on_caller{false};
+  std::atomic<bool> fired{false};
+  req.on_done = [caller, &on_caller, &fired](const ServiceResponse&) {
+    on_caller.store(std::this_thread::get_id() == caller);
+    fired.store(true, std::memory_order_release);  // Last touch of ours.
+  };
+  std::future<ServiceResponse> fut = service.Submit(std::move(req), policy);
+  Submitted out;
+  out.ready_on_return =
+      fut.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+  out.resp = fut.get();
+  while (!fired.load(std::memory_order_acquire)) std::this_thread::yield();
+  out.hook_on_caller = on_caller.load();
+  return out;
+}
+
+ServiceRequest Req(const std::string& text, ServeVerb verb = ServeVerb::kRows,
+                   uint64_t limit = 0) {
+  ServiceRequest req;
+  req.query = Q(text);
+  req.verb = verb;
+  req.limit = limit;
+  return req;
+}
+
+TEST(InlineHits, BoundedHitsAnswerOnTheSubmittingThread) {
+  SnapshotStore store(TinyGraph());
+  ServiceOptions opts;
+  opts.num_workers = 2;
+  QueryService service(&store, opts);
+  const std::string program = "Q(x, y) :- E(x, y).";           // free-connex
+  const std::string materialized = "Q(x, z) :- E(x, y), E(y, z).";
+  const std::string boolean = "Q() :- E(x, y), B(y).";
+  // Warm each entry on a worker; the count verb's warm-up fills the
+  // counting memo slot of the program entry.
+  for (ServiceRequest warm : {Req(program), Req(materialized), Req(boolean),
+                              Req(program, ServeVerb::kCount)}) {
+    Submitted w = SubmitAndWatch(service, std::move(warm));
+    ASSERT_TRUE(w.resp.status.ok()) << w.resp.status;
+    EXPECT_FALSE(w.hook_on_caller);
+  }
+  MetricsRegistry& m = service.metrics();
+  const uint64_t queued =
+      m.GetHistogram("serve.queue_wait_us", Histogram::LatencyBounds())
+          .TotalCount();
+  EXPECT_EQ(queued, 4u);
+
+  struct Case {
+    ServiceRequest req;
+    size_t rows;  // Answer rows (the count for the count verb).
+  };
+  std::vector<Case> cases;
+  cases.push_back({Req(program, ServeVerb::kRows, 2), 2});
+  cases.push_back({Req(program, ServeVerb::kRows, kInlineRowLimit), 4});
+  cases.push_back({Req(materialized), 4});
+  cases.push_back({Req(materialized, ServeVerb::kRows, 1), 1});
+  cases.push_back({Req(program, ServeVerb::kCount), 4});
+  cases.push_back({Req(boolean), 1});
+  for (Case& c : cases) {
+    const std::string what = c.req.query.ToString();
+    Submitted got = SubmitAndWatch(service, std::move(c.req));
+    ASSERT_TRUE(got.resp.status.ok()) << what << ": " << got.resp.status;
+    EXPECT_TRUE(got.ready_on_return) << what;
+    EXPECT_TRUE(got.hook_on_caller) << what;
+    EXPECT_TRUE(got.resp.cache_hit) << what;
+    EXPECT_EQ(got.resp.queue_wait.count(), 0) << what;
+    EXPECT_EQ(got.resp.epoch, 1u) << what;
+    if (got.resp.answers) {
+      EXPECT_EQ(got.resp.answers->NumTuples(), c.rows) << what;
+    } else {
+      EXPECT_EQ(got.resp.count, BigInt(static_cast<int64_t>(c.rows))) << what;
+    }
+  }
+  EXPECT_EQ(m.GetCounter("serve.inline_hits").Value(), cases.size());
+  EXPECT_EQ(m.GetCounter("serve.requests").Value(), 4u + cases.size());
+  // One counted lookup per request: three warm-up misses, the count
+  // warm-up's hit on the rows verb's entry, and every inline hit.
+  EXPECT_EQ(m.GetCounter("serve.cache.misses").Value(), 3u);
+  EXPECT_EQ(m.GetCounter("serve.cache.hits").Value(), 1u + cases.size());
+  EXPECT_EQ(service.cache().misses(), 3u);
+  EXPECT_EQ(service.cache().hits(), 1u + cases.size());
+  // Inline requests observe exec_us but never queue_wait_us.
+  EXPECT_EQ(m.GetHistogram("serve.queue_wait_us", Histogram::LatencyBounds())
+                .TotalCount(),
+            queued);
+  EXPECT_EQ(m.GetHistogram("serve.exec_us", Histogram::LatencyBounds())
+                .TotalCount(),
+            4u + cases.size());
+}
+
+TEST(InlineHits, UnboundedRequestsRunOnAWorker) {
+  SnapshotStore store(TinyGraph());
+  QueryService service(&store);
+  const std::string program = "Q(x, y) :- E(x, y).";
+  std::vector<ServiceRequest> cases;
+  cases.push_back(Req(program));                          // A miss.
+  cases.push_back(Req(program, ServeVerb::kCount));       // Empty memo slot.
+  cases.push_back(Req(program));                          // Unlimited rows.
+  cases.push_back(Req(program, ServeVerb::kRows, kInlineRowLimit + 1));
+  for (ServiceRequest& req : cases) {
+    Submitted got = SubmitAndWatch(service, std::move(req));
+    ASSERT_TRUE(got.resp.status.ok()) << got.resp.status;
+    EXPECT_FALSE(got.hook_on_caller);
+    EXPECT_EQ(got.resp.answers ? got.resp.answers->NumTuples() : 4u, 4u);
+  }
+  EXPECT_EQ(service.metrics().GetCounter("serve.inline_hits").Value(), 0u);
+  EXPECT_EQ(service.cache().hits() + service.cache().misses(), cases.size());
+  EXPECT_EQ(service.cache().misses(), 1u);
+}
+
+TEST(InlineHits, BoundedHitOvertakesASlowRequest) {
+  Database db = TriangleDatabase(2000);
+  const Database tiny = TinyGraph();
+  db.AddRelation(*tiny.Find("E").value());
+  SnapshotStore store(std::move(db));
+  ServiceOptions opts;
+  opts.num_workers = 1;
+  QueryService service(&store, opts);
+  ServiceRequest warm = Req("Q(x, y) :- E(x, y).");
+  ASSERT_TRUE(service.Submit(warm).get().status.ok());
+
+  // The single worker takes the slow cyclic query...
+  ServiceRequest slow;
+  slow.query = TriangleQuery();
+  std::future<ServiceResponse> slow_fut = service.Submit(std::move(slow));
+  // ...and a bounded hit is answered anyway, before it.
+  Submitted hit = SubmitAndWatch(
+      service, Req("Q(x, y) :- E(x, y).", ServeVerb::kRows, 3));
+  ASSERT_TRUE(hit.resp.status.ok()) << hit.resp.status;
+  EXPECT_TRUE(hit.inline_answer());
+  EXPECT_EQ(hit.resp.answers->NumTuples(), 3u);
+  EXPECT_NE(slow_fut.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  service.CancelAll();
+  EXPECT_EQ(slow_fut.get().status.code(), StatusCode::kCancelled);
+}
+
+TEST(InlineHits, CachedSubmitAfterStopIsCancelled) {
+  SnapshotStore store(TinyGraph());
+  QueryService service(&store);
+  ServiceRequest warm = Req("Q(x, z) :- E(x, y), E(y, z).");
+  ASSERT_TRUE(service.Submit(warm).get().status.ok());
+  service.Stop();
+  Submitted after = SubmitAndWatch(service, warm);
+  EXPECT_EQ(after.resp.status.code(), StatusCode::kCancelled)
+      << after.resp.status;
+  EXPECT_TRUE(after.inline_answer());  // Rejected on the caller's thread.
+  EXPECT_FALSE(after.resp.cache_hit);
+  EXPECT_EQ(service.metrics().GetCounter("serve.inline_hits").Value(), 0u);
+}
+
+TEST(InlineHits, ExpiredDeadlineOnABoundedHitIsReported) {
+  SnapshotStore store(TinyGraph());
+  QueryService service(&store);
+  ServiceRequest req = Req("Q(x, y) :- E(x, y).", ServeVerb::kRows, 2);
+  ASSERT_TRUE(service.Submit(req).get().status.ok());
+  req.timeout = std::chrono::nanoseconds(1);
+  ServiceResponse late = service.Submit(req).get();
+  EXPECT_EQ(late.status.code(), StatusCode::kDeadlineExceeded) << late.status;
+  // Failed at admission, before any lookup: one counted lookup in all.
+  EXPECT_EQ(service.cache().hits() + service.cache().misses(), 1u);
+}
+
+TEST(InlineHits, ConcurrentHitsMutationsAndCacheClears) {
+  // Hits answered on the submitting threads race a writer (whose epochs
+  // retire the entry) and cache clears (which drop it between a peek and
+  // its counted touch). Run under TSan; every answer must still be the
+  // state of its own epoch, and every request counts one lookup.
+  Database db;
+  Relation r("R", 1);
+  r.Add({0});
+  db.PutRelation(std::move(r));
+  SnapshotStore store(std::move(db));
+  ServiceOptions opts;
+  opts.num_workers = 2;
+  opts.max_pending = 256;
+  QueryService service(&store, opts);
+  constexpr uint64_t kBatches = 40;
+  constexpr int kClients = 3;
+  constexpr int kPerClient = 400;
+
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (uint64_t k = 1; k <= kBatches; ++k) {
+      MutationBatch batch{{"R", {{static_cast<Value>(k)}}, {}}};
+      ASSERT_TRUE(store.Apply(batch).ok());
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  std::thread clearer([&] {
+    while (!done.load()) {
+      service.cache().Clear();
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  std::vector<std::thread> clients;
+  std::atomic<int> failures{0};
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kPerClient; ++i) {
+        ServiceRequest req = Req("Q(x) :- R(x).",
+                                 (i + c) % 2 ? ServeVerb::kCount
+                                             : ServeVerb::kRows,
+                                 kInlineRowLimit);
+        ServiceResponse resp = service.Submit(std::move(req)).get();
+        const bool ok =
+            resp.status.ok() &&
+            (resp.answers ? resp.answers->NumTuples() == resp.epoch
+                          : resp.count == BigInt(static_cast<int64_t>(
+                                              resp.epoch)));
+        if (!ok) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  writer.join();
+  done.store(true);
+  clearer.join();
+  EXPECT_EQ(failures.load(), 0);
+  MetricsRegistry& m = service.metrics();
+  const uint64_t requests = static_cast<uint64_t>(kClients) * kPerClient;
+  EXPECT_EQ(m.GetCounter("serve.requests").Value(), requests);
+  EXPECT_EQ(service.cache().hits() + service.cache().misses(), requests);
+  EXPECT_EQ(m.GetCounter("serve.cache.hits").Value(), service.cache().hits());
+  EXPECT_EQ(m.GetCounter("serve.cache.misses").Value(),
+            service.cache().misses());
+  EXPECT_GT(m.GetCounter("serve.inline_hits").Value(), 0u);
+  EXPECT_LE(m.GetCounter("serve.inline_hits").Value(), service.cache().hits());
 }
 
 }  // namespace

@@ -118,7 +118,7 @@ TEST(BigInt, PowMatchesRepeatedMultiplication) {
 }
 
 TEST(BigInt, FromStringRoundTrip) {
-  for (const std::string& s :
+  for (const char* s :
        {"0", "1", "-1", "123456789012345678901234567890",
         "-999999999999999999999999999999999"}) {
     EXPECT_EQ(BigInt::FromString(s).ToString(), s);

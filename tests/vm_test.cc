@@ -227,7 +227,8 @@ TEST(VmEngine, OtherClassesKeepTheirAlgorithms) {
       {"Q(x, y) :- E(x, y), x != y.", "neq-witness-elimination"},
   };
   for (const auto& c : cases) {
-    Result<ExecResult> r = engine.Run(ExecRequest(Q(c.text), db));
+    const ConjunctiveQuery q = Q(c.text);
+    Result<ExecResult> r = engine.Run(ExecRequest(q, db));
     ASSERT_TRUE(r.ok()) << c.text << ": " << r.status();
     EXPECT_EQ(r->algorithm, c.algorithm) << c.text;
   }
