@@ -1,15 +1,15 @@
 // Semiring benchmarks: the count verb under every SemiringId, cached
-// serve path and raw VM stream (EXPERIMENTS.md E29).
+// serve path and raw VM fold (EXPERIMENTS.md E29, E33).
 //
 // The acceptance bar for the generalized DP is that a cached-serve
 // semiring aggregate stays within 1.3x of the counting one. The serving
 // layer memoizes every count-verb aggregate, counting included, on the
 // query's one plan-cache entry, so each BM_ServeCount* row is a memoized
-// hit: the first request under a semiring runs the stream, and every
+// hit: the first request under a semiring runs the fold, and every
 // later one returns the stored value. BM_VmCount* isolates the raw VM
-// stream: one dispatch loop, in which the weighted instances
-// legitimately pay for reading every row's weight while counting
-// collapses the innermost loop to span arithmetic.
+// fold: one pass over the program's nodes, in which the weighted
+// instances legitimately pay for folding the weighted leaf's groups
+// while counting reads a weightless leaf's group sizes off the probe.
 
 #include <benchmark/benchmark.h>
 
@@ -85,10 +85,10 @@ void BM_ServeCountTopK(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeCountTopK)->Arg(10000)->Arg(100000);
 
-// --- Raw VM stream: vm::RunSemiring per semiring ---------------------------
+// --- Raw VM fold: vm::RunSemiring per semiring -----------------------------
 
-// Compiles Figure 1's free-connex query once and replays the count
-// stream; no service, no cache, no allocation outside the aggregate.
+// Compiles Figure 1's free-connex query once and replays the fold; no
+// service, no cache.
 void VmCountUnder(benchmark::State& state, SemiringId id) {
   const size_t tuples = static_cast<size_t>(state.range(0));
   Rng rng(7);

@@ -47,7 +47,7 @@ void BM_ServeCold(benchmark::State& state) {
 BENCHMARK(BM_ServeCold)->Arg(1000)->Arg(10000)->Arg(100000);
 
 // A cached hit: the plan cache hands back the fgq::vm program and the
-// request runs its cursor (rows) or its fused count stream (count).
+// request runs its cursor (rows) or its fold (count).
 // `limit` caps the rows verb (0 = every answer).
 void ServeCached(benchmark::State& state, ServeVerb verb, uint64_t limit = 0) {
   const size_t tuples = static_cast<size_t>(state.range(0));
@@ -96,9 +96,9 @@ void BM_ServeCachedLimit(benchmark::State& state) {
 BENCHMARK(BM_ServeCachedLimit)->Arg(1000)->Arg(10000)->Arg(100000);
 
 // The count verb on a cached entry is a memoized hit like every other
-// semiring: the warm-up runs the count stream once, later requests read
+// semiring: the warm-up runs the fold once, later requests read
 // the stored aggregate. BENCH_PR7.json records it under the same name,
-// from when every hit re-ran the stream.
+// from when every hit re-ran the count.
 void BM_ServeCachedCount(benchmark::State& state) {
   ServeCached(state, ServeVerb::kCount);
 }

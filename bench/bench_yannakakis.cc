@@ -266,7 +266,7 @@ BENCHMARK(BM_SemijoinSweep)
     ->Range(1 << 12, 1 << 17)
     ->Unit(benchmark::kMicrosecond);
 
-// --- fgq::vm: the constant-delay enumerator and the fused count ---------
+// --- fgq::vm: the constant-delay enumerator and the counting fold -------
 
 /// Shared fixture: the Figure 1 free-connex query, compiled once (exactly
 /// like the serving layer's cache), so the measured loop is pure

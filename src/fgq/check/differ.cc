@@ -182,8 +182,9 @@ class CaseDiffer {
 
   /// The raw fgq::vm program of a Boolean or free-connex query. The
   /// engine paths above already run its cursor; here the class must
-  /// compile, and the fused count stream (kCountSpan / kCountProbeAll,
-  /// which no cursor executes) must match the reference.
+  /// compile, and the counting fold over the program's indexes
+  /// (vm::RunSemiring, which no cursor executes) must match the
+  /// reference.
   void DiffVm(const ConjunctiveQuery& q, QueryClass cls, const Engine& serial,
               const Relation& reference) {
     Result<vm::Compilation> comp =

@@ -135,31 +135,6 @@ Result<typename S::ValueType> SumAcq(const ConjunctiveQuery& q,
       });
 }
 
-/// (+, ×) over uint64_t with every operation overflow-checked: an
-/// overflow sets a sticky flag (the value is garbage from then on) and
-/// the caller reruns the DP in BigInt. Counting weighs every element 1.
-class CheckedCountingSemiring {
- public:
-  using ValueType = uint64_t;
-  ValueType Zero() const { return 0; }
-  ValueType One() const { return 1; }
-  ValueType Plus(ValueType a, ValueType b) const {
-    ValueType r;
-    overflow_ |= __builtin_add_overflow(a, b, &r);
-    return r;
-  }
-  ValueType Times(ValueType a, ValueType b) const {
-    ValueType r;
-    overflow_ |= __builtin_mul_overflow(a, b, &r);
-    return r;
-  }
-  ValueType Weight(Value) const { return 1; }
-  bool overflowed() const { return overflow_; }
-
- private:
-  mutable bool overflow_ = false;
-};
-
 /// Exact counting through the DP: the checked uint64_t instance first;
 /// on overflow the same DP reruns with CountingSemiring (BigInt) over the
 /// same quantifier-free rewrite, inside a `count.dp_exact` span.

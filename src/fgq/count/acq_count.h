@@ -62,7 +62,7 @@ std::vector<size_t> SharedColumnOrder(const PreparedAtom& node,
 /// HashIndex::ProbeRows and multiplies the aggregate in. The pass is
 /// O(||phi|| * ||D||). `ctx` supplies the trace sink (atom scans'
 /// counters), the pool of the index builds and the cancellation token,
-/// polled every 64K rows (the VM count stream's instruction stride).
+/// polled every 64K rows (the VM fold's stride too).
 template <typename S>
 Result<typename S::ValueType> SemiringSumAcq0(
     const ConjunctiveQuery& q, const Database& db, const S& s,

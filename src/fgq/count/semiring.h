@@ -108,10 +108,10 @@ struct BooleanSemiring {
 
 /// (+, ×) over exact integers: the public counting instance.
 /// Engine::SumProduct(kCounting) goes Count -> CountAnswers -> the
-/// join-tree DP, which counts in overflow-checked uint64_t and reruns
-/// with this instance only on overflow (acq_count.h); the serving
-/// layer's cached plans run the VM's count stream (vm::RunSemiring)
-/// instead, whose counting instance adds in a machine word.
+/// join-tree DP; the serving layer's cached plans run the VM's fold over
+/// the program's indexes (vm::RunSemiring) instead. Both count in
+/// CheckedCountingSemiring first and rerun with this instance only on
+/// overflow.
 struct CountingSemiring {
   using ValueType = BigInt;
   static constexpr SemiringId kId = SemiringId::kCounting;
@@ -122,6 +122,33 @@ struct CountingSemiring {
     return a * b;
   }
   ValueType Weight(Value) const { return BigInt(1); }
+};
+
+/// (+, ×) over uint64_t with every operation overflow-checked: an
+/// overflow sets a sticky flag (the value is garbage from then on) and
+/// the caller reruns the same pass with CountingSemiring. Both counting
+/// passes (the join-tree DP and the VM fold) run this instance first.
+/// Counting weighs every element 1.
+class CheckedCountingSemiring {
+ public:
+  using ValueType = uint64_t;
+  ValueType Zero() const { return 0; }
+  ValueType One() const { return 1; }
+  ValueType Plus(ValueType a, ValueType b) const {
+    ValueType r;
+    overflow_ |= __builtin_add_overflow(a, b, &r);
+    return r;
+  }
+  ValueType Times(ValueType a, ValueType b) const {
+    ValueType r;
+    overflow_ |= __builtin_mul_overflow(a, b, &r);
+    return r;
+  }
+  ValueType Weight(Value) const { return 1; }
+  bool overflowed() const { return overflow_; }
+
+ private:
+  mutable bool overflow_ = false;
 };
 
 /// (min, +) tropical: cheapest total head cost over all answers.

@@ -139,36 +139,11 @@ std::unique_ptr<HashIndex> HashIndex::DeltaBuild(const HashIndex& base,
   // base indexes old_rel, so its cached key column pointers read old rows.
   const Value* const* old_kcols = base.key_col_ptr_.data();
 
-  // Probe helper over the base tables against old row `d`; returns the
-  // matching base group or kEmptySlot. Mirrors ProbeHashed but yields the
-  // group id, which the public API never exposes.
+  // The base group holding old row `d`, or kEmptySlot.
   auto find_base_group = [&](uint32_t d) -> uint32_t {
-    const uint64_t h = base.HashRowKeyAt(d);
-    const ShardMeta& m = base.shards_[h & base.shard_mask_];
-    const uint8_t tag = HashTag(h);
-    const size_t group_mask = ((m.slot_mask + 1) >> kTagGroupShift) - 1;
-    size_t g = ((h >> base.shard_bits_) & m.slot_mask) >> kTagGroupShift;
-    const uint8_t* tag_base = base.tags_.data() + m.slot_base;
-    const uint32_t* slot_base = base.slot_group_.data() + m.slot_base;
-    for (;;) {
-      const uint8_t* tg = tag_base + g * kTagGroupWidth;
-      uint32_t match = simd::MatchTag32(tg, tag);
-      while (match != 0) {
-        const unsigned b = static_cast<unsigned>(__builtin_ctz(match));
-        match &= match - 1;
-        const uint32_t gid = slot_base[g * kTagGroupWidth + b];
-        // A group emptied by an earlier delta batch keeps its hash but has
-        // no representative row to verify against — and cannot contain the
-        // probed row anyway. Same guard as ProbeHashed.
-        if (base.group_hash_[gid] == h &&
-            base.offsets_[gid + 1] != base.offsets_[gid]) {
-          const uint32_t rep = base.row_ids_[base.offsets_[gid]];
-          if (RowKeysEqualAt(old_kcols, nkc, rep, d)) return gid;
-        }
-      }
-      if (simd::MatchEmpty32(tg) != 0) return kEmptySlot;
-      g = (g + 1) & group_mask;
-    }
+    const GroupHit hit = base.FindGroup(
+        base.HashRowKeyAt(d), [&](size_t j) { return old_kcols[j][d]; });
+    return hit.count == 0 ? kEmptySlot : hit.id;
   };
 
   // Per-base-group deletion counts (how many of a group's rows die).

@@ -68,6 +68,13 @@ class HashIndex {
     uint32_t operator[](size_t i) const { return data[i]; }
   };
 
+  /// A probe's matching group: its id (its position in offsets()) and its
+  /// row count; count 0 on a miss.
+  struct GroupHit {
+    uint32_t id = 0;
+    uint32_t count = 0;
+  };
+
   /// Builds an index on `rel` keyed by `key_cols` (in that order).
   HashIndex(const Relation& rel, std::vector<size_t> key_cols);
   /// Morsel-parallel build; bit-identical to the serial one.
@@ -170,46 +177,43 @@ class HashIndex {
                           const std::vector<size_t>& probe_cols, size_t begin,
                           size_t end) const;
 
-  /// Batched count over a *gathered* row-id list (the fgq::vm fused
-  /// innermost count loop): keys come from pre-resolved probe column base
-  /// pointers at `rows[0..n)`, hashed 8 ahead with tag-group prefetch so
-  /// the dependent-miss chain of the odometer's scalar probes becomes 8
-  /// independent ones. K as in LookupColsFixed.
-  template <size_t K>
-  uint64_t CountProbeGather(const Value* const* pcol_ptrs,
-                            const uint32_t* rows, size_t n) const {
+  /// Batched probe over a *gathered* row-id list (the fgq::vm fold's
+  /// parent-to-child lookups): keys come from pre-resolved probe column
+  /// base pointers at `rows[0..n)`, hashed 8 ahead with tag-group
+  /// prefetch so the dependent-miss chain of one-at-a-time probing becomes
+  /// 8 independent ones. Calls `sink(i, hit)` for every i with the
+  /// matching GroupHit, so per-group payloads can live in a flat array
+  /// indexed by group id. K as in LookupColsFixed.
+  template <size_t K, typename Sink>
+  __attribute__((always_inline)) void ProbeGathered(
+      const Value* const* pcol_ptrs, const uint32_t* rows, size_t n,
+      Sink&& sink) const {
     const size_t k = K == 0 ? key_cols_.size() : K;
     if (k == 0 || row_ids_.empty()) {
-      uint64_t total = 0;
+      // One group (id 0) holding every row, or none.
       for (size_t i = 0; i < n; ++i) {
-        total += LookupColsFixed<0>(pcol_ptrs, rows[i]).count;
+        sink(i, GroupHit{0, static_cast<uint32_t>(row_ids_.size())});
       }
-      return total;
+      return;
     }
     constexpr size_t kBatch = 8;
     uint64_t hs[kBatch];
-    uint64_t total = 0;
-    size_t i = 0;
-    while (i < n) {
+    for (size_t i = 0; i < n; i += kBatch) {
       const size_t m = std::min(kBatch, n - i);
       for (size_t j = 0; j < m; ++j) {
-        const size_t r = rows[i + j];
         uint64_t h = kKeySeed;
         for (size_t c = 0; c < k; ++c) {
-          h = HashCombine(h, static_cast<uint64_t>(pcol_ptrs[c][r]));
+          h = HashCombine(h, static_cast<uint64_t>(pcol_ptrs[c][rows[i + j]]));
         }
         hs[j] = h;
         PrefetchProbe(h);
       }
       for (size_t j = 0; j < m; ++j) {
         const size_t r = rows[i + j];
-        total +=
-            ProbeHashed<K>(hs[j], [&](size_t c) { return pcol_ptrs[c][r]; })
-                .count;
+        sink(i + j,
+             FindGroup<K>(hs[j], [&](size_t c) { return pcol_ptrs[c][r]; }));
       }
-      i += m;
     }
-    return total;
   }
 
   bool ContainsKey(const Tuple& key) const { return !Lookup(key).empty(); }
@@ -237,6 +241,11 @@ class HashIndex {
 
   /// Number of distinct keys; cached at build time, O(1).
   size_t NumKeys() const { return num_keys_; }
+  /// Number of groups (ids 0..NumGroups()-1); above NumKeys() only when a
+  /// delta build left deletion-emptied groups behind.
+  size_t NumGroups() const {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
   const std::vector<size_t>& key_cols() const { return key_cols_; }
 
   /// Heap footprint of the built arrays, in bytes (the borrowed relation
@@ -333,14 +342,38 @@ class HashIndex {
   }
 
   /// Probe with the key hash already computed (batched callers hash ahead
-  /// so they can prefetch). Walks 32-tag groups: match bits in ascending
+  /// so they can prefetch): the matching group's CSR span, or an empty
+  /// span. TagOps as in FindHashed.
+  template <size_t K = 0, typename TagOps = simd::AutoTagOps, typename KeyAt>
+  __attribute__((always_inline)) RowSpan ProbeHashed(uint64_t h,
+                                                     KeyAt&& key_at) const {
+    return FindHashed<K, TagOps>(
+        h, key_at, [&](uint32_t, uint32_t off, uint32_t cnt) {
+          return RowSpan{row_ids_.data() + off, static_cast<size_t>(cnt)};
+        });
+  }
+
+  /// FindHashed yielding the matching GroupHit.
+  template <size_t K = 0, typename KeyAt>
+  __attribute__((always_inline)) GroupHit FindGroup(uint64_t h,
+                                                    KeyAt&& key_at) const {
+    return FindHashed<K>(h, key_at, [](uint32_t gid, uint32_t, uint32_t cnt) {
+      return GroupHit{gid, cnt};
+    });
+  }
+
+  /// The group walk behind every probe: `hit(group id, CSR offset, row
+  /// count)` makes the result for the matching group, and a miss returns
+  /// it value-initialized. Walks 32-tag groups: match bits in ascending
   /// slot order, stop at the first group containing an empty slot. TagOps
   /// selects the group-compare implementation: the default follows the
   /// runtime dispatch; the -mavx2 kernel TU instantiates simd::Avx2TagOps.
   /// Every TagOps yields the same masks, so results are path-invariant.
-  template <size_t K = 0, typename TagOps = simd::AutoTagOps, typename KeyAt>
-  __attribute__((always_inline)) RowSpan ProbeHashed(uint64_t h,
-                                                     KeyAt&& key_at) const {
+  template <size_t K = 0, typename TagOps = simd::AutoTagOps, typename KeyAt,
+            typename Hit>
+  __attribute__((always_inline)) auto FindHashed(uint64_t h, KeyAt&& key_at,
+                                                 Hit&& hit) const
+      -> decltype(hit(0u, 0u, 0u)) {
     const size_t k = K == 0 ? key_cols_.size() : K;
     const ShardMeta& m = shards_[h & shard_mask_];
     const uint8_t tag = HashTag(h);
@@ -364,8 +397,7 @@ class HashIndex {
           // Emptied delta groups carry cnt == 0 and never match.
           const GroupMeta& gm = group_meta_[gid];
           if (gm.key0 == key_at(0) && gm.cnt != 0) {
-            return RowSpan{row_ids_.data() + gm.off,
-                           static_cast<size_t>(gm.cnt)};
+            return hit(gid, gm.off, gm.cnt);
           }
         } else if (group_hash_[gid] == h) {
           const uint32_t off = offsets_[gid];
@@ -384,12 +416,12 @@ class HashIndex {
               }
             }
             if (eq) {
-              return RowSpan{row_ids_.data() + off, static_cast<size_t>(cnt)};
+              return hit(gid, off, cnt);
             }
           }
         }
       }
-      if (TagOps::Empty(tg) != 0) return RowSpan{};
+      if (TagOps::Empty(tg) != 0) return {};
       g = (g + 1) & group_mask;
     }
   }

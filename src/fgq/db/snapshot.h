@@ -80,10 +80,6 @@ class Snapshot {
   /// snapshot is pinned.
   const Database& db() const { return *db_; }
 
-  /// The database behind a shared_ptr — keeps the view alive
-  /// independently of the Snapshot object itself.
-  std::shared_ptr<const Database> shared_db() const { return db_; }
-
   /// Epoch of the last batch that touched `name` (the initial epoch when
   /// never mutated since construction); 0 when the relation is absent.
   uint64_t RelationEpoch(const std::string& name) const {

@@ -60,17 +60,6 @@ class TagKeySet {
 
   size_t num_cols() const { return src_cols_.size(); }
 
-  /// True if some inserted row agrees with row `i` of the target columns.
-  bool ContainsAt(const Value* const* tcols, size_t i) const {
-    uint64_t h = kSeed;
-    const size_t k = src_cols_.size();
-    for (size_t j = 0; j < k; ++j) {
-      h = HashCombine(h, static_cast<uint64_t>(tcols[j][i]));
-    }
-    return ContainsHashed<simd::AutoTagOps>(
-        h, [&](size_t j) { return tcols[j][i]; });
-  }
-
  private:
   friend uint64_t TagMarkMissesPortable(const TagKeySet& set,
                                         const Value* const* tcols,

@@ -90,8 +90,8 @@ PlanKey MakePlanKey(const ConjunctiveQuery& q, const Snapshot& snap);
 
 /// One cached preparation. Exactly one of `program` / `answers` is set:
 /// free-connex and Boolean queries cache the fgq::vm program lowered from
-/// their indexed plan (which it pins alive; VM cursors and count streams
-/// run per request), everything else caches the materialized answers.
+/// their indexed plan (which it pins alive; VM cursors and folds run per
+/// request), everything else caches the materialized answers.
 /// The plan members are immutable shared state and the memo is guarded
 /// by its mutex — safe to hand to any number of concurrent requests.
 struct CachedPlan {

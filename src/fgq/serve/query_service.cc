@@ -16,8 +16,8 @@ double ToMicros(std::chrono::nanoseconds d) {
 }
 
 /// The count verb on a cached entry, for both plan shapes: the entry's
-/// memo for `id`, or the aggregate computed once — the VM count stream
-/// over a program, a fold of materialized answers — and memoized. A
+/// memo for `id`, or the aggregate computed once — the VM fold over a
+/// program, a fold of materialized answers — and memoized. A
 /// cancelled or failed computation stores nothing, so the next request
 /// on the entry computes it again. Two requests that miss the memo at
 /// once both compute; the aggregate is the same value either way.
@@ -47,8 +47,8 @@ Result<SemiringValue> CountOnEntry(const CachedPlan& plan,
 /// query_service.h); such a hit is answered on the submitting thread.
 bool IsBoundedHit(const CachedPlan& plan, const ServiceRequest& req) {
   if (req.verb == ServeVerb::kCount) {
-    // O(1) once the semiring's aggregate is memoized; computing it runs
-    // a whole count stream, which is a worker's job.
+    // O(1) once the semiring's aggregate is memoized; computing it folds
+    // every node of the program, which is a worker's job.
     if (!IsValidSemiringId(static_cast<uint8_t>(req.semiring))) return false;
     std::lock_guard<std::mutex> lock(plan.memo_mu);
     return plan.memo[static_cast<size_t>(req.semiring)].has_value();

@@ -31,58 +31,37 @@ Insn InitInsn(const ProgramNode& n, uint16_t id) {
   return in;
 }
 
-/// Unrolls the odometer walk over `n` nodes into one code stream:
+/// Unrolls the odometer walk over `n` nodes into the enumeration stream:
 ///
 ///   init(0) init(1) ... init(n-1)
-///   TAIL            — kEmit / kCountSpan / kCountProbeAll
-///   adv(d) adv(d-1) ... adv(0)
+///   emit(n-1)
+///   adv(n-1) adv(n-2) ... adv(0)
 ///   halt
 ///
-/// where d = n-1 (n-2 for the fused tails, which consume the innermost
-/// span whole). Jump wiring encodes the Theorem 4.6 odometer: an empty
-/// (re)fill backtracks to the advance chain of the previous node; a
-/// successful advance of node k refills every deeper node; the tail
-/// resumes the advance chain.
-std::vector<Insn> LayOutLoop(const std::vector<ProgramNode>& nodes,
-                             Op tail_op) {
-  const size_t n = nodes.size();
-  const bool fused = tail_op != Op::kEmit;
-  // The batched tail performs the innermost probes itself, so the
-  // innermost node contributes no init instruction at all.
-  const bool skip_inner_init = tail_op == Op::kCountProbeAll;
-  // init(i) sits at pc i; a skipped innermost init leaves the tail there.
-  const int32_t tail_pc = static_cast<int32_t>(skip_inner_init ? n - 1 : n);
-  // Nodes walked by the advance chain, deepest first.
-  const size_t num_adv = fused ? n - 1 : n;
-  const int32_t halt_pc = tail_pc + 1 + static_cast<int32_t>(num_adv);
-  auto adv_pc = [&](size_t node) {
-    // adv(deepest) sits right after the tail; shallower nodes follow.
-    const size_t deepest = num_adv - 1;
-    return tail_pc + 1 + static_cast<int32_t>(deepest - node);
-  };
-
+/// Jump wiring encodes the Theorem 4.6 odometer: an empty (re)fill
+/// backtracks to the advance chain of the previous node; a successful
+/// advance of node k refills every deeper node; emit resumes the advance
+/// chain.
+std::vector<Insn> LayOutLoop(const std::vector<ProgramNode>& nodes) {
+  const int32_t n = static_cast<int32_t>(nodes.size());
+  const int32_t halt_pc = 2 * n + 1;
+  // adv(k) sits at pc n + 1 + (n - 1 - k): deepest first, right after emit.
+  auto adv_pc = [&](int32_t k) { return 2 * n - k; };
   std::vector<Insn> code;
   code.reserve(static_cast<size_t>(halt_pc) + 1);
-  for (size_t i = 0; i < n; ++i) {
-    if (skip_inner_init && i == n - 1) continue;
+  for (int32_t i = 0; i < n; ++i) {
     Insn init = InitInsn(nodes[i], static_cast<uint16_t>(i));
     // An empty (re)fill means the current prefix has no extension here;
     // advance the previous node (defensive — full reduction guarantees
     // nonempty probes, but the VM must not rely on it for memory safety).
     init.jump = i == 0 ? halt_pc : adv_pc(i - 1);
-    if (fused && i == n - 1) init.jump = tail_pc;  // count += 0 either way.
     code.push_back(init);
   }
-  Insn tail;
-  tail.op = tail_op;
-  tail.arg = static_cast<uint16_t>(n - 1);  // Meaningful for kCountSpan.
-  tail.jump = num_adv > 0 ? tail_pc + 1 : halt_pc;
-  code.push_back(tail);
-  for (size_t k = num_adv; k-- > 0;) {
+  code.push_back(Insn{Op::kEmit, static_cast<uint16_t>(n - 1), n + 1});
+  for (int32_t k = n; k-- > 0;) {
     // Fall-through order deepest -> 0 -> halt; success refills every
     // deeper node, starting right after k's own init.
-    code.push_back(Insn{Op::kAdvance, static_cast<uint16_t>(k),
-                        static_cast<int32_t>(k + 1)});
+    code.push_back(Insn{Op::kAdvance, static_cast<uint16_t>(k), k + 1});
   }
   code.push_back(Insn{Op::kHalt, 0, 0});
   return code;
@@ -179,15 +158,12 @@ Result<std::shared_ptr<const Program>> CompilePlan(
   if (plan->is_boolean) {
     if (!plan->empty) {
       prog->code = {Insn{Op::kEmitNullary, 0, 1}, Insn{Op::kHalt, 0, 0}};
-      prog->count_code = {Insn{Op::kCount, 0, 1}, Insn{Op::kHalt, 0, 0}};
     } else {
       prog->code = {Insn{Op::kHalt, 0, 0}};
-      prog->count_code = {Insn{Op::kHalt, 0, 0}};
     }
   } else if (plan->empty || plan->nodes.empty()) {
     prog->empty = true;
     prog->code = {Insn{Op::kHalt, 0, 0}};
-    prog->count_code = {Insn{Op::kHalt, 0, 0}};
   } else {
     const size_t n = plan->nodes.size();
     if (n > 0xffff) {
@@ -227,37 +203,14 @@ Result<std::shared_ptr<const Program>> CompilePlan(
       prog->out.push_back(OutSlot{static_cast<uint32_t>(slot.first),
                                   static_cast<uint32_t>(slot.second)});
     }
-    // First occurrence of each distinct head variable: the slots whose
-    // element weights a semiring answer multiplies (the weighted count
-    // stream reads these; counting and the emit stream ignore them).
-    for (size_t i = 0; i < q.head().size() && i < prog->out.size(); ++i) {
-      bool seen = false;
-      for (size_t j = 0; j < i; ++j) {
-        if (q.head()[j] == q.head()[i]) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) prog->weighted_out.push_back(prog->out[i]);
-    }
-
-    prog->code = LayOutLoop(prog->nodes, Op::kEmit);
-    // Counting fuses the innermost loop into one span-sized add: every
-    // candidate there counts. When the innermost node hangs off the
-    // second-deepest one, the whole parent span collapses into one
-    // batched probe sweep (kCountProbeAll).
-    const bool batch = n >= 2 && prog->nodes[n - 1].index != nullptr &&
-                       prog->nodes[n - 1].parent == n - 2;
-    prog->count_code =
-        LayOutLoop(prog->nodes, batch ? Op::kCountProbeAll : Op::kCountSpan);
+    prog->code = LayOutLoop(prog->nodes);
   }
 
   if (trace != nullptr) {
     span.Arg("algorithm", prog->algorithm);
     span.Arg("nodes", std::to_string(prog->nodes.size()));
     TraceCounter(trace, "vm.programs", 1);
-    TraceCounter(trace, "vm.code_len",
-                 prog->code.size() + prog->count_code.size());
+    TraceCounter(trace, "vm.code_len", prog->code.size());
   }
   return std::shared_ptr<const Program>(std::move(prog));
 }

@@ -19,12 +19,6 @@ const char* OpName(Op op) {
       return "emit_nullary";
     case Op::kAdvance:
       return "advance";
-    case Op::kCount:
-      return "count";
-    case Op::kCountSpan:
-      return "count_span";
-    case Op::kCountProbeAll:
-      return "count_probe_all";
     case Op::kHalt:
       return "halt";
   }
@@ -46,14 +40,11 @@ void ListCode(const std::vector<Insn>& code, const char* title,
       case Op::kProbe2:
       case Op::kProbeN:
       case Op::kAdvance:
-      case Op::kCountSpan:
-      case Op::kCountProbeAll:
         line += " node=" + std::to_string(in.arg);
         line += " -> " + std::to_string(in.jump);
         break;
       case Op::kEmit:
       case Op::kEmitNullary:
-      case Op::kCount:
         line += " resume-> " + std::to_string(in.jump);
         break;
       case Op::kHalt:
@@ -94,7 +85,6 @@ std::string Program::Disassemble() const {
     text += "\n";
   }
   ListCode(code, "code", &text);
-  ListCode(count_code, "count_code", &text);
   return text;
 }
 

@@ -19,8 +19,10 @@
 /// in which every probe is nonempty after full reduction. The compiler
 /// (compile.h) *lowers* the plan into a straight-line register program
 /// whose control flow is the odometer unrolled per node, so the
-/// switch-threaded VM (vm.h) executes it with zero virtual calls,
-/// key-arity-specialized probes, and a fused count loop.
+/// switch-threaded VM (vm.h) executes it with zero virtual calls and
+/// key-arity-specialized probes. Aggregates (counting and every other
+/// semiring) do not run bytecode: vm::RunSemiring folds the same node
+/// table bottom-up over the plan's indexes.
 ///
 /// The machine: one register ("frame") per join-tree node holding the
 /// node's current candidate span (a borrowed CSR RowSpan) and a position
@@ -45,17 +47,6 @@
 ///   kAdvance n    If node n has another candidate: ++pos, go to `jump`
 ///                 (refill everything deeper). Otherwise fall through
 ///                 (advance the next-shallower node).
-///   kCount        count += 1, go to `jump` (count_code only).
-///   kCountSpan n  count += |frame[n].span|, go to `jump`: the fused
-///                 innermost loop of the counting variant (count_code
-///                 only).
-///   kCountProbeAll n
-///                 Consume the *parent's* remaining span whole: probe the
-///                 innermost node n once per parent candidate with the
-///                 batched hash-8-ahead + prefetch kernel, adding every
-///                 span size to the count, then leave the parent
-///                 exhausted and go to `jump`. Legal when n's parent is
-///                 the second-deepest node (count_code only).
 ///   kHalt         Enumeration exhausted.
 ///
 /// A Program is immutable after compilation and holds a shared_ptr to the
@@ -75,9 +66,6 @@ enum class Op : uint8_t {
   kEmit,
   kEmitNullary,
   kAdvance,
-  kCount,
-  kCountSpan,
-  kCountProbeAll,
   kHalt,
 };
 
@@ -113,9 +101,8 @@ struct OutSlot {
   uint32_t col = 0;
 };
 
-/// One compiled plan: the enumeration program (`code`, kEmit yields) and
-/// the fused counting program (`count_code`, kCount/kCountSpan), over the
-/// same node table. Immutable shared state.
+/// One compiled plan: the enumeration program (`code`, kEmit yields) over
+/// a node table that vm::RunSemiring also folds. Immutable shared state.
 struct Program {
   /// Owns the relations/indexes every raw pointer below borrows.
   std::shared_ptr<const IndexedFreeConnexPlan> plan;
@@ -125,13 +112,10 @@ struct Program {
   std::vector<std::vector<const Value*>> ptr_storage;
   std::vector<ProgramNode> nodes;
   std::vector<Insn> code;
-  std::vector<Insn> count_code;
+  /// One slot per head variable, in head order. Head variables are
+  /// distinct (ConjunctiveQuery::Validate), so these are also the slots
+  /// whose element weights a semiring answer multiplies (semiring.h).
   std::vector<OutSlot> out;
-  /// `out` restricted to the first occurrence of each distinct head
-  /// variable: the slots whose element weights a semiring answer
-  /// multiplies (semiring.h semantics). The weighted instances of the
-  /// count stream read these; counting and the cursor ignore them.
-  std::vector<OutSlot> weighted_out;
   uint32_t arity = 0;
   bool empty = false;
   bool is_boolean = false;
@@ -141,7 +125,8 @@ struct Program {
   /// "constant-delay-enumeration+vm".
   std::string algorithm;
 
-  /// Human-readable listing of both code streams (EXPLAIN --bytecode).
+  /// Human-readable listing of the node table and `code` (EXPLAIN
+  /// --bytecode).
   std::string Disassemble() const;
 };
 

@@ -1,6 +1,7 @@
 #include "fgq/vm/vm.h"
 
 #include <algorithm>
+#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -148,12 +149,7 @@ class ProgramCursor final : public AnswerEnumerator {
           }
           break;
         }
-        case Op::kCount:
-        case Op::kCountSpan:
-        case Op::kCountProbeAll:
         case Op::kHalt:
-          // Count opcodes never appear in the enumeration stream; treat
-          // anything unexpected as exhaustion.
           pc_ = pc;
           ops_ = ops;
           probes_ = probes;
@@ -171,222 +167,238 @@ class ProgramCursor final : public AnswerEnumerator {
   uint64_t probes_ = 0;
 };
 
-/// The count stream's accumulator: counting adds in a machine word (the
-/// one-add-per-span arithmetic), every other instance in its ValueType.
-template <typename S>
-using StreamValue = std::conditional_t<std::is_same_v<S, CountingSemiring>,
-                                       uint64_t, typename S::ValueType>;
+/// Rows the fold values per block, so the per-row values stay
+/// cache-sized whatever the relation size.
+constexpr size_t kFoldBlock = 4096;
+/// The fold polls its token before it starts and then about once per
+/// this many rows.
+constexpr uint64_t kPollRows = uint64_t{1} << 16;
 
-/// Executes the count stream (`Program::count_code`) to completion under
-/// semiring instance `s`, ⊕-accumulating the ⊗ of Program::weighted_out
-/// element weights per answer. The counting instance keeps the fused
-/// shape: kCountSpan is one add per span and kCountProbeAll one batched
-/// CountProbeGather sweep. The weighted instances hoist every factor that
-/// does not move with the innermost cursor out of a tight span loop, and
-/// kCountProbeAll degrades to a per-parent-row probe sweep (the batched
-/// tag-gather kernel only counts). Polls `cancel` once per kPollWork
-/// units of work: one per instruction, plus one per row that a
-/// span-fused opcode probes or folds, since one such instruction can
-/// sweep a whole relation.
+/// Counting and Boolean weigh every element One, so their fold reads no
+/// weight column.
 template <typename S>
-Result<StreamValue<S>> RunCountStream(const Program& program, const S& s,
-                                      const CancelToken& cancel,
-                                      TraceContext* trace) {
-  constexpr bool kCounting = std::is_same_v<S, CountingSemiring>;
-  constexpr const char* kWhat = kCounting ? "vm count" : "vm sum-product";
-  constexpr uint64_t kPollWork = 1 << 16;
-  // Rows per batched probe sweep, so a long sweep meets the poll too.
-  constexpr size_t kGatherRows = 4096;
-  using W = typename S::ValueType;
-  std::vector<Frame> frame_store(program.nodes.size());
-  const Insn* const code = program.count_code.data();
+constexpr bool kUnitWeights = std::is_same_v<S, CheckedCountingSemiring> ||
+                              std::is_same_v<S, CountingSemiring> ||
+                              std::is_same_v<S, BooleanSemiring>;
+
+/// ⊕ of `cnt` copies of One: cnt under counting, One (for cnt > 0) under
+/// the other instances, whose ⊕ is idempotent (∨, min, max, top-k merge).
+template <typename S>
+typename S::ValueType CopiesOfOne(const S& s, size_t cnt) {
+  if constexpr (std::is_same_v<S, CheckedCountingSemiring>) {
+    return cnt;
+  } else if constexpr (std::is_same_v<S, CountingSemiring>) {
+    return BigInt::FromUint64(cnt);
+  } else {
+    return cnt == 0 ? s.Zero() : s.One();
+  }
+}
+
+/// One child's pass over a block of its parent's rows (`block[0..m)`):
+/// finds each row's group in child `c` with the batched gathered probe and
+/// multiplies the group's aggregate into the row's value `vals[j]`. A
+/// `plain` child's aggregate is CopiesOfOne(|group|), any other child's
+/// is `csums[group id]`; a row with no group gets Zero. With `first` the
+/// row has no factor yet, so the aggregate is its value; with `to_total`
+/// (a root's last child) the value is ⊕-folded into `acc` instead of
+/// stored. Kept out of Fold so the semiring state and `acc` stay in
+/// registers across the probe loop.
+template <typename S, typename Cell>
+__attribute__((noinline)) void JoinChild(
+    S& s_io, const ProgramNode& c, bool plain, bool first, bool to_total,
+    const Cell* csums, const uint32_t* block, size_t m, Cell* vals,
+    typename S::ValueType& acc_io) {
+  using V = typename S::ValueType;
+  S s = s_io;
+  V acc = std::move(acc_io);
+  auto probe_all = [&](auto&& sink) {
+    if (c.npcols == 1) {
+      c.index->ProbeGathered<1>(c.pcol_ptrs, block, m, sink);
+    } else if (c.npcols == 2) {
+      c.index->ProbeGathered<2>(c.pcol_ptrs, block, m, sink);
+    } else {
+      c.index->ProbeGathered<0>(c.pcol_ptrs, block, m, sink);
+    }
+  };
+  if (plain && first && to_total) {
+    // The counting shape: each row's value is its group's CopiesOfOne,
+    // which is Zero for a row with no group.
+    probe_all([&](size_t, HashIndex::GroupHit hit) {
+      acc = s.Plus(acc, CopiesOfOne(s, hit.count));
+    });
+  } else {
+    probe_all([&](size_t j, HashIndex::GroupHit hit) {
+      V v;
+      if (hit.count == 0) {
+        v = s.Zero();
+      } else if (plain) {
+        v = CopiesOfOne(s, hit.count);
+      } else {
+        v = csums[hit.id];
+      }
+      if (!first) v = s.Times(vals[j], v);
+      if (to_total) {
+        acc = s.Plus(acc, v);
+      } else {
+        vals[j] = std::move(v);
+      }
+    });
+  }
+  s_io = s;
+  acc_io = std::move(acc);
+}
+
+/// Theorem 4.21's bottom-up pass over the program's own join tree and
+/// indexes, under semiring instance `s`: the ⊕ over every answer of the ⊗
+/// of its head variables' element weights (Program::out), in O(Σ node
+/// rows) whatever the answer count. Nodes are visited in reverse
+/// top-down order. A row's value is its own weights ⊗ the aggregate of
+/// the group it joins in each child (Zero when it joins none). A
+/// non-root node stores one aggregate per HashIndex group, the ⊕ of the
+/// group's row values, indexed by group id; its parent's rows find their
+/// groups through the batched gathered probe (HashIndex::ProbeGathered).
+/// A leaf that reads no weight stores nothing: its group aggregate is
+/// CopiesOfOne(|group|), read off the probe. The roots' totals ⊗-combine.
+/// The pass runs on a copy of `s`, so a stateful instance (the checked
+/// counter's overflow flag) stays in registers; the copy is handed back
+/// through `s` on success.
+template <typename S>
+Result<typename S::ValueType> Fold(const Program& program, S& s_io,
+                                   const CancelToken& cancel,
+                                   TraceContext* trace) {
+  using V = typename S::ValueType;
+  // Per-row storage; bytes rather than std::vector<bool>'s packed bits.
+  using Cell = std::conditional_t<std::is_same_v<V, bool>, uint8_t, V>;
+  constexpr const char* kWhat = "vm fold";
+  if (cancel.cancelled()) return cancel.Check(kWhat);
+  S s = s_io;
+  if (program.empty) return s.Zero();
+  const size_t n = program.nodes.size();
+  // A satisfied Boolean program has one answer: the empty tuple.
+  if (n == 0) return s.One();
   const ProgramNode* const nodes = program.nodes.data();
-  Frame* const frames = frame_store.data();
-  // Weighted output slots partitioned by node, so the span-fused count
-  // opcodes can hoist every factor that does not move with the innermost
-  // cursor out of the tight loop — the semiring analogue of the
-  // one-add-per-span shape.
-  std::vector<std::vector<uint32_t>> wcols;
-  if constexpr (!kCounting) {
-    wcols.resize(program.nodes.size());
-    for (const OutSlot& o : program.weighted_out) {
-      wcols[o.node].push_back(o.col);
+  std::vector<std::vector<uint32_t>> children(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    if (nodes[i].index != nullptr) children[nodes[i].parent].push_back(i);
+  }
+  // Base pointers of each node's head-variable columns: its weights.
+  std::vector<std::vector<const Value*>> weights(n);
+  if constexpr (!kUnitWeights<S>) {
+    for (const OutSlot& o : program.out) {
+      weights[o.node].push_back(nodes[o.node].cols[o.col]);
     }
   }
-  // w ⊗ (⊗ of `node`'s weighted slots at row `rid`).
-  auto node_factor = [&](uint32_t node, uint32_t rid, W w) {
-    for (uint32_t c : wcols[node]) {
-      w = s.Times(w, s.Weight(nodes[node].cols[c][rid]));
-    }
-    return w;
+  auto plain_leaf = [&](size_t i) {
+    return children[i].empty() && weights[i].empty();
   };
-  constexpr uint32_t kNoSkip = UINT32_MAX;
-  // ⊗ of every node's weighted slots at the current frame rows, skipping
-  // up to two nodes whose factors the caller supplies itself.
-  auto current_factor = [&](uint32_t skip_a, uint32_t skip_b) {
-    W w = s.One();
-    for (uint32_t n = 0; n < wcols.size(); ++n) {
-      if (n == skip_a || n == skip_b || wcols[n].empty()) continue;
-      w = node_factor(n, frames[n].rid, std::move(w));
-    }
-    return w;
-  };
-  uint64_t ops = 0;
-  // The next poll is due when `ops` reaches `poll_at`; the rows a
-  // span-fused opcode sweeps bring it closer.
-  uint64_t poll_at = kPollWork;
-  // Charges `rows` units of work; true when that made the poll due and
-  // the token has tripped.
-  auto tripped = [&](uint64_t rows) {
-    poll_at -= std::min(poll_at, rows);
-    if (ops < poll_at) return false;
-    poll_at = ops + kPollWork;
-    return cancel.cancelled();
-  };
-  StreamValue<S> acc{};
-  if constexpr (!kCounting) acc = s.Zero();
+  std::vector<std::vector<Cell>> sums(n);
+  // The current block's row values; every read follows a write.
+  const std::unique_ptr<Cell[]> vals(new Cell[kFoldBlock]);
+  uint64_t rows_done = 0;
+  uint64_t poll_at = kPollRows;
   uint64_t probes = 0;
-  int32_t pc = 0;
-  for (;;) {
-    const Insn& in = code[pc];
-    if (++ops >= poll_at) {
-      poll_at = ops + kPollWork;
-      if (cancel.cancelled()) return cancel.Check(kWhat);
+  V total = s.One();
+  for (size_t i = n; i-- > 0;) {
+    const ProgramNode& node = nodes[i];
+    const bool root = node.index == nullptr;
+    if (plain_leaf(i)) {
+      if (root) total = s.Times(total, CopiesOfOne(s, node.root_count));
+      continue;
     }
-    switch (in.op) {
-      case Op::kInitRoot: {
-        const ProgramNode& n = nodes[in.arg];
-        Frame& f = frames[in.arg];
-        f.span = HashIndex::RowSpan{n.root_data, n.root_count};
-        f.pos = 0;
-        if (n.root_count != 0) {
-          SetRow(n, f);
-          ++pc;
-        } else {
-          pc = in.jump;
+    const std::vector<const Value*>& w = weights[i];
+    const std::vector<uint32_t>& kids = children[i];
+    // Roots walk their candidate rows; other nodes their index's rows in
+    // CSR order, group by group.
+    const uint32_t* const rows =
+        root ? node.root_data : node.index->row_ids().data();
+    const size_t nrows = root ? node.root_count : node.index->row_ids().size();
+    const uint32_t* const offsets =
+        root ? nullptr : node.index->offsets().data();
+    if (!root) sums[i].resize(node.index->NumGroups());
+    Cell* const own_sums = sums[i].data();
+    if (!root && kids.empty()) {
+      // A weighted leaf: ⊕ each group's own weights straight off the CSR.
+      auto own = [&](uint32_t r) {
+        V v = s.Weight(w[0][r]);
+        for (size_t k = 1; k < w.size(); ++k) {
+          v = s.Times(v, s.Weight(w[k][r]));
         }
-        break;
+        return v;
+      };
+      for (size_t g = 0; g < sums[i].size(); ++g) {
+        const uint32_t lo = offsets[g];
+        const uint32_t hi = offsets[g + 1];
+        V a = lo == hi ? s.Zero() : own(rows[lo]);
+        for (uint32_t p = lo + 1; p < hi; ++p) a = s.Plus(a, own(rows[p]));
+        own_sums[g] = std::move(a);
+        rows_done += hi - lo;
+        if (rows_done >= poll_at) {
+          poll_at = rows_done + kPollRows;
+          if (cancel.cancelled()) return cancel.Check(kWhat);
+        }
       }
-      case Op::kProbe1:
-        ++probes;
-        pc = Probe<1>(nodes, frames, in.arg) ? pc + 1 : in.jump;
-        break;
-      case Op::kProbe2:
-        ++probes;
-        pc = Probe<2>(nodes, frames, in.arg) ? pc + 1 : in.jump;
-        break;
-      case Op::kProbeN:
-        ++probes;
-        pc = Probe<0>(nodes, frames, in.arg) ? pc + 1 : in.jump;
-        break;
-      case Op::kCount:
-        // One answer at the current frame rows. Not fused like kEmit:
-        // this tail also serves the node-less Boolean count program,
-        // where there is no frame to step and the product is empty.
-        if constexpr (kCounting) {
-          ++acc;
-        } else {
-          acc = s.Plus(acc, current_factor(kNoSkip, kNoSkip));
-        }
-        pc = in.jump;
-        break;
-      case Op::kCountSpan: {
-        // The innermost node contributes span.count answers that differ
-        // only in its own rows: hoist everything else into `prefix`.
-        const Frame& f = frames[in.arg];
-        if constexpr (kCounting) {
-          acc += f.span.count;
-        } else {
-          const W prefix = current_factor(in.arg, kNoSkip);
-          if (wcols[in.arg].empty()) {
-            for (uint32_t i = 0; i < f.span.count; ++i) {
-              acc = s.Plus(acc, prefix);
-            }
-          } else {
-            for (uint32_t i = 0; i < f.span.count; ++i) {
-              acc = s.Plus(acc, node_factor(in.arg, f.span.data[i], prefix));
-            }
-          }
-          if (tripped(f.span.count)) return cancel.Check(kWhat);
-        }
-        pc = in.jump;
-        break;
-      }
-      case Op::kCountProbeAll: {
-        // Consume the parent's remaining candidates and leave the parent
-        // exhausted, so its kAdvance falls through to the next-shallower
-        // node.
-        const ProgramNode& n = nodes[in.arg];
-        Frame& pf = frames[n.parent];
-        if constexpr (kCounting) {
-          // Batched: hash 8 probe keys ahead, prefetch their tag groups,
-          // then sum the match span sizes.
-          for (size_t begin = pf.pos; begin < pf.span.count;
-               begin += kGatherRows) {
-            const uint32_t* rows = pf.span.data + begin;
-            const size_t m = std::min(pf.span.count - begin, kGatherRows);
-            if (n.npcols == 1) {
-              acc += n.index->CountProbeGather<1>(n.pcol_ptrs, rows, m);
-            } else if (n.npcols == 2) {
-              acc += n.index->CountProbeGather<2>(n.pcol_ptrs, rows, m);
-            } else {
-              acc += n.index->CountProbeGather<0>(n.pcol_ptrs, rows, m);
-            }
-            probes += m;
-            if (tripped(m)) return cancel.Check(kWhat);
-          }
-        } else {
-          // One probe per parent candidate, re-deriving the parent factor
-          // per row. Factors of nodes shallower than the parent are
-          // loop-invariant.
-          const W base = current_factor(in.arg, n.parent);
-          for (uint32_t p = pf.pos; p < pf.span.count; ++p) {
-            pf.pos = p;
-            SetRow(nodes[n.parent], pf);
-            ++probes;
-            HashIndex::RowSpan span;
-            if (n.npcols == 1) {
-              span = n.index->LookupColsFixed<1>(n.pcol_ptrs, pf.rid);
-            } else if (n.npcols == 2) {
-              span = n.index->LookupColsFixed<2>(n.pcol_ptrs, pf.rid);
-            } else {
-              span = n.index->LookupColsFixed<0>(n.pcol_ptrs, pf.rid);
-            }
-            if (tripped(1 + span.count)) return cancel.Check(kWhat);
-            if (span.count == 0) continue;
-            const W w = node_factor(n.parent, pf.rid, base);
-            if (wcols[in.arg].empty()) {
-              for (uint32_t i = 0; i < span.count; ++i) acc = s.Plus(acc, w);
-            } else {
-              for (uint32_t i = 0; i < span.count; ++i) {
-                acc = s.Plus(acc, node_factor(in.arg, span.data[i], w));
-              }
-            }
-          }
-        }
-        pf.pos = static_cast<uint32_t>(pf.span.count - 1);
-        pc = in.jump;
-        break;
-      }
-      case Op::kAdvance: {
-        Frame& f = frames[in.arg];
-        if (f.pos + 1 < f.span.count) {
-          ++f.pos;
-          SetRow(nodes[in.arg], f);
-          pc = in.jump;
-        } else {
-          ++pc;
-        }
-        break;
-      }
-      case Op::kEmit:
-      case Op::kEmitNullary:
-      case Op::kHalt:
-        TraceCounter(trace, "vm.ops", ops);
-        TraceCounter(trace, "vm.probes", probes);
-        return acc;
+      continue;
     }
+    V acc = s.Zero();  // The root's total.
+    size_t g = 0;      // The index group of the current row (non-roots).
+    for (size_t b = 0; b < nrows; b += kFoldBlock) {
+      const size_t m = std::min(kFoldBlock, nrows - b);
+      const uint32_t* const block = rows + b;
+      // The block's own weights, a column at a time.
+      for (size_t k = 0; k < w.size(); ++k) {
+        const Value* const col = w[k];
+        for (size_t j = 0; j < m; ++j) {
+          vals[j] = k == 0 ? s.Weight(col[block[j]])
+                           : s.Times(vals[j], s.Weight(col[block[j]]));
+        }
+      }
+      // Each child's aggregate multiplies in. A root's last child ⊕-folds
+      // the finished value straight into the total.
+      for (size_t k = 0; k < kids.size(); ++k) {
+        JoinChild(s, nodes[kids[k]], plain_leaf(kids[k]),
+                  /*first=*/k == 0 && w.empty(),
+                  /*to_total=*/root && k + 1 == kids.size(),
+                  sums[kids[k]].data(), block, m, vals.get(), acc);
+        probes += m;
+      }
+      if (root && kids.empty()) {
+        for (size_t j = 0; j < m; ++j) acc = s.Plus(acc, vals[j]);
+      } else if (!root) {
+        // ⊕ the block's values into their groups; the block may begin or
+        // end inside a group.
+        for (size_t j = 0; j < m;) {
+          while (offsets[g + 1] <= b + j) ++g;
+          const size_t end = std::min<size_t>(offsets[g + 1] - b, m);
+          V a = vals[j];
+          if (b + j != offsets[g]) a = s.Plus(own_sums[g], a);
+          for (++j; j < end; ++j) a = s.Plus(a, vals[j]);
+          own_sums[g] = std::move(a);
+        }
+      }
+      rows_done += m;
+      if (rows_done >= poll_at) {
+        poll_at = rows_done + kPollRows;
+        if (cancel.cancelled()) return cancel.Check(kWhat);
+      }
+    }
+    if (root) total = s.Times(total, acc);
+    for (uint32_t c : kids) sums[c] = {};
   }
+  TraceCounter(trace, "vm.ops", rows_done);
+  TraceCounter(trace, "vm.probes", probes);
+  s_io = s;
+  return total;
+}
+
+/// Folds under a stateless instance and wraps the carrier into a
+/// SemiringValue.
+template <typename S, typename Wrap>
+Result<SemiringValue> FoldAs(const Program& program, S s,
+                             const CancelToken& cancel, TraceContext* trace,
+                             Wrap wrap) {
+  FGQ_ASSIGN_OR_RETURN(typename S::ValueType v,
+                       Fold(program, s, cancel, trace));
+  return wrap(std::move(v));
 }
 
 }  // namespace
@@ -401,32 +413,27 @@ Result<SemiringValue> RunSemiring(const Program& program, SemiringId id,
                                   TraceContext* trace) {
   switch (id) {
     case SemiringId::kCounting: {
-      FGQ_ASSIGN_OR_RETURN(
-          uint64_t c,
-          RunCountStream(program, CountingSemiring{}, cancel, trace));
-      return SemiringValue::Counting(BigInt::FromUint64(c));
+      CheckedCountingSemiring fast;
+      FGQ_ASSIGN_OR_RETURN(uint64_t c, Fold(program, fast, cancel, trace));
+      if (!fast.overflowed()) {
+        return SemiringValue::Counting(BigInt::FromUint64(c));
+      }
+      CountingSemiring exact;
+      FGQ_ASSIGN_OR_RETURN(BigInt big, Fold(program, exact, cancel, trace));
+      return SemiringValue::Counting(std::move(big));
     }
-    case SemiringId::kBoolean: {
-      FGQ_ASSIGN_OR_RETURN(
-          bool b, RunCountStream(program, BooleanSemiring{}, cancel, trace));
-      return SemiringValue::Boolean(b);
-    }
-    case SemiringId::kMinPlus: {
-      FGQ_ASSIGN_OR_RETURN(
-          int64_t v, RunCountStream(program, MinPlusSemiring{}, cancel, trace));
-      return SemiringValue::MinPlus(v);
-    }
-    case SemiringId::kMaxMin: {
-      FGQ_ASSIGN_OR_RETURN(
-          int64_t v, RunCountStream(program, MaxMinSemiring{}, cancel, trace));
-      return SemiringValue::MaxMin(v);
-    }
-    case SemiringId::kTopK: {
-      FGQ_ASSIGN_OR_RETURN(std::vector<int64_t> v,
-                           RunCountStream(program, TopKSemiring(kTopKWireK),
-                                          cancel, trace));
-      return SemiringValue::TopK(std::move(v));
-    }
+    case SemiringId::kBoolean:
+      return FoldAs(program, BooleanSemiring{}, cancel, trace,
+                    SemiringValue::Boolean);
+    case SemiringId::kMinPlus:
+      return FoldAs(program, MinPlusSemiring{}, cancel, trace,
+                    SemiringValue::MinPlus);
+    case SemiringId::kMaxMin:
+      return FoldAs(program, MaxMinSemiring{}, cancel, trace,
+                    SemiringValue::MaxMin);
+    case SemiringId::kTopK:
+      return FoldAs(program, TopKSemiring(kTopKWireK), cancel, trace,
+                    SemiringValue::TopK);
   }
   return Status::InvalidArgument("unknown semiring id");
 }

@@ -10,9 +10,7 @@
 #include "fgq/vm/program.h"
 
 /// \file vm.h
-/// The switch-threaded execution loop of fgq::vm.
-///
-/// Two entry points over one Program:
+/// The two executors of fgq::vm, over one Program:
 ///
 /// * MakeProgramCursor — a pull-based AnswerEnumerator executing the
 ///   enumeration stream (`Program::code`). kEmit instructions are the
@@ -22,16 +20,18 @@
 ///   number of cursors share one cached Program. This is the
 ///   constant-delay enumerator of Theorem 4.6
 ///   (MakeConstantDelayEnumerator returns one).
-/// * RunSemiring — executes the count stream (`Program::count_code`) to
-///   completion under one SemiringId: no materialization, no yields. One
-///   dispatch loop serves every semiring; its counting instance adds in a
-///   machine word, with the innermost loop collapsed to one span-sized add
-///   where the compiler proved it legal. Polls `cancel` every ~64k
-///   units of work: instructions, plus the rows a span-fused opcode
-///   probes or folds.
+/// * RunSemiring — Theorem 4.21's bottom-up pass under one SemiringId:
+///   no bytecode, no materialization, no yields. It visits the Program's
+///   nodes in reverse top-down order over the plan's own indexes; every
+///   non-root node keeps one aggregate per HashIndex group, and its
+///   parent's rows find theirs with the batched gathered probe
+///   (HashIndex::ProbeGathered). The cost is O(Σ node rows) under every
+///   semiring, whatever the answer count. Counting runs in
+///   overflow-checked machine words and reruns exactly in BigInt on
+///   overflow. Polls `cancel` before it starts and then every ~64k rows.
 ///
-/// The dispatch loop is a plain switch over Op — no virtual calls, no
-/// per-operator allocation; the probe opcodes call the key-arity-
+/// The cursor's dispatch loop is a plain switch over Op — no virtual
+/// calls, no per-operator allocation; the probe opcodes call the key-arity-
 /// specialized HashIndex::LookupRowFixed<K>, so the hash chain and key
 /// compare are fully unrolled in the instruction's case block.
 
@@ -47,8 +47,9 @@ namespace vm {
 std::unique_ptr<AnswerEnumerator> MakeProgramCursor(
     std::shared_ptr<const Program> program, TraceContext* trace = nullptr);
 
-/// Runs the count stream under semiring `id` and returns the
-/// ⊕-aggregate, tagged with `id`; kCounting returns |phi(D)|.
+/// Folds the program under semiring `id` and returns the ⊕-aggregate,
+/// tagged with `id`; kCounting returns |phi(D)|. `trace`, when set,
+/// receives the rows folded (vm.ops) and the probes made (vm.probes).
 /// Cancellation surfaces as the token's DeadlineExceeded/Cancelled.
 Result<SemiringValue> RunSemiring(const Program& program, SemiringId id,
                                   const CancelToken& cancel,

@@ -1,19 +1,23 @@
 // Unit tests of fgq::vm, the executor of every Boolean and free-connex
 // plan: lowering, program structure, the switch-threaded cursor, the
-// fused count stream, and the engine routes that run it. The fuzzer
+// bottom-up semiring fold, and the engine routes that run it. The fuzzer
 // (fuzz_check) additionally diffs every random case against the
 // brute-force reference; these tests pin the specific shapes the compiler
 // promises.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "fgq/count/acq_count.h"
 #include "fgq/eval/engine.h"
 #include "fgq/query/parser.h"
+#include "fgq/serve/query_service.h"
+#include "fgq/util/random.h"
 #include "fgq/vm/compile.h"
 #include "fgq/vm/vm.h"
 
@@ -73,10 +77,8 @@ TEST(VmCompile, FreeConnexQueryCompiles) {
   EXPECT_EQ(comp.program->arity, 2u);
   EXPECT_FALSE(comp.program->is_boolean);
   EXPECT_FALSE(comp.program->code.empty());
-  EXPECT_FALSE(comp.program->count_code.empty());
-  // Both streams terminate.
+  // The stream terminates.
   EXPECT_EQ(comp.program->code.back().op, vm::Op::kHalt);
-  EXPECT_EQ(comp.program->count_code.back().op, vm::Op::kHalt);
 }
 
 TEST(VmCompile, NonCompilableClassesReportAReason) {
@@ -103,7 +105,6 @@ TEST(VmCompile, DisassemblyListsBothStreams) {
   ASSERT_TRUE(comp.ok());
   const std::string dis = comp.program->Disassemble();
   EXPECT_NE(dis.find("code:"), std::string::npos);
-  EXPECT_NE(dis.find("count_code:"), std::string::npos);
   EXPECT_NE(dis.find("init_root"), std::string::npos);
   EXPECT_NE(dis.find("emit"), std::string::npos);
   EXPECT_NE(dis.find("halt"), std::string::npos);
@@ -140,7 +141,7 @@ TEST(VmCursor, BooleanProgramsYieldOneNullaryAnswer) {
   EXPECT_EQ(DrainAll(vm::MakeProgramCursor(unsat.program).get()).size(), 0u);
 }
 
-// ---- The count stream -------------------------------------------------------
+// ---- The semiring fold -----------------------------------------------------
 
 TEST(VmCount, MatchesEnumerationAndFusesTheInnermostLoop) {
   Database db = TinyGraph();
@@ -151,13 +152,6 @@ TEST(VmCount, MatchesEnumerationAndFusesTheInnermostLoop) {
       vm::RunSemiring(*comp.program, SemiringId::kCounting, CancelToken());
   ASSERT_TRUE(n.ok()) << n.status();
   EXPECT_EQ(n->count, BigInt::FromUint64(2));
-  // The counting stream must use the span-fused opcode rather than
-  // per-answer kCount.
-  bool fused = false;
-  for (const vm::Insn& in : comp.program->count_code) {
-    fused = fused || in.op == vm::Op::kCountSpan;
-  }
-  EXPECT_TRUE(fused);
 }
 
 TEST(VmCount, CancellationSurfaces) {
@@ -196,6 +190,185 @@ TEST(VmCount, CancellationReachesSpanFusedSweeps) {
     ASSERT_FALSE(v.ok()) << SemiringName(id);
     EXPECT_EQ(v.status().code(), StatusCode::kCancelled) << v.status();
   }
+}
+
+TEST(VmCount, CountsPast64BitsExactly) {
+  // A star of `arms` arms, each with 2^16 leaves around one centre:
+  // exactly 2^(16 * arms) answers. The fold's machine-word pass overflows
+  // at 4 arms, so the value must come from the exact rerun.
+  constexpr Value kLeaves = Value{1} << 16;
+  for (int arms : {4, 5}) {
+    Database db;
+    std::string head = "Q(c";
+    std::string body;
+    for (int a = 1; a <= arms; ++a) {
+      const std::string rel = "E" + std::to_string(a);
+      const std::string leaf = "l" + std::to_string(a);
+      Relation e(rel, 2);
+      for (Value v = 0; v < kLeaves; ++v) e.Add({0, v});
+      db.PutRelation(std::move(e));
+      head += ", " + leaf;
+      body += (a == 1 ? "" : ", ") + rel + "(c, " + leaf + ")";
+    }
+    const ConjunctiveQuery q = Q(head + ") :- " + body + ".");
+    const BigInt want = BigInt::Pow2(16 * static_cast<uint64_t>(arms));
+
+    vm::Compilation comp = Compile(q, db);
+    ASSERT_TRUE(comp.ok()) << comp.fallback_reason;
+    Result<SemiringValue> n =
+        vm::RunSemiring(*comp.program, SemiringId::kCounting, CancelToken());
+    ASSERT_TRUE(n.ok()) << n.status();
+    EXPECT_EQ(n->count, want) << arms << " arms: " << n->count.ToString();
+
+    SnapshotStore store(std::move(db));
+    ServiceOptions sopts;
+    sopts.num_workers = 1;
+    QueryService service(&store, sopts);
+    ServiceRequest req;
+    req.query = q;
+    req.verb = ServeVerb::kCount;
+    ServiceResponse resp = service.Submit(std::move(req)).get();
+    ASSERT_TRUE(resp.status.ok()) << resp.status;
+    EXPECT_EQ(resp.count, want) << arms << " arms: " << resp.count.ToString();
+    service.Stop();
+  }
+}
+
+/// Height of the deepest join-tree path of `p`, in nodes.
+size_t TreeHeight(const vm::Program& p) {
+  size_t height = 0;
+  for (size_t i = 0; i < p.nodes.size(); ++i) {
+    size_t h = 1;
+    for (size_t j = i; p.nodes[j].index != nullptr; j = p.nodes[j].parent) ++h;
+    height = std::max(height, h);
+  }
+  return height;
+}
+
+/// Join-tree edges with an empty key: the cross products of a forest,
+/// which the plan hangs under one root.
+size_t NumCrossEdges(const vm::Program& p) {
+  size_t edges = 0;
+  for (const vm::ProgramNode& n : p.nodes) {
+    edges += n.index != nullptr && n.npcols == 0;
+  }
+  return edges;
+}
+
+TEST(VmCount, FoldMatchesTheDrainedCursorUnderEverySemiring) {
+  // Every semiring's fold must equal the reference fold of the answers
+  // the cursor yields, on random data, serial and with 4 threads.
+  const char* const queries[] = {
+      // Chains 3 and 4 levels deep, with and without a projected tail.
+      "Q(a, b, c, d) :- R(a, b), S(b, c), T(c, d).",
+      "Q(a, b, c) :- R(a, b), S(b, c), T(c, d).",
+      "Q(a, b, c, d, e) :- R(a, b), S(b, c), T(c, d), U(d, e).",
+      "Q(x1, x2, x3) :- R(x1, x2), S3(x2, x3, y3), R2(x1, y1), "
+      "T3(y3, y4, y5), S(x2, y2).",
+      // A star, and a ternary hub.
+      "Q(c, a, b, d) :- R(c, a), S(c, b), T(c, d).",
+      "Q(x, y, z, w) :- S3(x, y, z), R(y, w), U(z, v).",
+      // Forests: cross products of trees.
+      "Q(x, y, z) :- R(x, y), P(z).",
+      "Q(x, y, z, u) :- R(x, y), S(y, z), T(u, v).",
+      "Q(x, z) :- P(x), P(z).",
+      // A variable repeated inside an atom and across atoms: weighed
+      // once. (A repeated head variable, Q(x, x), never reaches the VM;
+      // see RepeatedHeadVariablesNeverCompile.)
+      "Q(x, y) :- R(x, x), S(x, y).",
+      "Q(x, y) :- R(x, y), S(y, x), T(x, x).",
+      // Empty plans: an empty relation, and a join that never meets.
+      "Q(x, y) :- R(x, y), Z(y).",
+      "Q(x, y) :- R(x, y), Far(y).",
+      // Boolean programs, satisfied and not.
+      "Q() :- R(x, y), S(y, z).",
+      "Q() :- R(x, y), Far(y).",
+  };
+  size_t max_height = 0;
+  size_t max_cross = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const Value domain = static_cast<Value>(4 + rng.Below(12));
+    Database db;
+    for (const char* name : {"R", "S", "T", "U", "R2"}) {
+      Relation r(name, 2);
+      const size_t rows = 1 + rng.Below(40);
+      for (size_t i = 0; i < rows; ++i) {
+        r.Add({static_cast<Value>(rng.Below(domain)) - 2,
+               static_cast<Value>(rng.Below(domain))});
+      }
+      db.PutRelation(std::move(r));
+    }
+    for (const char* name : {"S3", "T3"}) {
+      Relation r(name, 3);
+      for (size_t i = 0, rows = 1 + rng.Below(40); i < rows; ++i) {
+        r.Add({static_cast<Value>(rng.Below(domain)),
+               static_cast<Value>(rng.Below(domain)),
+               static_cast<Value>(rng.Below(domain))});
+      }
+      db.PutRelation(std::move(r));
+    }
+    Relation p("P", 1);
+    for (size_t i = 0, rows = 1 + rng.Below(8); i < rows; ++i) {
+      p.Add({static_cast<Value>(rng.Below(domain))});
+    }
+    db.PutRelation(std::move(p));
+    db.PutRelation(Relation("Z", 1));
+    Relation far("Far", 1);
+    far.Add({1000});
+    db.PutRelation(std::move(far));
+
+    for (int threads : {1, 4}) {
+      const ExecContext ctx{ExecOptions::Parallel(threads)};
+      for (const char* text : queries) {
+        const ConjunctiveQuery q = Q(text);
+        Result<vm::Compilation> comp = vm::CompileQuery(q, db, ctx);
+        ASSERT_TRUE(comp.ok()) << text << ": " << comp.status();
+        ASSERT_TRUE(comp->ok()) << text << ": " << comp->fallback_reason;
+        const vm::Program& prog = *comp->program;
+        max_height = std::max(max_height, TreeHeight(prog));
+        max_cross = std::max(max_cross, NumCrossEdges(prog));
+        Relation answers("A", q.arity());
+        for (const Tuple& t :
+             DrainAll(vm::MakeProgramCursor(comp->program).get())) {
+          if (q.arity() == 0) {
+            answers.AddNullary();
+          } else {
+            answers.Add(t);
+          }
+        }
+        for (uint8_t i = 0; i < kNumSemirings; ++i) {
+          const SemiringId id = static_cast<SemiringId>(i);
+          Result<SemiringValue> want = FoldAnswersSemiring(q, answers, id);
+          ASSERT_TRUE(want.ok()) << want.status();
+          Result<SemiringValue> got =
+              vm::RunSemiring(prog, id, CancelToken());
+          ASSERT_TRUE(got.ok()) << got.status();
+          EXPECT_EQ(*got, *want)
+              << text << " seed " << seed << " threads " << threads << " "
+              << SemiringName(id) << ": got " << got->Encode() << ", want "
+              << want->Encode();
+        }
+      }
+    }
+  }
+  // The cases above really reach deep plans and forests.
+  EXPECT_GE(max_height, 3u);
+  EXPECT_GE(max_cross, 1u);
+}
+
+TEST(VmCount, RepeatedHeadVariablesNeverCompile) {
+  // ConjunctiveQuery::Validate rejects Q(x, x), so every program has
+  // distinct head variables and weighs each one once.
+  Database db = TinyGraph();
+  ConjunctiveQuery q("Q", {"x", "x"}, {});
+  Atom e;
+  e.relation = "E";
+  e.args = {Term::Var("x"), Term::Var("y")};
+  q.AddAtom(e);
+  Result<vm::Compilation> comp = vm::CompileQuery(q, db);
+  ASSERT_FALSE(comp.ok());
+  EXPECT_EQ(comp.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---- Engine routes -----------------------------------------------------------

@@ -54,7 +54,7 @@ CODE_PATH_RE = re.compile(
     r"`((?:%s)[A-Za-z0-9_./-]+)`" % "|".join(re.escape(d) for d in PATH_DIRS))
 
 # API removed from the tree (after a [[deprecated]] cycle, or deleted
-# with the interpreter tier and the field DP).  Docs may describe the
+# with the interpreter tier, the field DP and the VM count stream).  Docs may describe the
 # removal but must not present these as callable.
 DELETED_SYMBOLS = [
     "QueryService::TrySubmit",
@@ -74,6 +74,11 @@ DELETED_SYMBOLS = [
     "vm::RunCount",
     "PlanKey::semiring",
     "RandomBinaryDatabase",
+    "count_code",
+    "kCountSpan",
+    "kCountProbeAll",
+    "RunCountStream",
+    "CountProbeGather",
 ]
 REMOVAL_CONTEXT_RE = re.compile(r"removed|retired|deprecat", re.IGNORECASE)
 
