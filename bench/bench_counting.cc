@@ -7,11 +7,12 @@
 #include "fgq/workload/generators.h"
 
 /// Experiment E14 (Theorem 4.21): quantifier-free weighted #ACQ in a
-/// single join-tree DP pass. The DP must scale linearly in ||D|| even
-/// when the answer set is quadratic or worse — the whole point versus the
-/// materialize-then-count baseline. BM_CountQuantifierFreePath keeps a
-/// BigInt per row (BigIntField); BM_CountAcqPath is the counting entry
-/// point itself, on the checked uint64_t carrier.
+/// single join-tree pass: compile the free-connex plan, then fold it. The
+/// pass must scale linearly in ||D|| even when the answer set is
+/// quadratic or worse — the whole point versus the materialize-then-count
+/// baseline. BM_CountQuantifierFreePath keeps a BigInt per row
+/// (BigIntField); BM_CountAcqPath is the counting entry point itself, on
+/// the checked uint64_t carrier.
 
 namespace fgq {
 namespace {
@@ -26,7 +27,7 @@ void BM_CountQuantifierFreePath(benchmark::State& state) {
   std::string count;
   auto ones = [](Value) { return BigInt(1); };
   for (auto _ : state) {
-    auto c = SemiringSumAcq0(q, db, BigIntField{ones});
+    auto c = SumProductAcq(q, db, BigIntField{ones});
     if (!c.ok()) state.SkipWithError(c.status().ToString().c_str());
     count = c->ToString();
     benchmark::DoNotOptimize(c);
@@ -75,7 +76,7 @@ BENCHMARK(BM_CountByMaterializing)
     ->ArgsProduct({{2, 4}, {1 << 10, 1 << 12, 1 << 14}})
     ->Unit(benchmark::kMillisecond);
 
-/// Field ablation: the DP cost across coefficient domains. BigInt pays
+/// Field ablation: the fold's cost across coefficient domains. BigInt pays
 /// for exactness; Z_p and int64 are near-free.
 template <typename Field>
 void FieldBench(benchmark::State& state) {
@@ -85,7 +86,7 @@ void FieldBench(benchmark::State& state) {
   ConjunctiveQuery q = FullPathQuery(4);
   auto ones = [](Value) { return typename Field::ValueType(1); };
   for (auto _ : state) {
-    auto c = SemiringSumAcq0(q, db, Field{ones});
+    auto c = SumProductAcq(q, db, Field{ones});
     if (!c.ok()) state.SkipWithError(c.status().ToString().c_str());
     benchmark::DoNotOptimize(c);
   }
@@ -116,7 +117,7 @@ void BM_WeightedAggregation(benchmark::State& state) {
   ConjunctiveQuery q = FullPathQuery(3);
   auto w = [](Value v) { return static_cast<double>(v) * 1e-3; };
   for (auto _ : state) {
-    auto c = SemiringSumAcq0(q, db, DoubleField{w});
+    auto c = SumProductAcq(q, db, DoubleField{w});
     if (!c.ok()) state.SkipWithError(c.status().ToString().c_str());
     benchmark::DoNotOptimize(c);
   }

@@ -16,8 +16,8 @@
 //   --no-shrink      report raw failures without shrinking.
 //   --regress-dir=D  write shrunk failures as .fgqr files under D.
 //   --no-service     skip the QueryService paths (faster under TSan).
-//   --no-semiring    skip the semiring paths (SumProduct and the
-//                    join-tree DP under every instance vs the reference
+//   --no-semiring    skip the semiring paths (SumProduct and
+//                    SemiringSumAcq under every instance vs the reference
 //                    fold, cross-semiring invariants, per-semiring count
 //                    serving). On by default.
 //   --no-mutation    skip the mutation paths (snapshot isolation +

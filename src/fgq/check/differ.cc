@@ -216,17 +216,15 @@ class CaseDiffer {
   /// The semiring paths: the same query aggregated under every
   /// SemiringId. The reference aggregate folds the brute-force answer set
   /// directly (FoldAnswersSemiring — the semantics contract stated in
-  /// src/fgq/count/semiring.h), which is independent of the join-tree DP
-  /// and of the VM lowering; Engine::SumProduct is then diffed against
-  /// it, and so is the join-tree DP (SemiringSumAcq) itself on every
-  /// plain acyclic case — the engine serves free-connex aggregates from
-  /// the VM, so only this path keeps the DP diffed there. Cross-semiring
-  /// invariants tie
-  /// the instances to each other through different FoldRows
-  /// instantiations, and the count verb runs through the service under
-  /// every semiring twice: all ten requests share the query's one
-  /// plan-cache entry, so each semiring's memo slot is read back after it
-  /// is filled, and no semiring may answer with another one's aggregate.
+  /// src/fgq/count/semiring.h), which is independent of the compiled
+  /// fold; Engine::SumProduct is then diffed against it, and so is the
+  /// fold's own entry (SemiringSumAcq) on every plain acyclic case.
+  /// Cross-semiring invariants tie the instances to each other through
+  /// different FoldRows instantiations, and the count verb runs through
+  /// the service under every semiring twice: all ten requests share the
+  /// query's one plan-cache entry, so each semiring's memo slot is read
+  /// back after it is filled, and no semiring may answer with another
+  /// one's aggregate.
   void DiffSemiring(const ConjunctiveQuery& q, const Relation& reference) {
     Engine serial{ExecOptions::Serial()};
     SemiringValue want[kNumSemirings];

@@ -89,11 +89,10 @@ struct FuzzOptions {
   bool include_net = false;
   /// Include the semiring paths in the differential runner: for every
   /// SemiringId, Engine::SumProduct and (on plain acyclic cases) the
-  /// join-tree DP are diffed against the aggregate folded over the
-  /// brute-force answer set, cross-semiring invariants are checked (every
-  /// instance's
-  /// Truthy() agrees with Boolean; top-k's best equals min-plus), and the
-  /// count verb is served per semiring (cold + cache hit — exercises the
+  /// compiled fold's own entry (SemiringSumAcq) are diffed against the
+  /// aggregate folded over the brute-force answer set, cross-semiring
+  /// invariants are checked (every instance's Truthy() agrees with
+  /// Boolean; top-k's best equals min-plus), and the count verb is served per semiring (cold + cache hit — exercises the
   /// plan-cache semiring keying).
   bool include_semiring = true;
   /// Include the mutation paths: `mutation_batches` insert/delete batches

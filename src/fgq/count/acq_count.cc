@@ -1,27 +1,12 @@
 #include "fgq/count/acq_count.h"
 
-#include <algorithm>
-
 #include "fgq/eval/oracle.h"
 #include "fgq/eval/yannakakis.h"
 #include "fgq/hypergraph/star_size.h"
-#include "fgq/trace/trace.h"
+#include "fgq/vm/compile.h"
+#include "fgq/vm/vm.h"
 
 namespace fgq {
-
-std::vector<size_t> SharedColumnOrder(const PreparedAtom& node,
-                                      const PreparedAtom& parent) {
-  std::vector<std::string> shared;
-  for (const std::string& v : node.vars) {
-    if (parent.VarIndex(v) >= 0) shared.push_back(v);
-  }
-  std::sort(shared.begin(), shared.end());
-  std::vector<size_t> cols;
-  for (const std::string& v : shared) {
-    cols.push_back(static_cast<size_t>(node.VarIndex(v)));
-  }
-  return cols;
-}
 
 namespace {
 
@@ -91,80 +76,6 @@ Database MergeAcqViews(const Database& db, const Database& scratch) {
   return merged;
 }
 
-/// Runs `dp(query, db)` on the quantifier-free form of a plain acyclic
-/// query: quantified queries first go through the S-component
-/// materialization (Theorem 4.28). Every counting entry point below
-/// shares this one sequence, so a second DP over the same rewrite (the
-/// exact counting rerun) never rebuilds the components.
-template <typename Dp>
-auto OnQuantifierFree(const ConjunctiveQuery& q, const Database& db,
-                      const ExecContext& ctx, Dp&& dp)
-    -> decltype(dp(q, db)) {
-  FGQ_RETURN_NOT_OK(q.Validate());
-  if (q.HasNegation() || !q.comparisons().empty()) {
-    return Status::Unsupported("the join-tree DP handles plain ACQ");
-  }
-  if (!IsAcyclicQuery(q)) {
-    return Status::InvalidArgument("query is not acyclic: " + q.ToString());
-  }
-  if (q.ExistentialVariables().empty()) return dp(q, db);
-  Database scratch;
-  Result<ConjunctiveQuery> qf = [&] {
-    TraceSpan span(ctx.trace(), "count.s_components", "count");
-    return MaterializeAcqComponents(q, db, &scratch, ctx);
-  }();
-  FGQ_RETURN_NOT_OK(qf.status());
-  Database merged = MergeAcqViews(db, scratch);
-  if (!IsAcyclicQuery(*qf)) {
-    return Status::Internal(
-        "S-component materialization produced a cyclic query for: " +
-        q.ToString());
-  }
-  return dp(*qf, merged);
-}
-
-/// The DP for one semiring instance over any plain acyclic query.
-template <typename S>
-Result<typename S::ValueType> SumAcq(const ConjunctiveQuery& q,
-                                     const Database& db, const S& s,
-                                     const ExecContext& ctx) {
-  return OnQuantifierFree(
-      q, db, ctx, [&](const ConjunctiveQuery& qf, const Database& view) {
-        TraceSpan span(ctx.trace(), "count.dp", "count");
-        return SemiringSumAcq0(qf, view, s, ctx);
-      });
-}
-
-/// Exact counting through the DP: the checked uint64_t instance first;
-/// on overflow the same DP reruns with CountingSemiring (BigInt) over the
-/// same quantifier-free rewrite, inside a `count.dp_exact` span.
-Result<BigInt> CountAcqDp(const ConjunctiveQuery& q, const Database& db,
-                          const ExecContext& ctx) {
-  return OnQuantifierFree(
-      q, db, ctx,
-      [&](const ConjunctiveQuery& qf, const Database& view) -> Result<BigInt> {
-        CheckedCountingSemiring fast;
-        {
-          TraceSpan span(ctx.trace(), "count.dp", "count");
-          FGQ_ASSIGN_OR_RETURN(uint64_t n,
-                               SemiringSumAcq0(qf, view, fast, ctx));
-          if (!fast.overflowed()) return BigInt::FromUint64(n);
-        }
-        TraceSpan span(ctx.trace(), "count.dp_exact", "count");
-        return SemiringSumAcq0(qf, view, CountingSemiring{}, ctx);
-      });
-}
-
-/// Runs SumAcq for one semiring instance, wrapping the carrier into a
-/// SemiringValue.
-template <typename S, typename Wrap>
-Result<SemiringValue> RunSemiringDp(const ConjunctiveQuery& q,
-                                    const Database& db, const S& s,
-                                    const ExecContext& ctx, Wrap wrap) {
-  FGQ_ASSIGN_OR_RETURN(typename S::ValueType v, SumAcq(q, db, s, ctx));
-  return wrap(std::move(v));
-}
-
 /// First-occurrence head positions: the columns of the answer relation
 /// whose variable appears for the first time at that head index.
 std::vector<size_t> FirstOccurrenceHeadCols(
@@ -197,31 +108,43 @@ SemiringValue FoldRows(const Relation& answers, const S& s,
   return wrap(std::move(acc));
 }
 
+/// SemiringSumAcq(kCounting)'s count.
+Result<BigInt> CountByFold(const ConjunctiveQuery& q, const Database& db,
+                           const ExecContext& ctx) {
+  FGQ_ASSIGN_OR_RETURN(SemiringValue v,
+                       SemiringSumAcq(q, db, SemiringId::kCounting, ctx));
+  return std::move(v.count);
+}
+
 }  // namespace
+
+Result<std::shared_ptr<const vm::Program>> CompileSumProduct(
+    const ConjunctiveQuery& q, const Database& db, const ExecContext& ctx) {
+  FGQ_RETURN_NOT_OK(q.Validate());
+  if (q.HasNegation() || !q.comparisons().empty()) {
+    return Status::Unsupported("the sum-product fold handles plain ACQ");
+  }
+  if (!IsAcyclicQuery(q)) {
+    return Status::InvalidArgument("query is not acyclic: " + q.ToString());
+  }
+  if (IsFreeConnex(q)) return vm::CompileFreeConnex(q, db, ctx);
+  // The rewrite is quantifier-free, hence free-connex.
+  Database scratch;
+  Result<ConjunctiveQuery> qf = [&] {
+    TraceSpan span(ctx.trace(), "count.s_components", "count");
+    return MaterializeAcqComponents(q, db, &scratch, ctx);
+  }();
+  FGQ_RETURN_NOT_OK(qf.status());
+  return vm::CompileFreeConnex(*qf, MergeAcqViews(db, scratch), ctx);
+}
 
 Result<SemiringValue> SemiringSumAcq(const ConjunctiveQuery& q,
                                      const Database& db, SemiringId id,
                                      const ExecContext& ctx) {
-  switch (id) {
-    case SemiringId::kCounting: {
-      FGQ_ASSIGN_OR_RETURN(BigInt c, CountAcqDp(q, db, ctx));
-      return SemiringValue::Counting(std::move(c));
-    }
-    case SemiringId::kBoolean:
-      return RunSemiringDp(q, db, BooleanSemiring{}, ctx,
-                           [](bool v) { return SemiringValue::Boolean(v); });
-    case SemiringId::kMinPlus:
-      return RunSemiringDp(q, db, MinPlusSemiring{}, ctx,
-                           [](int64_t v) { return SemiringValue::MinPlus(v); });
-    case SemiringId::kMaxMin:
-      return RunSemiringDp(q, db, MaxMinSemiring{}, ctx,
-                           [](int64_t v) { return SemiringValue::MaxMin(v); });
-    case SemiringId::kTopK:
-      return RunSemiringDp(
-          q, db, TopKSemiring(kTopKWireK), ctx,
-          [](std::vector<int64_t> v) { return SemiringValue::TopK(std::move(v)); });
-  }
-  return Status::InvalidArgument("unknown semiring id");
+  FGQ_ASSIGN_OR_RETURN(std::shared_ptr<const vm::Program> program,
+                       CompileSumProduct(q, db, ctx));
+  TraceSpan span(ctx.trace(), "count.dp", "count");
+  return vm::RunSemiring(*program, id, ctx.cancel(), ctx.trace());
 }
 
 Result<SemiringValue> FoldAnswersSemiring(const ConjunctiveQuery& q,
@@ -255,19 +178,19 @@ Result<SemiringValue> FoldAnswersSemiring(const ConjunctiveQuery& q,
 }
 
 Result<BigInt> CountAcq(const ConjunctiveQuery& q, const Database& db) {
-  return CountAcqDp(q, db, ExecContext());
+  return CountByFold(q, db, ExecContext());
 }
 
 Result<double> WeightedCountAcq(const ConjunctiveQuery& q, const Database& db,
                                 const std::function<double(Value)>& weight) {
-  return SumAcq(q, db, DoubleField{weight}, ExecContext());
+  return SumProductAcq(q, db, DoubleField{weight});
 }
 
 Result<BigInt> CountAnswers(const ConjunctiveQuery& q, const Database& db,
                             const ExecContext& ctx) {
   FGQ_RETURN_NOT_OK(q.Validate());
   if (!q.HasNegation() && q.comparisons().empty() && IsAcyclicQuery(q)) {
-    return CountAcqDp(q, db, ctx);
+    return CountByFold(q, db, ctx);
   }
   // Exponential fallback: materialize with the oracle.
   FGQ_ASSIGN_OR_RETURN(Relation res, EvaluateBacktrack(q, db, ctx.cancel()));

@@ -14,8 +14,8 @@
 /// product of per-element weights drawn from a field F. A field is one
 /// more commutative semiring (semiring.h): every carrier here has the
 /// semiring instance shape (Zero/One/Plus/Times/Weight) and holds its
-/// weight function, so the one join-tree DP (SemiringSumAcq0 in
-/// acq_count.h) serves it directly. Plain counting is weighted counting
+/// weight function, so the one join-tree pass (SumProductAcq in
+/// acq_count.h, which folds with vm::Fold) serves it directly. Plain counting is weighted counting
 /// over the integers with all weights 1 (CountingSemiring).
 
 namespace fgq {
@@ -31,7 +31,7 @@ struct DoubleField {
   ValueType Weight(Value v) const { return weight(v); }
 };
 
-/// The prime field Z_p (used to check the DP against overflow-free
+/// The prime field Z_p (used to check the fold against overflow-free
 /// modular arithmetic; p must be prime and < 2^31 so products fit).
 template <uint64_t P>
 struct ModField {

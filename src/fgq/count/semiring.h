@@ -16,7 +16,7 @@
 ///
 /// The counting DP of Section 4.4 is one instance of a sum-product
 /// computation over a commutative semiring (S, ⊕, ⊗, 0, 1): the same
-/// join-tree dynamic program answers Boolean (∨,∧), counting (+,×),
+/// join-tree pass answers Boolean (∨,∧), counting (+,×),
 /// min-plus (min,+ — cheapest witness), max-min (max,min — bottleneck)
 /// and top-k workloads, with the class-by-class fine-grained bounds of
 /// the Fan–Koutris–Zhao sum-product paper (see PAPERS.md).
@@ -35,7 +35,7 @@
 /// out-of-band weight table. Because the S-component pipeline
 /// (acq_count.cc) rewrites any quantified ACQ into a quantifier-free
 /// ACQ over exactly the head variables — deduplicating via set-semantics
-/// Yannakakis materialization — the DP is correct for *non-idempotent*
+/// Yannakakis materialization — the fold is correct for *non-idempotent*
 /// semirings too: no answer is ever summed twice.
 ///
 /// Laws every instance must satisfy (property-tested in
@@ -49,8 +49,8 @@
 ///
 /// Instances are value types with *instance* methods (TopK carries its
 /// k; the fields.h carriers of weighted counting carry their weight
-/// function), so SemiringSumAcq0 (acq_count.h) is the one join-tree DP
-/// for all of them.
+/// function), so vm::Fold (vm/fold.h) is the one join-tree pass for all
+/// of them.
 
 namespace fgq {
 
@@ -106,11 +106,10 @@ struct BooleanSemiring {
   ValueType Weight(Value) const { return true; }
 };
 
-/// (+, ×) over exact integers: the public counting instance.
-/// Engine::SumProduct(kCounting) goes Count -> CountAnswers -> the
-/// join-tree DP; the serving layer's cached plans run the VM's fold over
-/// the program's indexes (vm::RunSemiring) instead. Both count in
-/// CheckedCountingSemiring first and rerun with this instance only on
+/// (+, ×) over exact integers: the public counting instance. Every
+/// count (Engine::Count, Engine::SumProduct(kCounting), the serving
+/// layer's cached plans) is vm::RunSemiring's fold, which counts in
+/// CheckedCountingSemiring first and reruns with this instance only on
 /// overflow.
 struct CountingSemiring {
   using ValueType = BigInt;
@@ -126,8 +125,8 @@ struct CountingSemiring {
 
 /// (+, ×) over uint64_t with every operation overflow-checked: an
 /// overflow sets a sticky flag (the value is garbage from then on) and
-/// the caller reruns the same pass with CountingSemiring. Both counting
-/// passes (the join-tree DP and the VM fold) run this instance first.
+/// the caller reruns the same pass with CountingSemiring. The counting
+/// fold (vm::RunSemiring) runs this instance first.
 /// Counting weighs every element 1.
 class CheckedCountingSemiring {
  public:

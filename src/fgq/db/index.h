@@ -231,14 +231,6 @@ class HashIndex {
     return range <= kDenseSmallRange || range <= live * kDenseSparsity;
   }
 
-  /// CSR offset of a non-empty span this index returned: the position of
-  /// its first row id in row_ids(). Distinct groups have distinct offsets,
-  /// so per-group payloads can live in a flat array indexed by it (the
-  /// counting DP's child aggregates).
-  size_t SpanOffset(const RowSpan& span) const {
-    return static_cast<size_t>(span.data - row_ids_.data());
-  }
-
   /// Number of distinct keys; cached at build time, O(1).
   size_t NumKeys() const { return num_keys_; }
   /// Number of groups (ids 0..NumGroups()-1); above NumKeys() only when a

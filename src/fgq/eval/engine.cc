@@ -178,8 +178,8 @@ Result<BigInt> Engine::Count(const ExecRequest& req) const {
     return Status::InvalidArgument("ExecRequest needs a query and a database");
   }
   FGQ_RETURN_NOT_OK(req.query->Validate());
-  // CountAnswers already dispatches: counting DP (Theorems 4.21/4.28) for
-  // plain acyclic queries, oracle fallback for everything else; both
+  // CountAnswers already dispatches: the compiled fold (Theorems
+  // 4.21/4.28) for plain acyclic queries, oracle fallback otherwise; both
   // honor req.options, req.cancel and req.trace through the context.
   return CountAnswers(*req.query, *db, ContextFor(req));
 }
@@ -192,10 +192,9 @@ Result<SemiringValue> Engine::SumProduct(const ExecRequest& req) const {
   const ConjunctiveQuery& q = *req.query;
   FGQ_RETURN_NOT_OK(q.Validate());
   if (req.semiring == SemiringId::kCounting) {
-    // Counting is Count: CountAnswers runs the join-tree DP in checked
-    // uint64_t, exact in BigInt on overflow (the oracle outside plain
-    // ACQ). Only the serving layer's cached plans run the VM's count
-    // stream (vm::RunSemiring).
+    // Counting is Count: CountAnswers folds the compiled plan in checked
+    // uint64_t, exactly in BigInt on overflow (the oracle outside plain
+    // ACQ), through the same SemiringSumAcq as the other semirings.
     FGQ_ASSIGN_OR_RETURN(BigInt c, Count(req));
     return SemiringValue::Counting(std::move(c));
   }
@@ -207,20 +206,15 @@ Result<SemiringValue> Engine::SumProduct(const ExecRequest& req) const {
     span.Arg("semiring", SemiringName(req.semiring));
   }
   switch (cls) {
-    case QueryClass::kFreeConnexAcyclic: {
-      FGQ_ASSIGN_OR_RETURN(std::shared_ptr<const vm::Program> program,
-                           vm::CompileFreeConnex(q, *db, ctx));
-      return vm::RunSemiring(*program, req.semiring, ctx.cancel(),
-                             ctx.trace());
-    }
     case QueryClass::kBooleanAcyclic:
+    case QueryClass::kFreeConnexAcyclic:
     case QueryClass::kGeneralAcyclic:
       return SemiringSumAcq(q, *db, req.semiring, ctx);
     case QueryClass::kAcyclicDisequalities:
     case QueryClass::kAcyclicOrderComparisons:
     case QueryClass::kNegated:
     case QueryClass::kCyclic: {
-      // Outside the DP's class: materialize the (distinct) answer set and
+      // Outside the fold's class: materialize the (distinct) answer set and
       // fold it — the same reference semantics the differ checks.
       FGQ_ASSIGN_OR_RETURN(ExecResult res, Run(req));
       return FoldAnswersSemiring(q, res.answers, req.semiring);

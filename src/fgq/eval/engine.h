@@ -38,8 +38,8 @@
 /// always the fgq::vm program (src/fgq/vm/) lowered from the indexed
 /// plan; Boolean Run is the semijoin sweep; disequalities go through
 /// witness elimination (Theorem 4.20); general ACQs through Yannakakis /
-/// linear-delay enumeration; every join-tree aggregate is the one
-/// semiring DP (SemiringSumAcq0).
+/// linear-delay enumeration; every acyclic aggregate compiles a
+/// free-connex form of its query and folds it (vm::Fold, SemiringSumAcq).
 
 namespace fgq {
 
@@ -158,7 +158,7 @@ class Engine {
   /// InvalidArgument when req.query/req.db is null.
   Result<ExecResult> Run(const ExecRequest& req) const;
 
-  /// Counts |phi(D)| without materializing answers: counting DP for
+  /// Counts |phi(D)| without materializing answers: the compiled fold for
   /// acyclic queries (Theorems 4.21/4.28; checked uint64_t with an exact
   /// BigInt rerun on overflow), oracle fallback otherwise. Both paths run
   /// under ContextFor(req): req.options, req.cancel and req.trace apply.
@@ -166,11 +166,10 @@ class Engine {
 
   /// Sum-product aggregation under req.semiring (semiring.h): ⊕ over
   /// distinct answers of the ⊗ of first-occurrence head-element weights.
-  /// kCounting is Count (CountAnswers: the join-tree DP, or the oracle
-  /// outside plain ACQ). Otherwise free-connex queries run the
-  /// per-semiring VM instantiation, the other plain acyclic classes the
-  /// generalized join-tree DP (Theorems 4.21/4.28 lifted to semirings),
-  /// and everything else materializes with Run and folds.
+  /// kCounting is Count. Every plain acyclic query runs SemiringSumAcq:
+  /// its free-connex form (after the S-component rewrite when it is not
+  /// free-connex) is compiled and folded (Theorems 4.21/4.28 lifted to
+  /// semirings). Everything else materializes with Run and folds.
   Result<SemiringValue> SumProduct(const ExecRequest& req) const;
 
   /// Streams the answers with the strongest delay guarantee available:

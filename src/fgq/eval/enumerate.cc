@@ -251,7 +251,7 @@ Result<FreeConnexPlan> BuildFreeConnexPlan(const ConjunctiveQuery& q,
   std::vector<PreparedAtom> slots(rq.atoms.size());
   ParallelFor(ctx.pool(), rq.atoms.size(), 1, [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i) {
-      const PreparedAtom& a = rq.atoms[i];
+      PreparedAtom& a = rq.atoms[i];
       std::vector<std::string> keep;
       std::vector<size_t> cols;
       for (size_t c = 0; c < a.vars.size(); ++c) {
@@ -262,19 +262,26 @@ Result<FreeConnexPlan> BuildFreeConnexPlan(const ConjunctiveQuery& q,
       }
       if (keep.empty()) continue;
       slots[i].vars = std::move(keep);
-      slots[i].rel = a.rel.Project(cols, a.rel.name(), task_ctx);
+      // An all-free atom on a canonical set is its own projection.
+      if (cols.size() == a.vars.size() && a.rel.sorted()) {
+        slots[i].rel = std::move(a.rel);
+      } else {
+        slots[i].rel = a.rel.Project(cols, a.rel.name(), task_ctx);
+      }
     }
   });
   std::vector<PreparedAtom> projected;
   for (PreparedAtom& p : slots) {
     if (!p.vars.empty()) projected.push_back(std::move(p));
   }
-  // Absorb projected atoms whose variable set is covered by another atom
-  // (they are implied after a semijoin).
-  std::vector<PreparedAtom> nodes_raw;
+  // Projections of a fully reduced, hence globally consistent, instance
+  // stay globally consistent, so the projected atoms need no further
+  // reduction. An atom whose variable set another atom covers adds no
+  // constraint and is dropped. The kept atoms move out only after every
+  // cover test, which reads all atoms' variables.
+  std::vector<bool> covered(projected.size(), false);
   for (size_t i = 0; i < projected.size(); ++i) {
-    bool covered = false;
-    for (size_t j = 0; j < projected.size() && !covered; ++j) {
+    for (size_t j = 0; j < projected.size() && !covered[i]; ++j) {
       if (i == j) continue;
       bool subset = true;
       for (const std::string& v : projected[i].vars) {
@@ -284,14 +291,16 @@ Result<FreeConnexPlan> BuildFreeConnexPlan(const ConjunctiveQuery& q,
         }
       }
       // Strict subset, or equal sets keeping the smaller index.
-      if (subset &&
-          (projected[i].vars.size() < projected[j].vars.size() || i > j)) {
-        SemijoinReduce(&projected[j], projected[i], ctx);
-        covered = true;
-      }
+      covered[i] =
+          subset &&
+          (projected[i].vars.size() < projected[j].vars.size() || i > j);
     }
-    if (!covered) nodes_raw.push_back(projected[i]);
   }
+  std::vector<PreparedAtom> nodes_raw;
+  for (size_t i = 0; i < projected.size(); ++i) {
+    if (!covered[i]) nodes_raw.push_back(std::move(projected[i]));
+  }
+  FGQ_RETURN_NOT_OK(ctx.cancel().Check("free-projection"));
 
   // Join tree of the projected (free-only) hypergraph.
   Hypergraph hfree;
@@ -303,17 +312,6 @@ Result<FreeConnexPlan> BuildFreeConnexPlan(const ConjunctiveQuery& q,
     return Status::Internal(
         "free-connex query produced a cyclic free-projection: " +
         q.ToString());
-  }
-
-  // Full reduction among the projected relations (they are individually
-  // consistent with full answers but must also be pairwise consistent).
-  FullReduceSweeps(&nodes_raw, gyo.tree, ctx);
-  FGQ_RETURN_NOT_OK(ctx.cancel().Check("free-projection reduction"));
-  for (const PreparedAtom& p : nodes_raw) {
-    if (p.rel.empty()) {
-      plan.empty = true;
-      return plan;
-    }
   }
 
   // Reorder nodes top-down and rebase parent pointers.

@@ -111,8 +111,8 @@ struct IndexedFreeConnexPlan {
   /// parent_cols[i][k]: the parent column matching node i's k-th
   /// connector column.
   std::vector<std::vector<size_t>> parent_cols;
-  /// Index of node i keyed by its connector with the parent (empty key
-  /// for roots).
+  /// Index of node i keyed by its connector with the parent (null for
+  /// roots, which the cursor walks through `root_rows`).
   std::vector<std::unique_ptr<HashIndex>> indexes;
   /// (node, column) providing each head variable, in head order.
   std::vector<std::pair<size_t, size_t>> out_slots;

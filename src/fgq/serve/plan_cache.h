@@ -23,7 +23,7 @@
 ///
 /// Preparing a query is the expensive half of answering it: for a
 /// free-connex query, the Theorem 4.6 preprocessing (full reduction +
-/// free-projection sweeps + hash-index builds) is O(||D||), while each
+/// free projection + hash-index builds) is O(||D||), while each
 /// answer afterwards costs O(||phi||). A service that re-runs the
 /// preprocessing on every request throws that asymmetry away. PlanCache
 /// keeps the immutable preprocessing artifact — the fgq::vm Program

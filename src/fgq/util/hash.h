@@ -12,7 +12,10 @@ namespace fgq {
 
 /// Mixes a 64-bit value (splittable-random finalizer). Good avalanche for
 /// sequential keys, which dominate dictionary-encoded databases.
-inline uint64_t Mix64(uint64_t x) {
+/// always_inline, like HashCombine: the index probes inline through them
+/// into every hot loop (the VM cursor's included), and GCC's unit-wide
+/// inlining budget otherwise decides per translation unit.
+__attribute__((always_inline)) inline uint64_t Mix64(uint64_t x) {
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ULL;
   x ^= x >> 27;
@@ -22,7 +25,8 @@ inline uint64_t Mix64(uint64_t x) {
 }
 
 /// Combines a hash with the next value, order-sensitive.
-inline uint64_t HashCombine(uint64_t seed, uint64_t v) {
+__attribute__((always_inline)) inline uint64_t HashCombine(uint64_t seed,
+                                                         uint64_t v) {
   return Mix64(seed ^ (Mix64(v) + 0x9e3779b97f4a7c15ULL + (seed << 6) +
                        (seed >> 2)));
 }

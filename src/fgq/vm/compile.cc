@@ -104,13 +104,14 @@ Result<std::shared_ptr<const IndexedFreeConnexPlan>> IndexFreeConnexPlan(
       }
     }
   }
-  // The O(||D||) hash-index builds fan out one task per node, each build
-  // itself morsel-parallel.
+  // The O(||D||) hash-index builds fan out one task per non-root node,
+  // each build itself morsel-parallel. Roots are walked, never probed.
   out->indexes.resize(n);
   {
     TraceSpan index_span(ctx.trace(), "index_build");
     ParallelFor(ctx.pool(), n, 1, [&](size_t b, size_t e) {
       for (size_t i = b; i < e; ++i) {
+        if (out->parent[i] < 0) continue;
         out->indexes[i] =
             std::make_unique<HashIndex>(out->nodes[i].rel, connector_cols[i],
                                         ctx);
@@ -118,7 +119,9 @@ Result<std::shared_ptr<const IndexedFreeConnexPlan>> IndexFreeConnexPlan(
     });
     if (ctx.trace() != nullptr) {
       uint64_t bytes = 0;
-      for (const auto& idx : out->indexes) bytes += idx->MemoryBytes();
+      for (const auto& idx : out->indexes) {
+        if (idx != nullptr) bytes += idx->MemoryBytes();
+      }
       TraceCounter(ctx.trace(), "index_bytes", bytes);
     }
   }

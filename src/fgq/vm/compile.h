@@ -21,7 +21,8 @@
 ///   * Free-connex acyclic CQs — the Theorem 4.6 odometer walk, unrolled
 ///     per join-tree node with key-arity-specialized probes.
 /// CompileFreeConnex is the one builder (plan -> indexes -> program) that
-/// the constant-delay enumerator, the Engine and the serving layer share.
+/// the constant-delay enumerator, the Engine, the counting and
+/// sum-product route (CompileSumProduct) and the serving layer share.
 /// CompileQuery wraps it for callers that ask about any query (EXPLAIN,
 /// the differ): every other class reports a human-readable
 /// fallback_reason ("cyclic is not compilable", ...) instead of a

@@ -20,15 +20,12 @@
 ///   number of cursors share one cached Program. This is the
 ///   constant-delay enumerator of Theorem 4.6
 ///   (MakeConstantDelayEnumerator returns one).
-/// * RunSemiring — Theorem 4.21's bottom-up pass under one SemiringId:
-///   no bytecode, no materialization, no yields. It visits the Program's
-///   nodes in reverse top-down order over the plan's own indexes; every
-///   non-root node keeps one aggregate per HashIndex group, and its
-///   parent's rows find theirs with the batched gathered probe
-///   (HashIndex::ProbeGathered). The cost is O(Σ node rows) under every
-///   semiring, whatever the answer count. Counting runs in
-///   overflow-checked machine words and reruns exactly in BigInt on
-///   overflow. Polls `cancel` before it starts and then every ~64k rows.
+/// * RunSemiring — Theorem 4.21's bottom-up pass (vm::Fold, fold.h)
+///   under one SemiringId: no bytecode, no materialization, no yields.
+///   The cost is O(Σ node rows) under every semiring, whatever the answer
+///   count. Counting runs in overflow-checked machine words and reruns
+///   exactly in BigInt on overflow, inside a `count.dp_exact` span.
+///   Polls `cancel` before it starts and then every ~64k rows.
 ///
 /// The cursor's dispatch loop is a plain switch over Op — no virtual
 /// calls, no per-operator allocation; the probe opcodes call the key-arity-

@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include "fgq/count/acq_count.h"
-#include "fgq/eval/prepared.h"
 #include "fgq/hypergraph/hypergraph.h"
 #include "fgq/mso/courcelle.h"
 #include "fgq/query/parser.h"
@@ -11,31 +9,6 @@
 
 namespace fgq {
 namespace {
-
-// ---- SharedColumnOrder (the counting DP's key alignment) ----------------------
-
-TEST(SharedColumnOrder, CanonicalAcrossDifferentLayouts) {
-  PreparedAtom node;
-  node.vars = {"b", "a", "c"};
-  PreparedAtom parent;
-  parent.vars = {"c", "b", "x"};
-  // Shared = {b, c}; sorted by name -> b then c.
-  std::vector<size_t> node_side = SharedColumnOrder(node, parent);
-  std::vector<size_t> parent_side = SharedColumnOrder(parent, node);
-  ASSERT_EQ(node_side.size(), 2u);
-  ASSERT_EQ(parent_side.size(), 2u);
-  EXPECT_EQ(node.vars[node_side[0]], "b");
-  EXPECT_EQ(node.vars[node_side[1]], "c");
-  EXPECT_EQ(parent.vars[parent_side[0]], "b");
-  EXPECT_EQ(parent.vars[parent_side[1]], "c");
-}
-
-TEST(SharedColumnOrder, DisjointAtoms) {
-  PreparedAtom a, b;
-  a.vars = {"x"};
-  b.vars = {"y"};
-  EXPECT_TRUE(SharedColumnOrder(a, b).empty());
-}
 
 // ---- Beta elimination order property -------------------------------------------
 

@@ -99,7 +99,7 @@ TEST(VmCompile, NonCompilableClassesReportAReason) {
   }
 }
 
-TEST(VmCompile, DisassemblyListsBothStreams) {
+TEST(VmCompile, DisassemblyListsTheEnumerationCode) {
   Database db = TinyGraph();
   vm::Compilation comp = Compile(Q("Q(x, y) :- E(x, y), B(y)."), db);
   ASSERT_TRUE(comp.ok());
@@ -143,7 +143,7 @@ TEST(VmCursor, BooleanProgramsYieldOneNullaryAnswer) {
 
 // ---- The semiring fold -----------------------------------------------------
 
-TEST(VmCount, MatchesEnumerationAndFusesTheInnermostLoop) {
+TEST(VmCount, CountingFoldMatchesTheAnswerCount) {
   Database db = TinyGraph();
   const ConjunctiveQuery q = Q("Q(x, y) :- E(x, y), B(y).");
   vm::Compilation comp = Compile(q, db);
@@ -169,7 +169,7 @@ TEST(VmCount, CancellationSurfaces) {
   }
 }
 
-TEST(VmCount, CancellationReachesSpanFusedSweeps) {
+TEST(VmCount, CancellationReachesTheCrossProductFold) {
   // A cross product compiles to a handful of instructions, one of which
   // folds all 3000 x 3000 answers: the poll must count the rows it
   // sweeps, not the instructions it dispatches.

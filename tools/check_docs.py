@@ -54,7 +54,8 @@ CODE_PATH_RE = re.compile(
     r"`((?:%s)[A-Za-z0-9_./-]+)`" % "|".join(re.escape(d) for d in PATH_DIRS))
 
 # API removed from the tree (after a [[deprecated]] cycle, or deleted
-# with the interpreter tier, the field DP and the VM count stream).  Docs may describe the
+# with the interpreter tier, the field DP, the VM count stream and the
+# second join-tree DP).  Docs may describe the
 # removal but must not present these as callable.
 DELETED_SYMBOLS = [
     "QueryService::TrySubmit",
@@ -79,6 +80,9 @@ DELETED_SYMBOLS = [
     "kCountProbeAll",
     "RunCountStream",
     "CountProbeGather",
+    "SemiringSumAcq0",
+    "SharedColumnOrder",
+    "CountAcqDp",
 ]
 REMOVAL_CONTEXT_RE = re.compile(r"removed|retired|deprecat", re.IGNORECASE)
 
