@@ -164,10 +164,14 @@ BENCHMARK(BM_SortDedupWide)
 // materializes — on the fully reduced 2e5-row E1/E2 of
 // ServeWorkloadDatabase (fgq-bench's analytic database). Arg 0 passes the
 // atoms in join-tree order (root first, as Yannakakis does); arg 1 swaps
-// them. The output is the same set either way.
+// them. The output is the same set either way. The second arg is the
+// thread count (1 = serial; 4 splits the probe into 4096-row morsels).
 
 void BM_JoinProject(benchmark::State& state) {
   const bool tree_order = state.range(0) == 0;
+  ExecOptions opts;
+  opts.num_threads = static_cast<int>(state.range(1));
+  const ExecContext ctx(opts);
   const Database db = ServeWorkloadDatabase(200000, 1);
   auto rq = FullReduce(PathQuery(2), db);
   if (!rq.ok()) {
@@ -181,16 +185,19 @@ void BM_JoinProject(benchmark::State& state) {
   const std::vector<std::string> keep = {"x1", "x3"};
   size_t rows = 0;
   for (auto _ : state) {
-    PreparedAtom out = JoinProject(left, right, keep);
+    PreparedAtom out = JoinProject(left, right, keep, ctx);
     rows = out.rel.NumTuples();
     benchmark::DoNotOptimize(rows);
   }
   state.counters["rows"] = static_cast<double>(rows);
+  state.counters["threads"] = static_cast<double>(state.range(1));
   TraceContext trace;
   JoinProject(left, right, keep, ExecContext().WithTrace(&trace));
   benchjson::AddTraceCounters(state, trace);
 }
-BENCHMARK(BM_JoinProject)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_JoinProject)
+    ->ArgsProduct({{0, 1}, {1, 4}})
+    ->Unit(benchmark::kMillisecond);
 
 // ---- Data-plane kernel microbenchmarks (EXPERIMENTS.md E25) ----------------
 //

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "fgq/trace/trace.h"
+#include "fgq/util/small_sort.h"
 
 namespace fgq {
 
@@ -22,11 +23,6 @@ constexpr size_t kParallelRowCutoff = size_t{1} << 13;
 /// Key count below which the packed kernel std::sorts its keys: a radix
 /// sort pays a fixed cost per pass to clear and prefix-sum its histogram.
 constexpr size_t kRadixMinRows = 512;
-
-/// Key count up to which the packed kernel insertion-sorts its keys: the
-/// run-local sort of a grouped relation hands it many runs this short,
-/// where std::sort's introsort setup costs more than the sort itself.
-constexpr size_t kInsertionMaxRows = 32;
 
 /// Widest LSD radix digit: 2^11 counters keep a pass's histogram in L1.
 constexpr unsigned kMaxDigitBits = 11;
@@ -107,21 +103,12 @@ void UnpackKeys(const uint64_t* keys, size_t n, const KeyLayout& k,
 }
 
 /// Sorts `n` keys whose differing bits all lie below bit `bits`. Small
-/// inputs insertion-sort or std::sort in place; larger ones take an LSD
-/// radix sort that ping-pongs with `tmp` (n entries). Returns the buffer
-/// holding the sorted keys.
+/// inputs SmallSort in place; larger ones take an LSD radix sort that
+/// ping-pongs with `tmp` (n entries). Returns the buffer holding the
+/// sorted keys.
 uint64_t* SortKeys(uint64_t* keys, uint64_t* tmp, size_t n, unsigned bits) {
-  if (n <= kInsertionMaxRows) {
-    for (size_t i = 1; i < n; ++i) {
-      const uint64_t key = keys[i];
-      size_t j = i;
-      for (; j > 0 && keys[j - 1] > key; --j) keys[j] = keys[j - 1];
-      keys[j] = key;
-    }
-    return keys;
-  }
   if (n < kRadixMinRows) {
-    std::sort(keys, keys + n);
+    SmallSort(keys, n, std::less<uint64_t>());
     return keys;
   }
   if (bits == 0) return keys;
@@ -232,7 +219,8 @@ void Relation::AddRowFrom(const Relation& other, size_t i) {
   sorted_ = false;
 }
 
-Relation Relation::FromColumns(std::string name, std::vector<ColumnVec> cols) {
+Relation Relation::FromColumns(std::string name, std::vector<ColumnVec> cols,
+                               bool sorted) {
   Relation out(std::move(name), cols.size());
   if (cols.empty()) return out;
   const size_t n = cols[0].size();
@@ -241,7 +229,18 @@ Relation Relation::FromColumns(std::string name, std::vector<ColumnVec> cols) {
   }
   out.cols_ = std::move(cols);
   out.num_tuples_ = n;
+  assert(!sorted || out.StrictlyAscending());
+  out.sorted_ = sorted;
   return out;
+}
+
+bool Relation::StrictlyAscending() const {
+  for (size_t i = 1; i < num_tuples_; ++i) {
+    size_t c = 0;
+    while (c < arity_ && cols_[c][i - 1] == cols_[c][i]) ++c;
+    if (c == arity_ || cols_[c][i - 1] > cols_[c][i]) return false;
+  }
+  return true;
 }
 
 std::vector<Value> Relation::ToRowMajor() const {
@@ -286,12 +285,14 @@ bool Relation::SortDedupPacked(const ExecContext& ctx) {
   const size_t n = num_tuples_;
   const std::optional<KeyLayout> layout = PlanKeys(cols_);
   if (!layout.has_value()) return false;
-  KeyVec keys(n), tmp(n);
+  // The radix sort's ping-pong buffer, sized only when a sort takes it
+  // (kRadixMinRows keys or more).
+  KeyVec keys(n), tmp;
   PackKeys(cols_, *layout, keys.data());
   uint64_t* sorted = keys.data();
   const Value* c0 = cols_[0].data();
   if (std::is_sorted(c0, c0 + n)) {
-    // Column 0 is already grouped (a join probed in its output order):
+    // Column 0 is already grouped (a projection of a sorted relation):
     // the keys are in order across its runs, so sort each run alone, on
     // the bits below column 0's field. Nothing to sort when those bits
     // are all constant.
@@ -301,8 +302,9 @@ bool Relation::SortDedupPacked(const ExecContext& ctx) {
       size_t e = b + 1;
       while (e < n && c0[e] == c0[b]) ++e;
       if (e - b > 1) {
+        if (e - b >= kRadixMinRows && tmp.size() < e - b) tmp.resize(e - b);
         const uint64_t* run =
-            SortKeys(keys.data() + b, tmp.data() + b, e - b, low_bits);
+            SortKeys(keys.data() + b, tmp.data(), e - b, low_bits);
         if (run != keys.data() + b) {
           std::copy(run, run + (e - b), keys.data() + b);
         }
@@ -310,6 +312,7 @@ bool Relation::SortDedupPacked(const ExecContext& ctx) {
       b = e;
     }
   } else {
+    if (n >= kRadixMinRows) tmp.resize(n);
     sorted = SortKeys(keys.data(), tmp.data(), n, layout->bits);
   }
   const size_t w = static_cast<size_t>(std::unique(sorted, sorted + n) - sorted);

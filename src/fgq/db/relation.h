@@ -99,8 +99,11 @@ class Relation {
   void AddRowFrom(const Relation& other, size_t i);
   /// Adopts pre-built columns (all the same length) as a relation — the
   /// column-wise producers (atom scans) assemble output columns directly
-  /// and hand them over without a row-major detour.
-  static Relation FromColumns(std::string name, std::vector<ColumnVec> cols);
+  /// and hand them over without a row-major detour. `sorted` adopts them
+  /// as canonical (sorted() holds): the producer vouches that the rows
+  /// are strictly ascending, which debug builds assert.
+  static Relation FromColumns(std::string name, std::vector<ColumnVec> cols,
+                              bool sorted = false);
   /// Pre-sizes the backing store for `num_rows` rows.
   void Reserve(size_t num_rows) {
     for (auto& col : cols_) col.reserve(num_rows);
@@ -185,6 +188,8 @@ class Relation {
   /// pack into 64 bits. When column 0 is already nondecreasing it sorts
   /// only within column 0's runs (`sort_dedup_run_local_rows`).
   bool SortDedupPacked(const ExecContext& ctx);
+  /// True when every row is lexicographically below the next.
+  bool StrictlyAscending() const;
   /// The index-sort fallback for rows that do not pack.
   void SortDedupByComparator(const ExecContext& ctx);
   void ApplyOrder(const std::vector<uint32_t>& order, size_t keep_n);

@@ -9,6 +9,7 @@
 #include "fgq/trace/trace.h"
 #include "fgq/util/hash.h"
 #include "fgq/util/simd.h"
+#include "fgq/util/small_sort.h"
 
 namespace fgq {
 
@@ -348,14 +349,58 @@ bool BuildRunOffsets(const Value* key, size_t n, OffsetVec* off, Value* lo) {
   return true;
 }
 
+/// Sorts the rows [b, e) of `cols` on columns 1.. (column 0 is constant
+/// over the segment) and drops adjacent duplicates in place; returns the
+/// number of rows kept at b. One trailing column sorts in place; wider
+/// rows are gathered row-major into `rows`, sorted through the index
+/// permutation `perm` and scattered back distinct.
+size_t SortDedupSegment(std::vector<Relation::ColumnVec>* cols, size_t b,
+                        size_t e, std::vector<Value>* rows,
+                        std::vector<uint32_t>* perm) {
+  const size_t n = e - b;
+  const size_t width = cols->size() - 1;
+  if (n <= 1) return n;
+  if (width == 0) return 1;
+  if (width == 1) {
+    Value* seg = (*cols)[1].data() + b;
+    SmallSort(seg, n, std::less<Value>());
+    return static_cast<size_t>(std::unique(seg, seg + n) - seg);
+  }
+  rows->resize(n * width);
+  for (size_t c = 0; c < width; ++c) {
+    const Value* src = (*cols)[c + 1].data() + b;
+    for (size_t r = 0; r < n; ++r) (*rows)[r * width + c] = src[r];
+  }
+  const Value* base = rows->data();
+  auto row = [&](uint32_t r) { return base + size_t{r} * width; };
+  perm->resize(n);
+  for (size_t r = 0; r < n; ++r) (*perm)[r] = static_cast<uint32_t>(r);
+  SmallSort(perm->data(), n, [&](uint32_t x, uint32_t y) {
+    return std::lexicographical_compare(row(x), row(x) + width, row(y),
+                                        row(y) + width);
+  });
+  size_t kept = 0;
+  const Value* last = nullptr;
+  for (const uint32_t r : *perm) {
+    if (last != nullptr && std::equal(last, last + width, row(r))) continue;
+    last = row(r);
+    for (size_t c = 0; c < width; ++c) (*cols)[c + 1][b + kept] = last[c];
+    ++kept;
+  }
+  return kept;
+}
+
 }  // namespace
 
 PreparedAtom JoinProject(const PreparedAtom& left, const PreparedAtom& right,
                          const std::vector<std::string>& keep_vars,
                          const ExecContext& ctx) {
   // Probe from the side whose canonical order leads with the first kept
-  // variable: output rows then come out grouped by their column 0, and
-  // the closing SortDedup only sorts within those runs.
+  // variable: output rows then come out grouped by their column 0, one
+  // segment per x-run (the probe rows sharing column 0), and duplicates
+  // can only meet inside a segment. The write pass sorts and dedups each
+  // segment as soon as it is written, so the output is canonical with no
+  // SortDedup pass over it.
   auto leads_output = [&](const PreparedAtom& a) {
     return !keep_vars.empty() && a.rel.sorted() && !a.vars.empty() &&
            a.vars[0] == keep_vars[0];
@@ -363,6 +408,7 @@ PreparedAtom JoinProject(const PreparedAtom& left, const PreparedAtom& right,
   const bool swap = leads_output(right) && !leads_output(left);
   const PreparedAtom& probe = swap ? right : left;
   const PreparedAtom& build = swap ? left : right;
+  const bool by_segments = leads_output(probe);
 
   const std::vector<size_t> probe_cols = probe.SharedColumns(build);
   std::vector<size_t> build_cols;
@@ -436,24 +482,46 @@ PreparedAtom JoinProject(const PreparedAtom& left, const PreparedAtom& right,
   // at its prefix-summed count, so the result is the same concatenation
   // for any thread count. Small inputs are one morsel of every row, as is
   // a serial run whatever the grain (ParallelFor then calls body(0, np)).
+  // Under by_segments both passes snap each morsel bound forward to the
+  // next change of probe column 0, so a morsel owns whole x-runs (a run
+  // longer than a morsel leaves later morsels empty).
   const size_t grain = np < kParallelRowCutoff ? std::max<size_t>(np, 1)
                                                : ctx.morsel_size();
+  const Value* key0 = by_segments ? probe.rel.Column(0) : nullptr;
+  auto snap = [&](size_t p) {
+    if (!by_segments || p == 0 || p >= np) return p;
+    return static_cast<size_t>(
+        std::upper_bound(key0 + p, key0 + np, key0[p - 1]) - key0);
+  };
   std::vector<size_t> start((np + grain - 1) / grain + 1, 0);
   ParallelFor(ctx.pool(), np, grain, [&](size_t begin, size_t end) {
     size_t count = 0;
-    for_each_match(begin, end,
+    for_each_match(snap(begin), snap(end),
                    [&](size_t, size_t len, auto&&) { count += len; });
     start[begin / grain + 1] = count;
   });
   for (size_t m = 1; m < start.size(); ++m) start[m] += start[m - 1];
   const size_t total = start.back();
 
-  std::vector<Relation::ColumnVec> cols(sources.size(),
-                                        Relation::ColumnVec(total));
+  std::vector<Relation::ColumnVec> cols(sources.size());
+  for (Relation::ColumnVec& col : cols) col.resize(total);
+  // Rows each morsel kept at its slice's head once its segments closed.
+  std::vector<size_t> kept(start.size() - 1, 0);
   if (!sources.empty()) {
     ParallelFor(ctx.pool(), np, grain, [&](size_t begin, size_t end) {
-      size_t w = start[begin / grain];
-      for_each_match(begin, end, [&](size_t i, size_t len, auto&& build_row) {
+      const size_t m = begin / grain;
+      const size_t b = snap(begin);
+      size_t w = start[m];
+      size_t seg = w;  // First row of the open x-run's segment.
+      std::vector<Value> rows;
+      std::vector<uint32_t> perm;
+      auto close_segment = [&]() {
+        w = seg + SortDedupSegment(&cols, seg, w, &rows, &perm);
+        seg = w;
+      };
+      for_each_match(b, snap(end), [&](size_t i, size_t len,
+                                       auto&& build_row) {
+        if (by_segments && i > b && key0[i] != key0[i - 1]) close_segment();
         for (size_t j = 0; j < sources.size(); ++j) {
           Value* dst = cols[j].data() + w;
           const Value* src = sources[j].col;
@@ -465,17 +533,35 @@ PreparedAtom JoinProject(const PreparedAtom& left, const PreparedAtom& right,
         }
         w += len;
       });
+      if (by_segments) close_segment();
+      kept[m] = w - start[m];
     });
   }
 
   PreparedAtom out;
   out.vars = keep_vars;
-  out.rel = Relation::FromColumns("join", std::move(cols));
-  if (keep_vars.empty() && total > 0) out.rel.AddNullary();
-  {
+  if (!by_segments) {
+    out.rel = Relation::FromColumns("join", std::move(cols));
+    if (keep_vars.empty() && total > 0) out.rel.AddNullary();
     TraceSpan span(ctx.trace(), "sort_dedup");
     out.rel.SortDedup(ctx);
+    return out;
   }
+  // Move the morsels' kept slices together; nothing moves when no
+  // segment dropped a row.
+  TraceCounter(ctx.trace(), "join_segment_dedup_rows", total);
+  size_t n = 0;
+  for (size_t m = 0; m < kept.size(); ++m) {
+    if (start[m] != n && kept[m] > 0) {
+      for (Relation::ColumnVec& col : cols) {
+        Value* base = col.data();
+        std::copy(base + start[m], base + start[m] + kept[m], base + n);
+      }
+    }
+    n += kept[m];
+  }
+  for (Relation::ColumnVec& col : cols) col.resize(n);
+  out.rel = Relation::FromColumns("join", std::move(cols), /*sorted=*/true);
   return out;
 }
 

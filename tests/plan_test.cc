@@ -112,9 +112,12 @@ PreparedAtom RandomAtom(std::vector<std::string> vars, size_t n, Value domain,
 }
 
 /// The join of `l` and `r` projected onto `keep`, by a multimap on the
-/// shared variables: the set every JoinProject result must equal.
+/// shared variables: the set every JoinProject result must equal. Adds
+/// the number of joining row pairs (the rows JoinProject writes) to
+/// `*pairs`.
 std::set<Tuple> BruteForceJoin(const PreparedAtom& l, const PreparedAtom& r,
-                               const std::vector<std::string>& keep) {
+                               const std::vector<std::string>& keep,
+                               uint64_t* pairs) {
   const std::vector<size_t> lc = l.SharedColumns(r);
   std::multimap<Tuple, size_t> by_key;
   for (size_t j = 0; j < r.rel.NumTuples(); ++j) {
@@ -130,6 +133,7 @@ std::set<Tuple> BruteForceJoin(const PreparedAtom& l, const PreparedAtom& r,
     for (size_t c : lc) key.push_back(l.rel.At(i, c));
     auto [b, e] = by_key.equal_range(key);
     for (auto it = b; it != e; ++it) {
+      ++*pairs;
       Tuple t;
       for (const std::string& v : keep) {
         const int li = l.VarIndex(v);
@@ -143,14 +147,24 @@ std::set<Tuple> BruteForceJoin(const PreparedAtom& l, const PreparedAtom& r,
   return out;
 }
 
+/// Which tier a serial JoinProject ran, read off its trace counters.
+struct JoinTiers {
+  uint64_t run_table_probes = 0;  ///< Probed the build side's run table.
+  uint64_t index_bytes = 0;       ///< Built a HashIndex.
+  uint64_t segment_rows = 0;      ///< Rows sort-deduped per x-run.
+};
+
 /// Runs JoinProject(l, r, keep) serially and on `pooled`'s threads; both
 /// results must be the same canonical relation and equal the brute-force
-/// set. Returns the serial run's run-table probe and index-byte counters
-/// (which tier ran).
-std::pair<uint64_t, uint64_t> ExpectJoinMatches(
-    const PreparedAtom& l, const PreparedAtom& r,
-    const std::vector<std::string>& keep, const ExecContext& pooled_ctx) {
-  const std::set<Tuple> ref = BruteForceJoin(l, r, keep);
+/// set. When a sorted side leads the output, the join sort-dedups its
+/// x-run segments as it writes them: `join_segment_dedup_rows` is every
+/// row written and no sort_dedup span runs; otherwise the counter is 0
+/// and one sort_dedup span closes the join.
+JoinTiers ExpectJoinMatches(const PreparedAtom& l, const PreparedAtom& r,
+                            const std::vector<std::string>& keep,
+                            const ExecContext& pooled_ctx) {
+  uint64_t pairs = 0;
+  const std::set<Tuple> ref = BruteForceJoin(l, r, keep, &pairs);
   TraceContext trace;
   const PreparedAtom serial =
       JoinProject(l, r, keep, ExecContext().WithTrace(&trace));
@@ -173,8 +187,30 @@ std::pair<uint64_t, uint64_t> ExpectJoinMatches(
   EXPECT_EQ(pooled.rel.NumTuples(), serial.rel.NumTuples());
   EXPECT_EQ(pooled.rel.ToRowMajor(), serial.rel.ToRowMajor());
   EXPECT_TRUE(pooled.rel.sorted());
-  return {trace.counter("join_run_table_probes"),
-          trace.counter("index_bytes")};
+
+  auto leads = [&](const PreparedAtom& a) {
+    return !keep.empty() && a.rel.sorted() && !a.vars.empty() &&
+           a.vars[0] == keep[0];
+  };
+  const bool by_segments = leads(l) || leads(r);
+  int sort_spans = 0;
+  for (const TraceContext::Event& ev : trace.events()) {
+    sort_spans += ev.name == "sort_dedup" ? 1 : 0;
+  }
+  const JoinTiers tiers{trace.counter("join_run_table_probes"),
+                        trace.counter("index_bytes"),
+                        trace.counter("join_segment_dedup_rows")};
+  EXPECT_EQ(tiers.segment_rows, by_segments ? pairs : 0u);
+  EXPECT_EQ(sort_spans, by_segments ? 0 : 1) << trace.RenderText();
+  return tiers;
+}
+
+/// A pool of 4 threads cutting the probe into 64-row morsels, so morsel
+/// bounds fall inside x-runs of inputs above the 8192-row parallel cutoff.
+ExecContext SmallMorsels() {
+  ExecOptions opts = ExecOptions::Parallel(4);
+  opts.morsel_size = 64;
+  return ExecContext(opts);
 }
 
 TEST(JoinProject, MatchesBruteForceOnEveryShape) {
@@ -191,7 +227,7 @@ TEST(JoinProject, MatchesBruteForceOnEveryShape) {
   const std::vector<std::vector<std::string>> keeps = {
       {"x", "z"}, {"z", "x"}, {"x"}, {"z"}, {"y"}, {}, {"x", "y", "z"}};
   const ExecContext pooled(ExecOptions::Parallel(4));
-  uint64_t run_table_joins = 0, hash_joins = 0;
+  uint64_t run_table_joins = 0, hash_joins = 0, segment_joins = 0;
   uint64_t seed = 1;
   for (const Shape& shape : shapes) {
     for (const bool sorted : {true, false}) {
@@ -218,19 +254,21 @@ TEST(JoinProject, MatchesBruteForceOnEveryShape) {
                          << shape.left.size() << "x" << shape.right.size()
                          << " sorted " << sorted << " kind " << kind
                          << " keep " << keep.size() << " flip " << flip);
-            const auto [runs, index] =
+            const JoinTiers tiers =
                 flip ? ExpectJoinMatches(r, l, keep, pooled)
                      : ExpectJoinMatches(l, r, keep, pooled);
-            run_table_joins += runs > 0 ? 1 : 0;
-            hash_joins += index > 0 ? 1 : 0;
+            run_table_joins += tiers.run_table_probes > 0 ? 1 : 0;
+            hash_joins += tiers.index_bytes > 0 ? 1 : 0;
+            segment_joins += tiers.segment_rows > 0 ? 1 : 0;
           }
         }
       }
     }
   }
-  // Both tiers ran.
+  // Both tiers ran, and some joins closed their segments as written.
   EXPECT_GT(run_table_joins, 0u);
   EXPECT_GT(hash_joins, 0u);
+  EXPECT_GT(segment_joins, 0u);
 }
 
 TEST(JoinProject, ParallelBranchWritesTheSameColumns) {
@@ -243,12 +281,94 @@ TEST(JoinProject, ParallelBranchWritesTheSameColumns) {
     const PreparedAtom r =
         RandomAtom({"y", "z"}, 20000, 5000, stride, true, &rng);
     for (const bool flip : {false, true}) {
-      const auto [runs, index] =
+      const JoinTiers tiers =
           flip ? ExpectJoinMatches(r, l, {"x", "z"}, pooled)
                : ExpectJoinMatches(l, r, {"x", "z"}, pooled);
-      EXPECT_EQ(runs > 0, stride == 1);
-      EXPECT_EQ(index > 0, stride != 1);
+      EXPECT_EQ(tiers.run_table_probes > 0, stride == 1);
+      EXPECT_EQ(tiers.index_bytes > 0, stride != 1);
+      EXPECT_GT(tiers.segment_rows, 0u);
     }
+  }
+}
+
+/// Many y of one x reach the same z: nearly every row a segment writes is
+/// a duplicate, dropped as its x-run closes. On both tiers.
+TEST(JoinProject, DuplicateHeavySegmentsCollapse) {
+  for (const Value stride : {Value{1}, Value{1000003}}) {
+    Rng rng(static_cast<uint64_t>(stride) + 7);
+    const PreparedAtom l =
+        RandomAtom({"x", "y"}, 20000, 400, stride, true, &rng);
+    // Each y reaches two of three z.
+    PreparedAtom r;
+    r.vars = {"y", "z"};
+    r.rel = Relation("R", 2);
+    for (Value y = 0; y < 400; ++y) {
+      r.rel.Add({y * stride, (y % 3) * stride});
+      r.rel.Add({y * stride, ((y + 1) % 3) * stride});
+    }
+    r.rel.SortDedup();
+    const JoinTiers tiers = ExpectJoinMatches(l, r, {"x", "z"}, SmallMorsels());
+    const PreparedAtom out = JoinProject(l, r, {"x", "z"});
+    EXPECT_LE(out.rel.NumTuples(), 3u * 400u);
+    EXPECT_GT(tiers.segment_rows, 20 * out.rel.NumTuples());
+  }
+}
+
+/// Morsels of 64 probe rows on x-runs of ~50-70 rows, and on runs far
+/// longer than a morsel: bounds snap to the next x so every morsel owns
+/// whole runs, some own none, and the kept slices compact to the same
+/// columns as the serial run.
+TEST(JoinProject, MorselBoundsInsideRunsWriteTheSameColumns) {
+  for (const Value domain : {Value{300}, Value{20}}) {
+    Rng rng(static_cast<uint64_t>(domain));
+    const PreparedAtom l =
+        RandomAtom({"x", "y"}, 20000, domain, 1, true, &rng);
+    const PreparedAtom r = RandomAtom({"y", "z"}, 1500, 300, 1, true, &rng);
+    for (const bool flip : {false, true}) {
+      const JoinTiers tiers =
+          flip ? ExpectJoinMatches(r, l, {"x", "z"}, SmallMorsels())
+               : ExpectJoinMatches(l, r, {"x", "z"}, SmallMorsels());
+      EXPECT_GT(tiers.segment_rows, 0u);
+    }
+    ExpectJoinMatches(l, r, {"x", "y", "z"}, SmallMorsels());
+  }
+}
+
+/// A 3-column keep of the probe's leading x, another probe column w and
+/// a build column z: segments sort as rows of two trailing values.
+TEST(JoinProject, WideKeepSortsSegmentsAsRows) {
+  for (const size_t n : {size_t{300}, size_t{10000}}) {
+    Rng rng(n);
+    const PreparedAtom l = RandomAtom({"x", "w", "y"}, n, 60, 1, true, &rng);
+    const PreparedAtom r = RandomAtom({"y", "z"}, 300, 60, 1, true, &rng);
+    for (const std::vector<std::string>& keep :
+         {std::vector<std::string>{"x", "w", "z"},
+          std::vector<std::string>{"x", "z", "w"},
+          std::vector<std::string>{"x", "z", "y", "w"}}) {
+      const JoinTiers tiers = ExpectJoinMatches(l, r, keep, SmallMorsels());
+      EXPECT_GT(tiers.segment_rows, 0u);
+    }
+  }
+}
+
+/// One hub x with hundreds of matching rows, past the 32-row insertion
+/// sort, at one and two trailing columns; and a keep of x alone, whose
+/// segments each collapse to one row.
+TEST(JoinProject, HubSegmentsAndLeadingKeepAlone) {
+  Rng rng(23);
+  PreparedAtom l = RandomAtom({"x", "y"}, 2000, 200, 1, false, &rng);
+  for (Value y = 0; y < 200; ++y) l.rel.Add({7, y});
+  l.rel.SortDedup();
+  const PreparedAtom r = RandomAtom({"y", "z", "u"}, 4000, 200, 1, true,
+                                    &rng);
+  const ExecContext pooled(ExecOptions::Parallel(4));
+  for (const std::vector<std::string>& keep :
+       {std::vector<std::string>{"x", "z"},
+        std::vector<std::string>{"x", "u", "z"},
+        std::vector<std::string>{"x"}}) {
+    const JoinTiers tiers = ExpectJoinMatches(l, r, keep, pooled);
+    EXPECT_GT(tiers.segment_rows, 0u);
+    ExpectJoinMatches(r, l, keep, pooled);
   }
 }
 

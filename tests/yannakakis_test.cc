@@ -307,11 +307,26 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{"Q(c, a, d) :- R(a, b), S(b, c), T(b, d), U(d).", 25, 4,
                    14}));
 
+/// The number of (E1, E2) row pairs joining on E1's column 1 = E2's
+/// column 0: the rows the 2-path's join writes before any dedup (dangling
+/// rows join nothing, so full reduction does not change it).
+uint64_t TwoPathPairs(const Relation& e1, const Relation& e2) {
+  std::map<Value, uint64_t> fanout;
+  for (size_t i = 0; i < e2.NumTuples(); ++i) ++fanout[e2.At(i, 0)];
+  uint64_t pairs = 0;
+  for (size_t i = 0; i < e1.NumTuples(); ++i) {
+    auto it = fanout.find(e1.At(i, 1));
+    if (it != fanout.end()) pairs += it->second;
+  }
+  return pairs;
+}
+
 /// The non-free-connex 2-path over sorted base relations: the atoms pass
 /// through unsorted, the (x, y, z) intermediate is never built, and the
-/// answer comes out of the one join in head order, so the whole
-/// evaluation pays exactly one sort-dedup, inside join_assembly.
-TEST(Yannakakis, TwoPathPaysOneSortDedup) {
+/// one join inside join_assembly writes the answer already canonical, its
+/// x-run segments sort-deduped as written. The whole evaluation runs no
+/// SortDedup at all.
+TEST(Yannakakis, TwoPathPaysNoSortDedup) {
   Rng rng(21);
   Database db;
   db.PutRelation(RandomRelation("E1", 2, 400, 30, &rng));
@@ -324,21 +339,21 @@ TEST(Yannakakis, TwoPathPaysOneSortDedup) {
   ASSERT_TRUE(slow.ok()) << slow.status();
   ExpectCanonical(*fast);
   ExpectSameAnswers(*fast, *slow);
-  const std::vector<TraceContext::Event> evs = trace.events();
-  int sorts = 0;
-  for (const TraceContext::Event& ev : evs) {
-    if (ev.name != "sort_dedup") continue;
-    ++sorts;
-    ASSERT_GE(ev.parent, 0);
-    EXPECT_EQ(evs[static_cast<size_t>(ev.parent)].name, "join_assembly");
+  int joins = 0;
+  for (const TraceContext::Event& ev : trace.events()) {
+    EXPECT_NE(ev.name, "sort_dedup") << trace.RenderText();
+    joins += ev.name == "join_assembly" ? 1 : 0;
   }
-  EXPECT_EQ(sorts, 1) << trace.RenderText();
-  EXPECT_EQ(trace.counter("sort_dedup_fallback_rows"), 0u);
+  EXPECT_EQ(joins, 1) << trace.RenderText();
+  EXPECT_EQ(trace.counter("sort_dedup_rows"), 0u);
+  EXPECT_EQ(trace.counter("join_segment_dedup_rows"),
+            TwoPathPairs(*db.Find("E1").value(), *db.Find("E2").value()));
 }
 
 /// The 2-path's join probes from E1, whose order leads the output, and
-/// builds E2's run table: the result comes out grouped by x1, so its one
-/// SortDedup sorts only within runs. Serial and 4-thread results match.
+/// builds E2's run table: the result comes out grouped by x1, and every
+/// row it writes is sort-deduped inside its x-run's segment, with no
+/// SortDedup after. Serial and 4-thread results match.
 TEST(Yannakakis, TwoPathProbesInOutputOrder) {
   Rng rng(22);
   Database db;
@@ -362,12 +377,15 @@ TEST(Yannakakis, TwoPathProbesInOutputOrder) {
     auto [b, e] = z_of.equal_range(e1.At(i, 1));
     for (auto it = b; it != e; ++it) slow.Add({e1.At(i, 0), it->second});
   }
+  const uint64_t pairs = slow.NumTuples();
   ExpectCanonical(*serial);
   ExpectSameAnswers(*serial, slow);
   EXPECT_EQ(pooled->ToRowMajor(), serial->ToRowMajor());
   EXPECT_GT(trace.counter("join_run_table_probes"), 0u);
   EXPECT_EQ(trace.counter("index_bytes"), 0u);
-  EXPECT_GT(trace.counter("sort_dedup_run_local_rows"), 0u);
+  EXPECT_EQ(trace.counter("join_segment_dedup_rows"), pairs);
+  EXPECT_LT(serial->NumTuples(), pairs);  // Some segment dropped a row.
+  EXPECT_EQ(trace.counter("sort_dedup_rows"), 0u);
 }
 
 /// Full reduction leaves only tuples that participate in some answer
