@@ -84,6 +84,31 @@ BENCHMARK(BM_YannakakisBooleanDense)
     ->Range(1 << 10, 1 << 16)
     ->Unit(benchmark::kMillisecond);
 
+/// Boolean Figure-1 query (Theorem 4.2's decision): one bottom-up semijoin
+/// sweep over the prepared atoms, expected linear in ||D||. The microbench
+/// twin of fgq-bench's `decide_ms`; the atoms share the database's
+/// columns, so the sweep is the whole cost.
+void BM_DecideFigure1(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(7);
+  Database db = Figure1Database(n, static_cast<Value>(n / 4 + 4), &rng);
+  const ConjunctiveQuery figure1 = Figure1Query();
+  const ConjunctiveQuery q("B", {}, figure1.atoms());
+  for (auto _ : state) {
+    auto res = EvaluateBooleanAcq(q, db);
+    benchmark::DoNotOptimize(res);
+  }
+  state.counters["n"] = static_cast<double>(n);
+  TraceContext trace;
+  auto traced = EvaluateBooleanAcq(q, db, ExecContext().WithTrace(&trace));
+  if (traced.ok()) benchjson::AddTraceCounters(state, trace);
+  state.SetComplexityN(static_cast<int64_t>(n));
+}
+BENCHMARK(BM_DecideFigure1)
+    ->Range(1 << 10, 1 << 17)
+    ->Unit(benchmark::kMillisecond)
+    ->Complexity(benchmark::oN);
+
 /// Full reduction alone (the preprocessing phase shared by counting and
 /// constant-delay enumeration): expected linear in ||D||.
 void BM_FullReduce(benchmark::State& state) {

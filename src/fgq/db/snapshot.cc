@@ -127,17 +127,17 @@ Result<uint64_t> SnapshotStore::Apply(const MutationBatch& batch,
     }
 
     // New payload: survivors in order, then the inserts at the tail —
-    // exactly the shape HashIndex::DeltaBuild expects.
+    // exactly the shape HashIndex::DeltaBuild expects. It starts by
+    // sharing the old columns; deletes gather the survivors into fresh
+    // ones, and inserts make them private with room for the tail.
     Relation next_rel(m.relation, arity);
-    next_rel.Reserve(n_old - deleted.size() + m.inserts.size());
-    if (deleted.empty()) {
-      next_rel.AppendFrom(*old);
-    } else {
+    next_rel.AppendFrom(*old);
+    if (!deleted.empty()) {
       std::vector<uint8_t> keep(n_old, 1);
       for (uint32_t d : deleted) keep[d] = 0;
-      next_rel.AppendFrom(*old);
       next_rel.CompactRows(keep);
     }
+    next_rel.Reserve(next_rel.NumTuples() + m.inserts.size(), trace);
     for (const Tuple& t : m.inserts) {
       if (arity == 0) {
         next_rel.AddNullary();

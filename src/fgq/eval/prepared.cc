@@ -118,9 +118,12 @@ Result<PreparedAtom> PrepareAtom(const Atom& atom, const Database& db,
 
   // All distinct variables in column order (no constant, no repeat): every
   // row is admitted unchanged, so a canonical source is already the
-  // answer and skips the scan and the sort.
+  // answer and skips the scan and the sort. The copy shares the
+  // database's columns; a later write to the atom (a sweep's compaction)
+  // builds its own.
   if (out.vars.size() == arity && rel->sorted()) {
     out.rel = *rel;
+    TraceCounter(ctx.trace(), "relation_columns_shared", arity);
     return out;
   }
 

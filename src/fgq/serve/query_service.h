@@ -10,6 +10,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -228,6 +229,10 @@ class QueryService {
     QueryClass classification = QueryClass::kCyclic;
     std::chrono::steady_clock::time_point enqueued;
     uint64_t seq = 0;
+    /// The plan key the inline probe built and the epoch of the snapshot
+    /// it pinned; Process reuses the key when it pins that same epoch.
+    PlanKey key;
+    std::optional<uint64_t> key_epoch;
   };
 
   /// True for the oracle-backed classes that get the throttled lane.

@@ -2,6 +2,9 @@
 #define FGQ_UTIL_POOL_ALLOC_H_
 
 #include <cstddef>
+#include <new>
+#include <type_traits>
+#include <utility>
 
 /// \file pool_alloc.h
 /// Recycling allocator for the data plane's large, short-lived buffers:
@@ -44,6 +47,12 @@ void PoolFlushThisThread() noexcept;
 /// stores are worth recycling. All instances compare equal (the pool is
 /// per-thread state, not per-allocator state), so containers can swap
 /// and move storage freely.
+///
+/// Elements of a trivially copyable type are default-initialized, not
+/// zeroed: `resize(n)` and `vector(n)` leave new cells indeterminate,
+/// because every user of the pool overwrites what it sizes (an output
+/// column, a key buffer). A container that needs zeros says so with
+/// `assign(n, 0)` or `resize(n, 0)`.
 template <typename T>
 struct PoolAllocator {
   using value_type = T;
@@ -56,6 +65,16 @@ struct PoolAllocator {
     return static_cast<T*>(PoolAcquire(n * sizeof(T)));
   }
   void deallocate(T* p, size_t n) noexcept { PoolRelease(p, n * sizeof(T)); }
+
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    if constexpr (sizeof...(Args) == 0 && std::is_trivially_copyable_v<U> &&
+                  std::is_trivially_default_constructible_v<U>) {
+      ::new (static_cast<void*>(p)) U;
+    } else {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  }
 
   friend bool operator==(const PoolAllocator&, const PoolAllocator&) {
     return true;

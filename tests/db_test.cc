@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <latch>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <random>
 #include <set>
+#include <thread>
 
 #include "fgq/db/database.h"
 #include "fgq/db/index.h"
@@ -441,6 +445,183 @@ TEST(Relation, SizeWeight) {
   Relation r = MakeEdges();
   r.SortDedup();
   EXPECT_EQ(r.SizeWeight(), 6u);  // 3 tuples * arity 2.
+}
+
+// ---- Copy-on-write columns -------------------------------------------------
+
+/// A relation holding the rows of `r` in buffers of its own (no column
+/// shared with `r`): the private-column reference for the shared cases.
+Relation PrivateCopy(const Relation& r) {
+  Relation out(r.name(), r.arity());
+  const std::vector<Value> rows = r.ToRowMajor();
+  out.AppendRows(rows.data(), r.NumTuples());
+  if (r.sorted()) out.SortDedup();
+  return out;
+}
+
+std::vector<const Value*> ColumnPointers(const Relation& r) {
+  std::vector<const Value*> out;
+  for (size_t c = 0; c < r.arity(); ++c) out.push_back(r.Column(c));
+  return out;
+}
+
+/// Every third row kept, plus the first two: a mixed bitmap with runs.
+std::vector<uint8_t> MixedKeep(size_t n) {
+  std::vector<uint8_t> keep(n, 0);
+  for (size_t i = 0; i < n; ++i) keep[i] = i < 2 || i % 3 == 0;
+  return keep;
+}
+
+TEST(CopyOnWrite, CopySharesColumnsUntilItsFirstWrite) {
+  Relation src = ShapedRelation(Shape::kSmall, 3, 3000, 5);
+  src.SortDedup();
+  Relation copy = src;
+  EXPECT_EQ(ColumnPointers(copy), ColumnPointers(src));
+  EXPECT_TRUE(copy.sorted());
+  Relation assigned("X", 3);
+  assigned = copy;
+  EXPECT_EQ(ColumnPointers(assigned), ColumnPointers(src));
+  // Reads and no-op mutators leave the sharing alone.
+  copy.SortDedup();
+  copy.CompactRows(std::vector<uint8_t>(copy.NumTuples(), 1));
+  copy.Reserve(copy.NumTuples());
+  EXPECT_EQ(ColumnPointers(copy), ColumnPointers(src));
+  // The first write gives the copy its own columns; the source keeps its.
+  const std::vector<const Value*> before = ColumnPointers(src);
+  copy.Add({100, 100, 100});
+  for (size_t c = 0; c < 3; ++c) EXPECT_NE(copy.Column(c), src.Column(c));
+  EXPECT_EQ(ColumnPointers(src), before);
+  EXPECT_EQ(ColumnPointers(assigned), before);
+}
+
+TEST(CopyOnWrite, EveryMutatorLeavesTheSourceAlone) {
+  const Relation other = ShapedRelation(Shape::kSmall, 3, 50, 11);
+  const ExecOptions four{.num_threads = 4, .morsel_size = 256};
+  const ExecContext par(four);
+  auto odd_first = [](TupleView t) { return t[0] % 2 != 0; };
+  const std::vector<std::pair<std::string, std::function<void(Relation&)>>>
+      mutators = {
+          {"Add", [](Relation& r) { r.Add({1, 2, 3}); }},
+          {"AddRow",
+           [](Relation& r) {
+             const Value row[] = {4, 5, 6};
+             r.AddRow(row);
+           }},
+          {"AppendRows",
+           [](Relation& r) {
+             const Value rows[] = {1, 1, 1, 2, 2, 2};
+             r.AppendRows(rows, 2);
+           }},
+          {"AppendFrom", [&](Relation& r) { r.AppendFrom(other); }},
+          {"AppendPrefixFrom",
+           [&](Relation& r) { r.AppendPrefixFrom(other, 7); }},
+          {"AddRowFrom", [&](Relation& r) { r.AddRowFrom(other, 3); }},
+          {"Reserve", [](Relation& r) { r.Reserve(2 * r.NumTuples() + 1); }},
+          {"SortDedup", [](Relation& r) { r.SortDedup(); }},
+          {"SortDedupParallel", [&](Relation& r) { r.SortDedup(par); }},
+          {"SortBy", [](Relation& r) { r.SortBy({2, 0}); }},
+          {"CompactRows",
+           [](Relation& r) { r.CompactRows(MixedKeep(r.NumTuples())); }},
+          {"Filter", [&](Relation& r) { r.Filter(odd_first); }},
+          {"FilterParallel", [&](Relation& r) { r.Filter(odd_first, par); }},
+      };
+  for (const bool sorted : {false, true}) {
+    Relation src = ShapedRelation(Shape::kSmall, 3, 20000, 3);
+    if (sorted) src.SortDedup();
+    const std::vector<Value> values = src.ToRowMajor();
+    const std::vector<const Value*> pointers = ColumnPointers(src);
+    for (const auto& [name, mutate] : mutators) {
+      SCOPED_TRACE(name + (sorted ? " on a sorted source" : ""));
+      Relation copy = src;
+      Relation reference = PrivateCopy(src);
+      mutate(copy);
+      mutate(reference);
+      EXPECT_EQ(src.ToRowMajor(), values);
+      EXPECT_EQ(ColumnPointers(src), pointers);
+      EXPECT_EQ(src.sorted(), sorted);
+      // The shared copy ends exactly where a private one does.
+      EXPECT_EQ(copy.ToRowMajor(), reference.ToRowMajor());
+      EXPECT_EQ(copy.sorted(), reference.sorted());
+    }
+  }
+}
+
+TEST(CopyOnWrite, CompactRowsOfASharedColumnMatchesAPrivateOne) {
+  for (const bool sorted : {false, true}) {
+    Relation src = ShapedRelation(Shape::kSmall, 2, 5000, 17);
+    if (sorted) src.SortDedup();
+    const size_t n = src.NumTuples();
+    const std::vector<std::pair<std::string, std::vector<uint8_t>>> bitmaps = {
+        {"all kept", std::vector<uint8_t>(n, 1)},
+        {"none kept", std::vector<uint8_t>(n, 0)},
+        {"mixed", MixedKeep(n)}};
+    for (const auto& [name, keep] : bitmaps) {
+      SCOPED_TRACE(name);
+      Relation shared = src;
+      Relation owned = PrivateCopy(src);
+      shared.CompactRows(keep);
+      owned.CompactRows(keep);
+      EXPECT_EQ(shared.NumTuples(), owned.NumTuples());
+      EXPECT_EQ(shared.ToRowMajor(), owned.ToRowMajor());
+      EXPECT_EQ(shared.sorted(), owned.sorted());
+      // Keeping every row writes nothing, so the columns stay shared.
+      EXPECT_EQ(shared.Column(0) == src.Column(0), name == "all kept");
+      EXPECT_EQ(src.NumTuples(), n);
+    }
+  }
+}
+
+TEST(CopyOnWrite, ClonesAreCountedOnlyWhenASharedColumnIsCopied) {
+  Relation src = ShapedRelation(Shape::kSmall, 2, 1000, 23);
+  TraceContext trace;
+  Relation copy = src;
+  copy.CompactRows(MixedKeep(copy.NumTuples()));  // A gather, not a clone.
+  copy.Reserve(copy.NumTuples() + 10, &trace);     // Private: no clone.
+  EXPECT_EQ(trace.counter("relation_columns_cloned"), 0u);
+  Relation again = src;
+  again.Reserve(src.NumTuples() + 1, &trace);  // Shared: both columns.
+  EXPECT_EQ(trace.counter("relation_columns_cloned"), 2u);
+  EXPECT_EQ(again.ToRowMajor(), src.ToRowMajor());
+}
+
+/// Four threads each take a copy of one relation; the source is dropped,
+/// then each compacts its own copy. Whichever thread compacts last finds
+/// its columns unshared and writes them in place, after the others have
+/// read them: the uniqueness test must order those reads first (TSan
+/// checks it in CI).
+TEST(CopyOnWrite, ThreadsCompactTheirOwnCopies) {
+  constexpr size_t kThreads = 4;
+  auto src = std::make_unique<Relation>(
+      ShapedRelation(Shape::kSmall, 3, 40000, 29));
+  src->SortDedup();
+  const size_t n = src->NumTuples();
+  std::vector<std::vector<uint8_t>> keeps(kThreads);
+  std::vector<std::vector<Value>> expected(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    keeps[t].resize(n);
+    for (size_t i = 0; i < n; ++i) keeps[t][i] = (i + t) % (t + 2) == 0;
+    Relation owned = PrivateCopy(*src);
+    owned.CompactRows(keeps[t]);
+    expected[t] = owned.ToRowMajor();
+  }
+  std::latch copied(kThreads);
+  std::latch released(1);
+  std::vector<std::vector<Value>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Relation mine = *src;
+      copied.count_down();
+      released.wait();
+      mine.CompactRows(keeps[t]);
+      got[t] = mine.ToRowMajor();
+    });
+  }
+  copied.wait();
+  src.reset();
+  released.count_down();
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], expected[t]);
 }
 
 TEST(Database, AddAndFind) {

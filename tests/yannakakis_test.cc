@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
+#include "fgq/db/snapshot.h"
 #include "fgq/eval/oracle.h"
+#include "fgq/eval/prepared.h"
 #include "fgq/eval/yannakakis.h"
 #include "fgq/query/parser.h"
 #include "fgq/trace/trace.h"
@@ -420,6 +425,51 @@ TEST(FullReduce, ReducedRelationsAreGloballyConsistent) {
       EXPECT_TRUE(found) << "dangling tuple survived full reduction";
     }
   }
+}
+
+TEST(FullReduce, CanonicalAtomsShareTheDatabaseColumns) {
+  Rng rng(5);
+  Database db = Figure1Database(/*tuples=*/400, /*domain=*/400, &rng);
+  const ConjunctiveQuery q = Figure1Query();
+  // A plain atom over a sorted relation is prepared by sharing it.
+  const Atom& r_atom = q.atoms()[0];
+  const Relation* r = db.Find(r_atom.relation).value();
+  ASSERT_TRUE(r->sorted());
+  TraceContext prep_trace;
+  auto pa = PrepareAtom(r_atom, db, ExecContext().WithTrace(&prep_trace));
+  ASSERT_TRUE(pa.ok()) << pa.status();
+  for (size_t c = 0; c < r->arity(); ++c) {
+    EXPECT_EQ(pa->rel.Column(c), r->Column(c)) << "column " << c;
+  }
+  EXPECT_EQ(prep_trace.counter("relation_columns_shared"), r->arity());
+
+  // The sweeps compact the shared atoms without writing the snapshot.
+  SnapshotStore store(std::move(db));
+  const std::shared_ptr<const Snapshot> snap = store.Current();
+  std::map<std::string, std::pair<std::vector<Value>,
+                                  std::vector<const Value*>>> before;
+  for (const Atom& a : q.atoms()) {
+    const Relation* rel = snap->db().Find(a.relation).value();
+    std::vector<const Value*> cols;
+    for (size_t c = 0; c < rel->arity(); ++c) cols.push_back(rel->Column(c));
+    before[a.relation] = {rel->ToRowMajor(), cols};
+  }
+  TraceContext trace;
+  auto rq = FullReduce(q, snap->db(), ExecContext().WithTrace(&trace));
+  ASSERT_TRUE(rq.ok()) << rq.status();
+  uint64_t reduced_rows = 0, source_rows = 0;
+  for (const PreparedAtom& atom : rq->atoms) reduced_rows += atom.rel.NumTuples();
+  for (const auto& [name, state] : before) {
+    const Relation* rel = snap->db().Find(name).value();
+    source_rows += rel->NumTuples();
+    EXPECT_EQ(rel->ToRowMajor(), state.first) << name;
+    for (size_t c = 0; c < rel->arity(); ++c) {
+      EXPECT_EQ(rel->Column(c), state.second[c]) << name << " column " << c;
+    }
+  }
+  EXPECT_LT(reduced_rows, source_rows);  // The sweeps did drop rows.
+  EXPECT_EQ(trace.counter("relation_columns_shared"), 12u);
+  EXPECT_EQ(trace.counter("relation_columns_cloned"), 0u);
 }
 
 TEST(FullReduce, EmptyFlagSetWhenUnsatisfiable) {
