@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "fgq/db/index.h"
 #include "fgq/eval/yannakakis.h"
@@ -343,15 +345,16 @@ Result<std::unique_ptr<AnswerEnumerator>> MakeConstantDelayEnumerator(
 
 Relation DrainEnumerator(AnswerEnumerator* e, const std::string& name,
                          size_t arity) {
-  Relation out(name, arity);
+  // Plain columns that the result adopts: no per-answer ownership check.
+  std::vector<Relation::ColumnVec> cols(arity);
+  bool any = false;
   Tuple t;
   while (e->Next(&t)) {
-    if (arity == 0) {
-      out.AddNullary();
-    } else {
-      out.Add(t);
-    }
+    for (size_t c = 0; c < arity; ++c) cols[c].push_back(t[c]);
+    any = true;
   }
+  Relation out = Relation::FromColumns(name, std::move(cols));
+  if (arity == 0 && any) out.AddNullary();
   out.SortDedup();
   return out;
 }
