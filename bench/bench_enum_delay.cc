@@ -1,5 +1,7 @@
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "bench_json.h"
 
 #include "fgq/eval/enumerate.h"
@@ -146,6 +148,46 @@ void BM_MaterializeThenReplay(benchmark::State& state) {
 // (by 2^14 it would materialize ~10^8 answers — which is the point).
 BENCHMARK(BM_MaterializeThenReplay)
     ->Range(1 << 10, 1 << 12)
+    ->Unit(benchmark::kMillisecond);
+
+/// The microbenchmark twin of fgq-bench's analytic enumerate call: the
+/// Figure 1 query over ServeWorkloadDatabase(n), compiled (reduction,
+/// free projection, index build), then drained. `first_answer_ms` is the
+/// compile plus the first answer; `delay_ns` is the mean gap over the
+/// rest of the drain. Both are means over the iterations.
+void BM_EnumerateFigure1(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const size_t n = static_cast<size_t>(state.range(0));
+  const Database db = ServeWorkloadDatabase(n, 11);
+  const ConjunctiveQuery q = Figure1Query();
+  double first_ms = 0, delay_ns = 0;
+  uint64_t answers = 0;
+  for (auto _ : state) {
+    const Clock::time_point t0 = Clock::now();
+    auto e = MakeConstantDelayEnumerator(q, db);
+    if (!e.ok()) {
+      state.SkipWithError(e.status().ToString().c_str());
+      return;
+    }
+    Tuple t;
+    answers = (*e)->Next(&t) ? 1 : 0;
+    const Clock::time_point t1 = Clock::now();
+    while ((*e)->Next(&t)) ++answers;
+    const Clock::time_point t2 = Clock::now();
+    first_ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
+    if (answers > 1) {
+      delay_ns += std::chrono::duration<double, std::nano>(t2 - t1).count() /
+                  static_cast<double>(answers - 1);
+    }
+  }
+  const double iters = static_cast<double>(state.iterations());
+  state.counters["n"] = static_cast<double>(n);
+  state.counters["answers"] = static_cast<double>(answers);
+  state.counters["first_answer_ms"] = first_ms / iters;
+  state.counters["delay_ns"] = delay_ns / iters;
+}
+BENCHMARK(BM_EnumerateFigure1)
+    ->Range(1 << 10, 1 << 17)
     ->Unit(benchmark::kMillisecond);
 
 /// Preprocessing time of the constant-delay enumerator: must be linear.

@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "fgq/db/probe_kernels.h"
+#include "fgq/trace/trace.h"
 
 namespace fgq {
 
@@ -63,7 +64,7 @@ HashIndex::HashIndex(const Relation& rel, std::vector<size_t> key_cols)
   ActiveSimdPath();  // Resolve the probe path before any table exists.
   key_col_ptr_.reserve(key_cols_.size());
   for (size_t c : key_cols_) key_col_ptr_.push_back(rel.Column(c));
-  Build(rel, nullptr);
+  Build(rel, nullptr, nullptr);
 }
 
 HashIndex::HashIndex(const Relation& rel, std::vector<size_t> key_cols,
@@ -73,12 +74,9 @@ HashIndex::HashIndex(const Relation& rel, std::vector<size_t> key_cols,
   key_col_ptr_.reserve(key_cols_.size());
   for (size_t c : key_cols_) key_col_ptr_.push_back(rel.Column(c));
   ThreadPool* pool = ctx.pool();
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      rel.NumTuples() < kParallelBuildCutoff) {
-    Build(rel, nullptr);
-  } else {
-    Build(rel, &ctx);
-  }
+  const bool serial = pool == nullptr || pool->num_threads() <= 1 ||
+                      rel.NumTuples() < kParallelBuildCutoff;
+  Build(rel, serial ? nullptr : &ctx, ctx.trace());
 }
 
 uint64_t HashIndex::CountProbeRows(const Relation& src,
@@ -332,7 +330,8 @@ std::unique_ptr<HashIndex> HashIndex::DeltaBuild(const HashIndex& base,
   return out;
 }
 
-void HashIndex::Build(const Relation& rel, const ExecContext* ctx) {
+void HashIndex::Build(const Relation& rel, const ExecContext* ctx,
+                      TraceContext* trace) {
   const size_t n = rel.NumTuples();
   if (n == 0) return;
   if (key_cols_.empty()) {
@@ -349,6 +348,16 @@ void HashIndex::Build(const Relation& rel, const ExecContext* ctx) {
   const size_t num_shards = n >= kShardedBuildCutoff ? kNumShards : 1;
   shard_bits_ = num_shards == 1 ? 0 : kNumShardBits;
   shard_mask_ = num_shards - 1;
+
+  bool leading = rel.sorted();
+  for (size_t j = 0; leading && j < key_cols_.size(); ++j) {
+    leading = key_cols_[j] == j;
+  }
+  if (leading) {
+    TraceCounter(trace, "index_run_build_rows", n);
+    BuildFromRuns(rel, ctx);
+    return;
+  }
 
   if (num_shards == 1) {
     BuildFused(rel);
@@ -557,6 +566,112 @@ void HashIndex::Build(const Relation& rel, const ExecContext* ctx) {
     }
   });
   RebuildGroupMeta();
+}
+
+void HashIndex::BuildFromRuns(const Relation& rel, const ExecContext* ctx) {
+  const size_t n = rel.NumTuples();
+  const size_t num_shards = shard_mask_ + 1;
+  const Value* const* kcols = key_col_ptr_.data();
+  const size_t nkc = key_cols_.size();
+  // Sorted on its key prefix, the relation holds each distinct key as one
+  // run of rows: run g is rows [starts[g], starts[g + 1]).
+  std::vector<uint32_t> starts{0};
+  for (size_t i = 1; i < n; ++i) {
+    if (!RowKeysEqualAt(kcols, nkc, static_cast<uint32_t>(i - 1),
+                        static_cast<uint32_t>(i))) {
+      starts.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  const size_t ng = starts.size();
+  starts.push_back(static_cast<uint32_t>(n));
+  std::vector<uint64_t> run_hash(ng);
+  auto hash_runs = [&](size_t begin, size_t end) {
+    for (size_t g = begin; g < end; ++g) run_hash[g] = HashRowKeyAt(starts[g]);
+  };
+  if (ctx != nullptr) {
+    ctx->pool()->ParallelFor(ng, ctx->morsel_size(), hash_runs);
+  } else {
+    hash_runs(0, ng);
+  }
+
+  // Each shard's runs in run order, which is the order the hashing
+  // builder meets their keys in (rows enter a shard in ascending order).
+  // A shard's table is sized on its row count and its groups and rows
+  // follow the earlier shards', exactly as in that builder.
+  std::vector<uint32_t> shard_runs(ng);
+  std::vector<uint32_t> run_base(num_shards + 1, 0);
+  std::vector<uint32_t> shard_rows(num_shards, 0);
+  for (size_t g = 0; g < ng; ++g) {
+    const size_t s = run_hash[g] & shard_mask_;
+    ++run_base[s + 1];
+    shard_rows[s] += starts[g + 1] - starts[g];
+  }
+  for (size_t s = 0; s < num_shards; ++s) run_base[s + 1] += run_base[s];
+  {
+    std::vector<uint32_t> cursor(run_base.begin(), run_base.end() - 1);
+    for (size_t g = 0; g < ng; ++g) {
+      shard_runs[cursor[run_hash[g] & shard_mask_]++] =
+          static_cast<uint32_t>(g);
+    }
+  }
+  shards_.resize(num_shards);
+  std::vector<uint32_t> row_base(num_shards);
+  size_t total_slots = 0;
+  uint32_t rows_before = 0;
+  for (size_t s = 0; s < num_shards; ++s) {
+    const size_t cap =
+        NextPow2(std::max<size_t>(kTagGroupWidth, size_t{shard_rows[s]} * 2));
+    shards_[s] = ShardMeta{static_cast<uint32_t>(total_slots),
+                           static_cast<uint32_t>(cap - 1), run_base[s]};
+    row_base[s] = rows_before;
+    total_slots += cap;
+    rows_before += shard_rows[s];
+  }
+  ResetTags(tags_, total_slots);
+  ResetSlots(slot_group_, total_slots);
+  group_hash_.resize(ng);
+  offsets_.resize(ng + 1);
+  offsets_[ng] = static_cast<uint32_t>(n);
+  row_ids_.resize(n);
+  group_meta_.resize(ng);
+  auto fill_shard = [&](size_t s) {
+    const ShardMeta& m = shards_[s];
+    const size_t gmask = ((m.slot_mask + 1) >> kTagGroupShift) - 1;
+    uint8_t* tags = tags_.data() + m.slot_base;
+    uint32_t* slots = slot_group_.data() + m.slot_base;
+    uint32_t off = row_base[s];
+    for (uint32_t gid = run_base[s]; gid < run_base[s + 1]; ++gid) {
+      const uint32_t run = shard_runs[gid];
+      const uint64_t h = run_hash[run];
+      const uint32_t lo = starts[run];
+      const uint32_t cnt = starts[run + 1] - lo;
+      group_hash_[gid] = h;
+      offsets_[gid] = off;
+      group_meta_[gid] = GroupMeta{kcols[0][lo], off, cnt};
+      std::iota(row_ids_.begin() + off, row_ids_.begin() + off + cnt, lo);
+      off += cnt;
+      // A distinct key matches no group already in the table, so its
+      // insert is the first empty slot in probe order.
+      size_t g = ((h >> shard_bits_) & m.slot_mask) >> kTagGroupShift;
+      uint32_t empty;
+      while ((empty = simd::MatchEmpty32(tags + g * kTagGroupWidth)) == 0) {
+        g = (g + 1) & gmask;
+      }
+      const size_t slot =
+          g * kTagGroupWidth + static_cast<unsigned>(__builtin_ctz(empty));
+      tags[slot] = HashTag(h);
+      slots[slot] = gid;
+    }
+  };
+  if (ctx != nullptr && num_shards > 1) {
+    ctx->pool()->ParallelFor(num_shards, 1, [&](size_t b, size_t e) {
+      for (size_t s = b; s < e; ++s) fill_shard(s);
+    });
+  } else {
+    for (size_t s = 0; s < num_shards; ++s) fill_shard(s);
+  }
+  num_keys_ = ng;
+  BuildDenseCount();
 }
 
 void HashIndex::BuildFused(const Relation& rel) {

@@ -48,6 +48,14 @@
 /// hash-partitioned into a fixed shard count that depends only on the
 /// relation size; rows enter each shard in ascending row order either
 /// way). This is the contract the differential fuzzer checks.
+///
+/// Run build: when the relation is sorted() and the key is its leading
+/// column prefix {0..k-1}, every key's rows are one contiguous run. The
+/// build then hashes each distinct key once, claims its slot (the first
+/// empty one in probe order, as the hashing builder would), and writes the
+/// run as the group's row ids, with no per-row hash or probe. The arrays
+/// are bit-identical to the hashing builder's, which every other input
+/// takes (`index_run_build_rows` counts the rows that took the run build).
 
 namespace fgq {
 
@@ -285,7 +293,13 @@ class HashIndex {
     uint32_t group_base = 0;  // First global group id of the shard.
   };
 
-  void Build(const Relation& rel, const ExecContext* ctx);
+  /// `ctx` is null for a serial build; `trace` receives the build-path
+  /// counters.
+  void Build(const Relation& rel, const ExecContext* ctx,
+             TraceContext* trace);
+  /// The run build (see the file comment): `rel` is sorted() and keyed on
+  /// a leading column prefix. `ctx` as in Build.
+  void BuildFromRuns(const Relation& rel, const ExecContext* ctx);
   /// Fills group_meta_ from offsets_ / row_ids_ / key column 0. Every
   /// build path ends with this (the arrays it derives from are exactly
   /// the determinism-checked layout, so the meta is deterministic too).

@@ -9,6 +9,7 @@
 #include <queue>
 #include <sstream>
 
+#include "fgq/db/index.h"
 #include "fgq/trace/trace.h"
 #include "fgq/util/small_sort.h"
 
@@ -152,6 +153,16 @@ uint64_t* SortKeys(uint64_t* keys, uint64_t* tmp, size_t n, unsigned bits) {
     std::swap(src, dst);
   }
   return src;
+}
+
+/// True when `cols` lists all `arity` columns with column cols[0] > 0
+/// moved to the front and the others in their present order.
+bool MovesOneColumnToFront(const std::vector<size_t>& cols, size_t arity) {
+  if (cols.size() != arity || cols[0] == 0 || cols[0] >= arity) return false;
+  for (size_t j = 1; j < arity; ++j) {
+    if (cols[j] != (j <= cols[0] ? j - 1 : j)) return false;
+  }
+  return true;
 }
 
 /// Capacity an append of `k` rows to `n` gives a column it clones: the
@@ -520,6 +531,10 @@ Relation Relation::Project(const std::vector<size_t>& cols,
     out.num_tuples_ = kept;
     return out;
   }
+  if (sorted_ && n > 0 && MovesOneColumnToFront(cols, arity_) &&
+      out.CountingSortFrom(*this, cols, ctx.trace())) {
+    return out;
+  }
   // Otherwise each output column shares a source column, and all the work
   // is the trailing dedup, which the identity projection of a canonical
   // set does not need.
@@ -531,6 +546,45 @@ Relation Relation::Project(const std::vector<size_t>& cols,
     out.SortDedup(ctx);
   }
   return out;
+}
+
+bool Relation::CountingSortFrom(const Relation& src,
+                                const std::vector<size_t>& cols,
+                                TraceContext* trace) {
+  const size_t n = src.num_tuples_;
+  const Value* key = src.cols_[cols[0]].data();
+  const auto [lo, hi] = std::minmax_element(key, key + n);
+  const uint64_t range =
+      static_cast<uint64_t>(*hi) - static_cast<uint64_t>(*lo) + 1;
+  // The distinct keys are at most n, so a range too sparse for n keys is
+  // too sparse for the real count.
+  if (!HashIndex::DenseKeyRange(range, n)) return false;
+  const uint64_t base = static_cast<uint64_t>(*lo);
+  std::vector<uint32_t> pos(range + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    ++pos[static_cast<uint64_t>(key[i]) - base + 1];
+  }
+  uint64_t live = 0;
+  for (uint64_t v = 1; v <= range; ++v) live += pos[v] != 0;
+  if (!HashIndex::DenseKeyRange(range, live)) return false;
+  for (uint64_t v = 1; v <= range; ++v) pos[v] += pos[v - 1];
+  // The stable pass keeps each key's rows in the source's order, which on
+  // the remaining columns is lexicographic: the result is canonical, and a
+  // permutation of a set has no duplicates to drop.
+  std::vector<uint32_t> dest(n);
+  for (size_t i = 0; i < n; ++i) {
+    dest[i] = pos[static_cast<uint64_t>(key[i]) - base]++;
+  }
+  for (size_t j = 0; j < cols.size(); ++j) {
+    const Value* from = src.cols_[cols[j]].data();
+    ColumnVec to(n);
+    for (size_t i = 0; i < n; ++i) to[dest[i]] = from[i];
+    cols_[j] = ColumnRef(std::move(to));
+  }
+  num_tuples_ = n;
+  sorted_ = true;
+  TraceCounter(trace, "project_counting_sort_rows", n);
+  return true;
 }
 
 void Relation::CompactRows(const std::vector<uint8_t>& keep) {

@@ -171,7 +171,11 @@ class Relation {
   /// Returns the projection of this relation onto `cols` (with dedup).
   /// The identity column list on a sorted relation shares the columns, and a
   /// column prefix {0..k-1} of a sorted relation drops its (adjacent)
-  /// duplicates in one pass without sorting; both results stay sorted.
+  /// duplicates in one pass without sorting; both results stay sorted. A
+  /// sorted relation whose column list moves one column to the front, the
+  /// rest in order, is reordered by one stable counting sort on that
+  /// column when its values densely fill their range
+  /// (HashIndex::DenseKeyRange; `project_counting_sort_rows`).
   Relation Project(const std::vector<size_t>& cols,
                    const std::string& name) const;
   /// Parallel variant (same result for any thread count); the dedup runs
@@ -217,6 +221,12 @@ class Relation {
   /// The index-sort fallback for rows that do not pack.
   void SortDedupByComparator(const ExecContext& ctx);
   void ApplyOrder(const std::vector<uint32_t>& order, size_t keep_n);
+  /// Project's counting-sort path: fills this (empty, cols.size()-ary)
+  /// relation with the nonempty sorted `src` reordered to `cols`, which
+  /// moves one column to the front. False, with nothing written, when
+  /// that column's values are too sparse for a per-value count table.
+  bool CountingSortFrom(const Relation& src, const std::vector<size_t>& cols,
+                        TraceContext* trace);
 
   /// A counted reference to one column's buffer, with the buffer's data
   /// pointer cached beside it. A null reference is an empty column.

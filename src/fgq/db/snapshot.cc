@@ -127,23 +127,32 @@ Result<uint64_t> SnapshotStore::Apply(const MutationBatch& batch,
     }
 
     // New payload: survivors in order, then the inserts at the tail —
-    // exactly the shape HashIndex::DeltaBuild expects. It starts by
-    // sharing the old columns; deletes gather the survivors into fresh
-    // ones, and inserts make them private with room for the tail.
+    // exactly the shape HashIndex::DeltaBuild expects. An untouched
+    // relation shares the old columns; otherwise each column is gathered
+    // once, with room for the tail, and the relation adopts it.
     Relation next_rel(m.relation, arity);
-    next_rel.AppendFrom(*old);
-    if (!deleted.empty()) {
-      std::vector<uint8_t> keep(n_old, 1);
-      for (uint32_t d : deleted) keep[d] = 0;
-      next_rel.CompactRows(keep);
-    }
-    next_rel.Reserve(next_rel.NumTuples() + m.inserts.size(), trace);
-    for (const Tuple& t : m.inserts) {
-      if (arity == 0) {
+    if (arity == 0) {
+      // The "present" marker survives unless deleted; an insert sets it.
+      if ((!old->empty() && deleted.empty()) || !m.inserts.empty()) {
         next_rel.AddNullary();
-      } else {
-        next_rel.AddRow(t.data());
       }
+    } else if (deleted.empty() && m.inserts.empty()) {
+      next_rel.AppendFrom(*old);
+    } else {
+      std::vector<Relation::ColumnVec> cols(arity);
+      for (size_t c = 0; c < arity; ++c) {
+        const Value* src = old->Column(c);
+        Relation::ColumnVec& col = cols[c];
+        col.reserve(n_old - deleted.size() + m.inserts.size());
+        size_t from = 0;
+        for (uint32_t d : deleted) {
+          col.insert(col.end(), src + from, src + d);
+          from = d + 1;
+        }
+        col.insert(col.end(), src + from, src + n_old);
+        for (const Tuple& t : m.inserts) col.push_back(t[c]);
+      }
+      next_rel = Relation::FromColumns(m.relation, std::move(cols));
     }
     ins_total += m.inserts.size();
     del_total += deleted.size();

@@ -14,16 +14,21 @@ ConjunctiveQuery MatrixProductQuery() {
 
 Database BuildMatrixDatabase(const BoolMatrix& a, const BoolMatrix& b) {
   Database db;
-  Relation ra("A", 2);
-  Relation rb("B", 2);
-  for (size_t i = 0; i < a.n; ++i) {
-    for (size_t j = 0; j < a.n; ++j) {
-      if (a.Get(i, j)) ra.Add({static_cast<Value>(i), static_cast<Value>(j)});
-      if (b.Get(i, j)) rb.Add({static_cast<Value>(i), static_cast<Value>(j)});
+  // Each matrix's pairs in ascending order: canonical as built.
+  auto pairs = [](const std::string& name, const BoolMatrix& m) {
+    std::vector<Relation::ColumnVec> cols(2);
+    for (size_t i = 0; i < m.n; ++i) {
+      for (size_t j = 0; j < m.n; ++j) {
+        if (m.Get(i, j)) {
+          cols[0].push_back(static_cast<Value>(i));
+          cols[1].push_back(static_cast<Value>(j));
+        }
+      }
     }
-  }
-  db.PutRelation(std::move(ra));
-  db.PutRelation(std::move(rb));
+    return Relation::FromColumns(name, std::move(cols), /*sorted=*/true);
+  };
+  db.PutRelation(pairs("A", a));
+  db.PutRelation(pairs("B", b));
   db.DeclareDomainSize(static_cast<Value>(a.n));
   return db;
 }
@@ -78,24 +83,22 @@ Result<Database> EmbedMatricesIntoQuery(const ConjunctiveQuery& q,
           "variables '" + x_var + "' and '" + y_var +
           "' share an atom; pick a genuine Pi-shaped obstruction");
     }
-    Relation rel(atom.relation, atom.arity());
+    std::vector<Relation::ColumnVec> cols(atom.arity());
     auto emit = [&](Value av, Value bv, Value cv) {
-      Tuple t(atom.arity());
       for (size_t j = 0; j < atom.args.size(); ++j) {
         const Term& term = atom.args[j];
+        Value v = bottom;
         if (!term.is_var()) {
-          t[j] = term.constant;
+          v = term.constant;
         } else if (term.var == x_var) {
-          t[j] = av;
+          v = av;
         } else if (term.var == z_var) {
-          t[j] = bv;
+          v = bv;
         } else if (term.var == y_var) {
-          t[j] = cv;
-        } else {
-          t[j] = bottom;
+          v = cv;
         }
+        cols[j].push_back(v);
       }
-      rel.Add(t);
     };
     if (has_x && has_z) {
       for (Value i = 0; i < n; ++i) {
@@ -122,6 +125,9 @@ Result<Database> EmbedMatricesIntoQuery(const ConjunctiveQuery& q,
     } else {
       emit(bottom, bottom, bottom);
     }
+    Relation rel = Relation::FromColumns(atom.relation, std::move(cols));
+    // A nullary atom takes the last branch: its one (empty) row.
+    if (atom.arity() == 0) rel.AddNullary();
     rel.SortDedup();
     db.PutRelation(std::move(rel));
   }

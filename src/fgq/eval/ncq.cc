@@ -208,16 +208,22 @@ Result<bool> DecideBetaAcyclicNcq(const ConjunctiveQuery& q,
 TriangleNcq BuildTriangleNcq(const Graph& g) {
   TriangleNcq out;
   // Complement adjacency (with the diagonal) in three self-join-free
-  // copies, one per atom.
-  for (int copy = 1; copy <= 3; ++copy) {
-    Relation r("R" + std::to_string(copy), 2);
-    for (int u = 0; u < g.n; ++u) {
-      for (int v = 0; v < g.n; ++v) {
-        if (u == v || !g.HasEdge(u, v)) {
-          r.Add({static_cast<Value>(u), static_cast<Value>(v)});
-        }
+  // copies, one per atom, sharing one set of columns. The pairs come out
+  // in ascending order, so the relation is canonical as built.
+  std::vector<Relation::ColumnVec> cols(2);
+  for (int u = 0; u < g.n; ++u) {
+    for (int v = 0; v < g.n; ++v) {
+      if (u == v || !g.HasEdge(u, v)) {
+        cols[0].push_back(u);
+        cols[1].push_back(v);
       }
     }
+  }
+  const Relation complement =
+      Relation::FromColumns("R", std::move(cols), /*sorted=*/true);
+  for (int copy = 1; copy <= 3; ++copy) {
+    Relation r = complement;
+    r.set_name("R" + std::to_string(copy));
     out.db.PutRelation(std::move(r));
   }
   out.db.DeclareDomainSize(g.n);

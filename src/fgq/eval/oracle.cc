@@ -22,7 +22,10 @@ struct SearchState {
   Value domain_size;
   // Raw relations per atom (atom order of q->atoms()).
   std::vector<const Relation*> rels;
-  Relation* out;
+  // Answer columns in head order, adopted by the result; `found` marks
+  // an answer of a Boolean query, which has no column to hold it.
+  std::vector<Relation::ColumnVec> out;
+  bool found = false;
   std::vector<size_t> head_ids;
   const CancelToken* cancel;
   uint64_t nodes_visited = 0;
@@ -155,11 +158,10 @@ void Recurse(SearchState* st, size_t bound_count) {
     return;
   }
   if (bound_count == st->vars.size()) {
-    Tuple t(st->head_ids.size());
     for (size_t i = 0; i < st->head_ids.size(); ++i) {
-      t[i] = st->assignment[st->head_ids[i]];
+      st->out[i].push_back(st->assignment[st->head_ids[i]]);
     }
-    st->out->Add(t);
+    st->found = true;
     return;
   }
   int v = PickVariable(*st);
@@ -193,13 +195,14 @@ Result<Relation> EvaluateBacktrack(const ConjunctiveQuery& q,
     }
     st.rels.push_back(rel);
   }
-  Relation out(q.name(), q.arity());
-  st.out = &out;
+  st.out.resize(q.arity());
   for (const std::string& h : q.head()) st.head_ids.push_back(st.var_id[h]);
 
   // A Boolean query is satisfied once any full assignment passes; the
   // recursion naturally records the nullary tuple.
   Recurse(&st, 0);
+  Relation out = Relation::FromColumns(q.name(), std::move(st.out));
+  if (q.arity() == 0 && st.found) out.AddNullary();
   if (st.aborted) {
     Status base = cancel.Check("backtracking search");
     return Status(base.code(),

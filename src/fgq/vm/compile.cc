@@ -85,6 +85,27 @@ Result<std::shared_ptr<const IndexedFreeConnexPlan>> IndexFreeConnexPlan(
   const size_t n = out->nodes.size();
   out->parent_cols.resize(n);
   out->root_rows.resize(n);
+  TraceSpan index_span(ctx.trace(), "index_build");
+  // Every non-root node is stored connector-first, sorted: each probe's
+  // rows are then one run, read in order by the cursor and the fold, and
+  // the index builds from those runs. Within a run the rows keep their
+  // old relative order, so the enumeration order does not change. (A
+  // node already in that order projects onto itself: a column share.)
+  for (size_t i = 0; i < n; ++i) {
+    if (out->parent[i] < 0) continue;
+    PreparedAtom& node = out->nodes[i];
+    const PreparedAtom& p = out->nodes[out->parent[i]];
+    std::vector<size_t> order;
+    for (bool connector : {true, false}) {
+      for (size_t c = 0; c < node.vars.size(); ++c) {
+        if ((p.VarIndex(node.vars[c]) >= 0) == connector) order.push_back(c);
+      }
+    }
+    std::vector<std::string> vars;
+    for (size_t c : order) vars.push_back(node.vars[c]);
+    node.rel = node.rel.Project(order, node.rel.name(), ctx);
+    node.vars = std::move(vars);
+  }
   // Connector columns with the parent; query-sized bookkeeping.
   std::vector<std::vector<size_t>> connector_cols(n);
   for (size_t i = 0; i < n; ++i) {
@@ -108,7 +129,6 @@ Result<std::shared_ptr<const IndexedFreeConnexPlan>> IndexFreeConnexPlan(
   // each build itself morsel-parallel. Roots are walked, never probed.
   out->indexes.resize(n);
   {
-    TraceSpan index_span(ctx.trace(), "index_build");
     ParallelFor(ctx.pool(), n, 1, [&](size_t b, size_t e) {
       for (size_t i = b; i < e; ++i) {
         if (out->parent[i] < 0) continue;

@@ -199,11 +199,66 @@ TEST(SortDedupKernel, IdentityProjectionOfASortedSetKeepsTheBit) {
   EXPECT_TRUE(same.sorted());
   EXPECT_EQ(same.ToRowMajor(), r.ToRowMajor());
   EXPECT_EQ(trace.counter("sort_dedup_rows"), 0u);
+  // Column 1 moved to the front over a dense range: one counting sort,
+  // no SortDedup.
   Relation swapped = r.Project({1, 0}, "P", ctx);
   EXPECT_TRUE(swapped.sorted());
-  EXPECT_EQ(trace.counter("sort_dedup_rows"), r.NumTuples());
+  EXPECT_EQ(trace.counter("sort_dedup_rows"), 0u);
+  EXPECT_EQ(trace.counter("project_counting_sort_rows"), r.NumTuples());
   for (size_t i = 1; i < swapped.NumTuples(); ++i) {
     EXPECT_LT(swapped.Row(i - 1).ToTuple(), swapped.Row(i).ToTuple());
+  }
+}
+
+/// A canonical set of `n` random rows of `arity` columns: values below
+/// `domain`, or, when `sparse`, spread over 2^40 so no column's range is
+/// dense.
+Relation RandomSortedSet(size_t arity, size_t n, Value domain, bool sparse,
+                         uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  Relation r("R", arity);
+  Tuple t(arity);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t c = 0; c < arity; ++c) {
+      t[c] = sparse ? static_cast<Value>(rng() % (uint64_t{1} << 40))
+                    : static_cast<Value>(rng() % static_cast<uint64_t>(domain));
+    }
+    r.Add(t);
+  }
+  r.SortDedup();
+  return r;
+}
+
+/// `r`'s rows in the same order, with the sorted() bit cleared.
+Relation UnsortedCopy(const Relation& r) {
+  Relation out(r.name(), r.arity());
+  out.AppendFrom(r);
+  return out;
+}
+
+TEST(SortDedupKernel, CountingSortProjectMatchesTheSortPath) {
+  for (size_t arity = 2; arity <= 4; ++arity) {
+    for (bool sparse : {false, true}) {
+      const Relation r = RandomSortedSet(arity, 3000, 12, sparse, arity);
+      const Relation plain = UnsortedCopy(r);
+      ASSERT_FALSE(plain.sorted());
+      for (size_t lead = 1; lead < arity; ++lead) {
+        std::vector<size_t> cols{lead};
+        for (size_t c = 0; c < arity; ++c) {
+          if (c != lead) cols.push_back(c);
+        }
+        TraceContext trace;
+        const Relation fast =
+            r.Project(cols, "P", ExecContext().WithTrace(&trace));
+        const Relation ref = plain.Project(cols, "P");
+        EXPECT_TRUE(fast.sorted());
+        EXPECT_EQ(fast.ToRowMajor(), ref.ToRowMajor())
+            << "arity " << arity << " lead " << lead << " sparse " << sparse;
+        EXPECT_EQ(trace.counter("project_counting_sort_rows"),
+                  sparse ? 0u : r.NumTuples())
+            << "arity " << arity << " lead " << lead;
+      }
+    }
   }
 }
 
@@ -766,6 +821,67 @@ TEST(HashIndex, ParallelBuildBitIdenticalLayout) {
     EXPECT_EQ(par.offsets(), serial.offsets()) << threads << " threads";
     EXPECT_EQ(par.row_ids(), serial.row_ids()) << threads << " threads";
     EXPECT_EQ(par.slots(), serial.slots()) << threads << " threads";
+  }
+}
+
+TEST(HashIndex, RunBuildMatchesTheHashingBuilder) {
+  // A sorted relation keyed on its leading columns builds from its runs;
+  // the same rows without the sorted() bit take the hashing builder. The
+  // two layouts must match array for array.
+  struct Shape {
+    const char* name;
+    std::function<Tuple(size_t, std::mt19937_64&)> row;
+  };
+  const std::vector<Shape> shapes = {
+      {"one-run", [](size_t i, std::mt19937_64&) {
+         return Tuple{7, 3, static_cast<Value>(i)};
+       }},
+      {"all-distinct", [](size_t i, std::mt19937_64&) {
+         return Tuple{static_cast<Value>(i) * 3 - 500,
+                      static_cast<Value>(i % 3), 0};
+       }},
+      {"mixed", [](size_t, std::mt19937_64& rng) {
+         return Tuple{static_cast<Value>(rng() % 2000),
+                      static_cast<Value>(rng() % 4),
+                      static_cast<Value>(rng() % 1000)};
+       }},
+  };
+  for (const Shape& shape : shapes) {
+    for (size_t n : {size_t{1000}, size_t{20000}}) {  // Around the cutoff.
+      std::mt19937_64 rng(n);
+      Relation r("R", 3);
+      for (size_t i = 0; i < n; ++i) r.Add(shape.row(i, rng));
+      r.SortDedup();
+      const Relation plain = UnsortedCopy(r);
+      for (const std::vector<size_t>& key :
+           {std::vector<size_t>{0}, std::vector<size_t>{0, 1}}) {
+        for (int threads : {1, 4}) {
+          ExecOptions opts;
+          opts.num_threads = threads;
+          TraceContext trace;
+          const ExecContext ctx = ExecContext(opts).WithTrace(&trace);
+          const HashIndex runs(r, key, ctx);
+          EXPECT_EQ(trace.counter("index_run_build_rows"), r.NumTuples());
+          const HashIndex ref(plain, key, ctx);
+          EXPECT_EQ(trace.counter("index_run_build_rows"), r.NumTuples());
+          const std::string what = std::string(shape.name) + " n=" +
+                                   std::to_string(n) + " key arity " +
+                                   std::to_string(key.size()) + " threads " +
+                                   std::to_string(threads);
+          EXPECT_EQ(runs.NumKeys(), ref.NumKeys()) << what;
+          EXPECT_EQ(runs.offsets(), ref.offsets()) << what;
+          EXPECT_EQ(runs.row_ids(), ref.row_ids()) << what;
+          EXPECT_EQ(runs.slots(), ref.slots()) << what;
+          EXPECT_EQ(runs.tags(), ref.tags()) << what;
+          EXPECT_EQ(HashIndexTestPeer::HasDenseCount(runs),
+                    HashIndexTestPeer::HasDenseCount(ref))
+              << what;
+          EXPECT_EQ(runs.CountProbeRows(plain, key, 0, plain.NumTuples()),
+                    ref.CountProbeRows(plain, key, 0, plain.NumTuples()))
+              << what;
+        }
+      }
+    }
   }
 }
 

@@ -8,18 +8,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "fgq/count/acq_count.h"
+#include "fgq/db/index.h"
 #include "fgq/eval/engine.h"
 #include "fgq/query/parser.h"
 #include "fgq/serve/query_service.h"
+#include "fgq/trace/trace.h"
 #include "fgq/util/random.h"
 #include "fgq/vm/compile.h"
 #include "fgq/vm/vm.h"
+#include "fgq/workload/generators.h"
 
 namespace fgq {
 namespace {
@@ -369,6 +373,92 @@ TEST(VmCount, RepeatedHeadVariablesNeverCompile) {
   Result<vm::Compilation> comp = vm::CompileQuery(q, db);
   ASSERT_FALSE(comp.ok());
   EXPECT_EQ(comp.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---- Plan node order ----------------------------------------------------------
+
+/// Small free-connex cases whose child nodes are probed on a connector
+/// that is not their leading column: Figure 1 (R(x1, x2) probed by x2), a
+/// child probed on its second column, and a two-column connector in
+/// trailing position.
+struct OrderCase {
+  const char* name;
+  ConjunctiveQuery query;
+  Database db;
+};
+
+std::vector<OrderCase> OrderCases() {
+  std::vector<OrderCase> cases;
+  Rng rng(20261);
+  cases.push_back({"figure1", Figure1Query(), Figure1Database(400, 40, &rng)});
+  Database e;
+  e.PutRelation(RandomRelation("E", 2, 600, 50, &rng));
+  e.PutRelation(RandomRelation("B", 1, 30, 50, &rng));
+  cases.push_back({"second-column", Q("Q(x, y, z) :- E(x, y), E(z, y), B(y)."),
+                   std::move(e)});
+  Database t;
+  t.PutRelation(RandomRelation("R", 3, 500, 8, &rng));
+  t.PutRelation(RandomRelation("S", 3, 500, 8, &rng));
+  cases.push_back({"two-column", Q("Q(x, y, z, w) :- R(x, y, z), S(w, y, z)."),
+                   std::move(t)});
+  return cases;
+}
+
+/// FNV-1a over the answer sequence, value by value, in emission order.
+uint64_t SequenceHash(const std::vector<Tuple>& rows) {
+  uint64_t h = 14695981039346656037ull;
+  for (const Tuple& t : rows) {
+    for (Value v : t) h = (h ^ static_cast<uint64_t>(v)) * 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(VmPlan, NonRootNodesAreSortedConnectorFirst) {
+  for (const OrderCase& c : OrderCases()) {
+    TraceContext trace;
+    Result<std::shared_ptr<const vm::Program>> prog = vm::CompileFreeConnex(
+        c.query, c.db, ExecContext().WithTrace(&trace));
+    ASSERT_TRUE(prog.ok()) << c.name << ": " << prog.status();
+    const IndexedFreeConnexPlan& plan = *(*prog)->plan;
+    ASSERT_FALSE(plan.empty) << c.name;
+    size_t child_rows = 0;
+    for (size_t i = 0; i < plan.nodes.size(); ++i) {
+      if (plan.parent[i] < 0) continue;
+      const PreparedAtom& node = plan.nodes[i];
+      const PreparedAtom& parent = plan.nodes[plan.parent[i]];
+      EXPECT_TRUE(node.rel.sorted()) << c.name << " node " << i;
+      const std::vector<size_t>& pcols = plan.parent_cols[i];
+      ASSERT_FALSE(pcols.empty()) << c.name << " node " << i;
+      std::vector<size_t> lead(pcols.size());
+      for (size_t j = 0; j < pcols.size(); ++j) {
+        lead[j] = j;
+        EXPECT_EQ(node.vars[j], parent.vars[pcols[j]])
+            << c.name << " node " << i << " column " << j;
+      }
+      EXPECT_EQ(plan.indexes[i]->key_cols(), lead) << c.name << " node " << i;
+      child_rows += node.rel.NumTuples();
+    }
+    // Every child index took the run build (the sweeps may add more).
+    EXPECT_GE(trace.counter("index_run_build_rows"), child_rows) << c.name;
+  }
+}
+
+TEST(VmPlan, ConnectorFirstNodesKeepTheEnumerationOrder) {
+  // The answer sequences as the cursor emitted them before the child
+  // nodes were stored connector-first: the reorder must not move one.
+  const std::map<std::string, std::pair<size_t, uint64_t>> pinned = {
+      {"figure1", {3283, 5204202721710928721ull}},
+      {"second-column", {3064, 14345691711960791773ull}},
+      {"two-column", {1636, 3566955981039217946ull}},
+  };
+  for (const OrderCase& c : OrderCases()) {
+    Result<std::unique_ptr<AnswerEnumerator>> e =
+        MakeConstantDelayEnumerator(c.query, c.db);
+    ASSERT_TRUE(e.ok()) << c.name << ": " << e.status();
+    const std::vector<Tuple> rows = DrainAll(e->get());
+    EXPECT_EQ(rows.size(), pinned.at(c.name).first) << c.name;
+    EXPECT_EQ(SequenceHash(rows), pinned.at(c.name).second) << c.name;
+  }
 }
 
 // ---- Engine routes -----------------------------------------------------------
